@@ -1,5 +1,8 @@
 """Pieces every workload shares: the cyclic input stream, the open-loop
-query schedule, latency summaries, set-up timing and resource figures."""
+query schedule, latency summaries, set-up timing and resource figures.
+
+Every timed figure is read from a :class:`perfbench.clock.Clock` and
+scaled by its host-speed factor (see that module)."""
 
 from __future__ import annotations
 
@@ -11,6 +14,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .clock import PROBE_WINDOW, REFERENCE_S, Clock
+
 __all__ = [
     "Metrics",
     "Phase",
@@ -19,6 +24,7 @@ __all__ = [
     "SliceMeter",
     "Stream",
     "drive",
+    "freeze_inputs",
     "latency_summary",
     "peak_rss_mb",
     "per_unit",
@@ -126,13 +132,15 @@ class QuerySchedule:
 
     Each query is timed from when it was *due*, so a stall delays and
     counts against every query behind it; ``lateness`` records how late
-    the generator issued each one.
+    the generator issued each one.  ``latencies`` are divided by the
+    host-speed factor at completion, ``raw_latencies`` are not.
     """
 
     period: float
     start: float
     latencies: List[float] = field(default_factory=list)
     lateness: List[float] = field(default_factory=list)
+    raw_latencies: List[float] = field(default_factory=list)
     failures: int = 0
 
     def __post_init__(self) -> None:
@@ -142,9 +150,10 @@ class QuerySchedule:
         """The due time of the next query if it is due at ``now``."""
         return self.next_due if now >= self.next_due else None
 
-    def done(self, due: float, issued: float, finished: float, ok: bool = True) -> None:
+    def done(self, due: float, issued: float, finished: float, factor: float, ok: bool = True) -> None:
         self.lateness.append(issued - due)
-        self.latencies.append(finished - due)
+        self.raw_latencies.append(finished - due)
+        self.latencies.append((finished - due) / factor)
         if not ok:
             self.failures += 1
         self.next_due = due + self.period
@@ -172,11 +181,31 @@ def latency_summary(latencies_s: Sequence[float]) -> Dict[str, float]:
     }
 
 
-def timed_setups(reps: int, setup: Callable[[], object], teardown: Callable[[object], None]) -> Tuple[object, List[float]]:
+def freeze_inputs() -> None:
+    """Move every object alive now, the interpreter's modules and the
+    run's generated inputs, out of the garbage collector's sight.
+
+    The inputs are millions of list slots that a deployment would not
+    hold.  Left tracked, every full collection during the timed phase
+    walks them (about 70 ms on a 2M-packet trace), and the program is
+    charged for the benchmark's own memory.  Objects made afterwards,
+    the engines among them, are collected as usual.
+    """
+    gc.collect()
+    gc.freeze()
+
+
+def timed_setups(
+    reps: int,
+    setup: Callable[[], object],
+    teardown: Callable[[object], None],
+    clock: Clock,
+) -> Tuple[object, List[float]]:
     """Run ``setup`` ``reps`` times, tearing down all but the last.
 
-    Returns the last system and every set-up time.  ``setup`` covers the
-    span from spec to first batch accepted.
+    Returns the last system and every set-up time on ``clock``, divided
+    by the host-speed factor measured just before it.  ``setup`` covers
+    the span from spec to first batch accepted.
     """
     times: List[float] = []
     system = None
@@ -184,9 +213,10 @@ def timed_setups(reps: int, setup: Callable[[], object], teardown: Callable[[obj
         # every set-up starts from the same heap: the garbage of the last
         # one would otherwise be collected inside some set-ups and not others
         gc.collect()
-        started = time.perf_counter()
+        factor = clock.calibrate(PROBE_WINDOW if rep == 0 else 2)
+        started = clock()
         system = setup()
-        times.append(time.perf_counter() - started)
+        times.append((clock() - started) / factor)
         if rep < reps - 1:
             teardown(system)
             system = None
@@ -214,36 +244,61 @@ class Phase:
     """What one timed phase measured."""
 
     packets: int
-    elapsed: float
+    elapsed: float  # on the phase's clock
     schedule: QuerySchedule
     final: object  # the flush-consistent query that ends the phase
-    slice_rates: List[float] = field(default_factory=list)
+    meter: "SliceMeter"
 
     @property
     def pps(self) -> float:
-        """Median packets per second over the phase's slices.
+        """Median packets per second over the phase's slices, each
+        scaled by its host-speed factor (see :class:`SliceMeter`).
 
         A median of short slices rather than one total, so a burst of
         interference from outside the run moves it less; a phase too
         short for two slices falls back to the total.
         """
-        if len(self.slice_rates) >= 2:
-            return statistics.median(self.slice_rates)
+        if len(self.meter.rates) >= 2:
+            return statistics.median(self.meter.rates)
+        return self.packets / self.elapsed * self.meter.factors[-1]
+
+    @property
+    def raw_pps(self) -> float:
+        """:attr:`pps` without the host-speed scaling."""
+        if len(self.meter.raw_rates) >= 2:
+            return statistics.median(self.meter.raw_rates)
         return self.packets / self.elapsed
 
 
 class SliceMeter:
-    """Packets per second over consecutive slices of about ``SLICE_S``."""
+    """Packets per second over consecutive slices of about ``SLICE_S``
+    on ``clock``.  At the end of each slice the clock's probe runs once
+    (with the clock stopped) and the slice's rate is scaled by the
+    median factor of the probe runs made during the slice, or of the
+    last :data:`PROBE_WINDOW` runs if the slice made fewer."""
 
-    def __init__(self, start: float, position: int) -> None:
+    def __init__(self, clock: Clock, position: int) -> None:
         self.rates: List[float] = []
-        self._mark = start
+        self.raw_rates: List[float] = []
+        self.factors: List[float] = [clock.calibrate(PROBE_WINDOW)]
+        self._clock = clock
+        self._samples = clock.probe.samples
+        self._first_sample = len(self._samples)
+        self._mark = clock()
         self._position = position
 
-    def tick(self, now: float, position: int) -> None:
+    def tick(self, position: int) -> None:
+        now = self._clock()
         if now - self._mark >= SLICE_S:
-            self.rates.append((position - self._position) / (now - self._mark))
-            self._mark = now
+            rate = (position - self._position) / (now - self._mark)
+            self._clock.calibrate()
+            first = min(self._first_sample, len(self._samples) - PROBE_WINDOW)
+            factor = statistics.median(self._samples[first:]) / REFERENCE_S
+            self.raw_rates.append(rate)
+            self.rates.append(rate * factor)
+            self.factors.append(factor)
+            self._first_sample = len(self._samples)
+            self._mark = self._clock()
             self._position = position
 
 
@@ -254,35 +309,38 @@ def drive(
     seconds: float,
     period: float,
     finish_pass: bool,
+    clock: Clock,
 ) -> Phase:
     """One timed phase on the calling thread.
 
     Ingest is a closed loop (the next batch goes in as soon as the
     previous one is accepted); queries are due on a fixed open-loop
     cadence and run between batches, each timed from its due time.
-    After ``seconds`` the phase optionally runs on to the end of the
-    current pass, then ends with one more (flush-consistent) query.
+    Rates, due times and latencies are read from ``clock`` and scaled
+    by its host-speed factor (each latency by a spot probe taken right
+    after the query); the phase lasts ``seconds`` of wall time.  After
+    that it optionally runs on to the end of the current pass, then ends
+    with one more (flush-consistent) query.
     """
-    clock = time.perf_counter
-    start = clock()
-    deadline = start + seconds
-    schedule = QuerySchedule(period, start)
     first = stream.position
-    meter = SliceMeter(start, first)
+    meter = SliceMeter(clock, first)
+    deadline = time.perf_counter() + seconds
+    start = clock()
+    schedule = QuerySchedule(period, start)
     while True:
-        now = clock()
-        if now >= deadline and (not finish_pass or stream.at_pass_end):
+        if time.perf_counter() >= deadline and (not finish_pass or stream.at_pass_end):
             break
         ingest(stream.next_batch())
         due = schedule.due(clock())
-        while due is not None and clock() < deadline:
+        while due is not None and time.perf_counter() < deadline:
             issued = clock()
             query()
-            schedule.done(due, issued, clock())
+            finished = clock()
+            schedule.done(due, issued, finished, clock.spot())
             due = schedule.due(clock())
-        meter.tick(clock(), stream.position)
+        meter.tick(stream.position)
     final = query()
-    return Phase(stream.position - first, clock() - start, schedule, final, meter.rates)
+    return Phase(stream.position - first, clock() - start, schedule, final, meter)
 
 
 def put_latency(m: Metrics, phase) -> None:
@@ -292,6 +350,12 @@ def put_latency(m: Metrics, phase) -> None:
     m.record["query_tail_percentile"] = summary["tail_pct"]
     m.record["query_samples"] = summary["samples"]
     m.record["generator_lateness_p50_ms"] = statistics.median(phase.schedule.lateness) * 1e3 if phase.schedule.lateness else 0.0
+    raw = latency_summary(phase.schedule.raw_latencies)
+    m.record["unscaled"] = {
+        "ingest_pps": phase.raw_pps, "query_p50_ms": raw["p50_ms"], "query_tail_ms": raw["tail_ms"],
+        "host_speed_factor_p50": statistics.median(phase.meter.factors),
+        "host_speed_factor_range": [min(phase.meter.factors), max(phase.meter.factors)],
+    }
     m.ops(len(phase.schedule.latencies) + 1, phase.schedule.failures)
 
 

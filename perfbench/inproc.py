@@ -1,13 +1,16 @@
-"""The two in-process engine workloads: ``memento-direct`` and
-``memento-sharded``.
+"""The ``memento-direct`` workload, and the sharding layers its traced
+run measures.
 
-Both replay the same seeded Backbone-profile trace through an engine
-built by ``build_engine`` from the same algorithm section.  The direct
-engine is a bare Memento, so core.sampling, core.kernel and core.memento
-do all the work; the sharded engine adds two resident workers fed over
-shared memory and a pipelined front-end, and its queries collect the
-workers' state and merge it.  Any difference between the two is the
-sharding layer.
+A bare Memento engine built by ``build_engine`` replays a seeded
+Backbone-profile trace, so core.sampling, core.kernel and core.memento
+do all the work.  Its traced run (``--trace 1``) also replays the same
+trace through an engine built from the same algorithm section plus two
+resident workers fed over shared memory and a pipelined front-end,
+whose queries collect the workers' state and merge it; the spans of
+that phase are the sharding layer's figures.  The sharded engine is not
+an end-to-end workload of its own: three busy processes on a two-core
+box measure the scheduler and the host more than the program (see
+``README.md``).
 """
 
 from __future__ import annotations
@@ -19,12 +22,13 @@ from typing import Dict, List, Set
 
 import numpy as np
 
-from .common import Metrics, RunContext, Stream, drive, peak_rss_mb, per_unit, put_latency, put_load_layer, timed_setups
+from .clock import Clock, StealFreeClock, thread_time
+from .common import Metrics, RunContext, Stream, drive, freeze_inputs, peak_rss_mb, per_unit, put_latency, put_load_layer, timed_setups
 from .oracle import grade_heavy_hitters, missed_fraction, sampling_envelope
 from .reap import close_all
 from .trace import Tracer, covered_ns
 
-__all__ = ["FlatSize", "flat_size", "flat_spec", "run_direct", "run_sharded"]
+__all__ = ["FlatSize", "flat_size", "flat_spec", "run_direct"]
 
 
 @dataclass(frozen=True)
@@ -50,10 +54,11 @@ TINY = FlatSize(
     theta=0.05, batch=2048, top_k=10, check_every=3_000,
 )
 
-#: seconds between due queries, per workload
-PERIOD = {"memento-direct": 0.02, "memento-sharded": 0.1}
+#: seconds between due queries, on the direct and on the sharded engine
+PERIOD = 0.025
+SHARDED_PERIOD = 0.07
 #: set-up repetitions per run (the median is reported)
-SETUPS = {"memento-direct": 20, "memento-sharded": 10}
+SETUPS = 20
 
 #: packets of the in-process shard replay (its plan replay is slow)
 REPLAY_PACKETS = 262_144
@@ -133,26 +138,20 @@ def flat_missed_frac(engine_factory, packets, targets, size: FlatSize) -> float:
 
 
 def run_direct(ctx: RunContext) -> Metrics:
-    return _run_flat(ctx, "memento-direct", sharded=False)
-
-
-def run_sharded(ctx: RunContext) -> Metrics:
-    return _run_flat(ctx, "memento-sharded", sharded=True)
-
-
-def _run_flat(ctx: RunContext, name: str, sharded: bool) -> Metrics:
     from repro.engine import build_engine
 
+    name = "memento-direct"
     size = flat_size(ctx.tiny)
     m = Metrics()
     packets = flat_trace(size, ctx.seed)
-    spec = flat_spec(size, ctx.seed, sharded=sharded)
+    spec = flat_spec(size, ctx.seed)
     m.record.update(
         workload=name, seed=ctx.seed, trace_packets=size.trace,
         batch=size.batch, theta=size.theta, spec=spec.to_dict(),
     )
     builds: List[float] = []
     stream = Stream(packets, size.batch)
+    freeze_inputs()
     opened = []  # every engine built, closed on every exit path
 
     def setup():
@@ -162,48 +161,49 @@ def _run_flat(ctx: RunContext, name: str, sharded: bool) -> Metrics:
         opened.append(engine)
         stream.rewind()
         engine.update_many(stream.next_batch())
-        engine.flush()  # accepted = applied, workers spawned and seeded
+        engine.flush()
         return engine
 
-    reps = 1 if ctx.tiny else SETUPS[name]
+    # all of the engine's work is on this thread, which never waits
+    clock = Clock(thread_time)
+    reps = 1 if ctx.tiny else SETUPS
     try:
-        engine, setups = timed_setups(reps, setup, lambda e: (e.close(), opened.remove(e)))
-        ctx.ledger.note_mp_children()
+        engine, setups = timed_setups(reps, setup, lambda e: (e.close(), opened.remove(e)), clock)
         m.put("setup_s", statistics.median(setups), "s")
         theta = size.theta
-        period = PERIOD[name]
         untraced_s = ctx.seconds / 2 if ctx.trace else ctx.seconds
         ctx.log(f"{name}: timed phase ({untraced_s:.1f}s untraced)")
         phase = drive(
             stream, engine.update_many, lambda: engine.heavy_hitters(theta),
-            untraced_s, period, finish_pass=not ctx.trace,
+            untraced_s, PERIOD, finish_pass=not ctx.trace, clock=clock,
         )
         m.put("ingest_pps", phase.pps, "pkt/s")
         put_latency(m, phase)
+        tracer = Tracer() if ctx.trace else None
         if ctx.trace:
-            tracer = Tracer()
-            traced = (_traced_sharded if sharded else _traced_direct)(ctx, m, engine, stream, size, tracer)
+            traced = _traced_direct(ctx, m, engine, stream, size, tracer, clock)
             m.put("trace.pps_ratio", traced.pps / phase.pps, "ratio")
             put_load_layer(m, traced)
             m.put("engine.build_s", statistics.median(builds), "s")
-            tracer.write(ctx.work_dir.parent / f"trace-{name}-seed{ctx.seed}.json")
             phase = traced
-        final = phase.final
         m.record["packets_ingested"] = stream.position
         m.record["passes"] = stream.passes
-        targets = grade_final(m, final, packets, size, shards=2 if sharded else 1)
+        targets = grade_final(m, phase.final, packets, size)
         m.put(
             "missed_frac",
             flat_missed_frac(lambda: build_engine(spec), packets, targets, size),
             "frac",
         )
+        if ctx.trace:
+            _sharding_layers(ctx, m, stream, size, tracer, opened)
+            tracer.write(ctx.work_dir.parent / f"trace-{name}-seed{ctx.seed}.json")
     finally:
         close_all(opened)
     m.put("peak_rss_mb", peak_rss_mb(), "MB")
     return m
 
 
-def _traced_direct(ctx, m, engine, stream, size, tracer) -> object:
+def _traced_direct(ctx, m, engine, stream, size, tracer, clock) -> object:
     """Traced phase of memento-direct: update_many decomposed into the
     sampler's decision column, the kernel's plan and the sketch's
     plan replay, each in its own span."""
@@ -227,6 +227,7 @@ def _traced_direct(ctx, m, engine, stream, size, tracer) -> object:
 
     sketch.update_many = update_many
     undo_query = tracer.wrap(sketch, "heavy_hitters", "core.memento.query")
+    probed = clock.probe_wall_ns
     started = time.perf_counter_ns()
     first = stream.position
     try:
@@ -234,7 +235,7 @@ def _traced_direct(ctx, m, engine, stream, size, tracer) -> object:
             stream,
             lambda batch: tracer.call("engine.update_many", engine.update_many, batch),
             lambda: tracer.call("engine.heavy_hitters", engine.heavy_hitters, size.theta),
-            ctx.seconds / 2, PERIOD["memento-direct"], finish_pass=True,
+            ctx.seconds / 4, PERIOD, finish_pass=True, clock=clock,
         )
     finally:
         del sketch.update_many
@@ -250,14 +251,41 @@ def _traced_direct(ctx, m, engine, stream, size, tracer) -> object:
     queries = st.get("core.memento.query", (0, 0))
     m.put("core.memento.query_ms", per_unit(queries[0], queries[1]) / 1e6, "ms")
     m.put("core.memento.full_update_ratio", sketch.full_updates / sketch.updates, "ratio")
-    m.put("trace.self_time_coverage", covered_ns(tracer.spans, started, ended) / (ended - started), "frac")
+    timed = ended - started - (clock.probe_wall_ns - probed)
+    m.put("trace.self_time_coverage", covered_ns(tracer.spans, started, ended) / timed, "frac")
     return phase
 
 
-def _traced_sharded(ctx, m, engine, stream, size, tracer) -> object:
-    """Traced phase of memento-sharded: submit time in the parent, the
-    query split into flush, collect, merge and enumerate, then an
-    in-process replay of each shard's plans."""
+def _sharding_layers(ctx, m, stream, size, tracer, opened) -> None:
+    """The last quarter of a traced memento-direct run: the same trace
+    through a sharded engine (two resident shm workers behind a
+    pipeline), traced; its final answer is graded like the direct one.
+    Timed on the steal-free wall clock, since the parent waits for its
+    workers."""
+    from repro.engine import build_engine
+
+    spec = flat_spec(size, ctx.seed, sharded=True)
+    m.record["sharded_spec"] = spec.to_dict()
+    engine = build_engine(spec)
+    opened.append(engine)
+    stream.rewind()
+    engine.update_many(stream.next_batch())
+    engine.flush()  # workers spawned and seeded
+    ctx.ledger.note_mp_children()
+    ctx.log("memento-direct: sharding layers (traced)")
+    phase = _traced_sharded(ctx, m, engine, stream, size, tracer, Clock(StealFreeClock()))
+    exact = exact_final_window(stream.packets, size.window)
+    envelope = sampling_envelope(size.window, size.counters, size.theta, 1 / size.tau, 2)
+    grade = grade_heavy_hitters(phase.final, exact, size.window, size.theta, envelope)
+    m.check("sharded engine's hh_recall reaches the oracle bound", grade.ok, grade.detail())
+    engine.close()
+    opened.remove(engine)
+
+
+def _traced_sharded(ctx, m, engine, stream, size, tracer, clock) -> object:
+    """Traced sharded phase: submit time in the parent, the query split
+    into flush, collect, merge and enumerate, then an in-process replay
+    of each shard's plans."""
     from repro.core.merge import merge_memento
 
     span = tracer.span
@@ -271,14 +299,12 @@ def _traced_sharded(ctx, m, engine, stream, size, tracer) -> object:
                 merged = merge_memento(shards, counters=sum(s.k for s in shards))
             return tracer.call("core.merge.query", merged.heavy_hitters, theta)
 
-    started = time.perf_counter_ns()
     first = stream.position
     phase = drive(
         stream,
         lambda batch: tracer.call("sharding.submit", engine.update_many, batch),
-        query, ctx.seconds / 2, PERIOD["memento-sharded"], finish_pass=True,
+        query, ctx.seconds / 4, SHARDED_PERIOD, finish_pass=True, clock=clock,
     )
-    ended = time.perf_counter_ns()
     # the phase's final answer comes from the engine's own query path
     phase.final = engine.heavy_hitters(theta)
     packets = stream.position - first
@@ -291,7 +317,6 @@ def _traced_sharded(ctx, m, engine, stream, size, tracer) -> object:
     ):
         ns, calls = st.get(span_name, (0, 0))
         m.put(metric, per_unit(ns, calls) / 1e6, "ms")
-    m.put("trace.self_time_coverage", covered_ns(tracer.spans, started, ended) / (ended - started), "frac")
     _shard_replay(ctx, m, engine, stream.packets, size, tracer)
     return phase
 

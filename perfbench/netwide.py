@@ -20,7 +20,8 @@ from typing import List
 
 import numpy as np
 
-from .common import Metrics, RunContext, Stream, drive, peak_rss_mb, per_unit, put_latency, put_load_layer, timed_setups
+from .clock import Clock, thread_time
+from .common import Metrics, RunContext, Stream, drive, freeze_inputs, peak_rss_mb, per_unit, put_latency, put_load_layer, timed_setups
 from .oracle import grade_heavy_hitters, missed_fraction, sampling_envelope
 from .reap import close_all
 from .trace import Tracer, covered_ns
@@ -44,7 +45,7 @@ FULL = NetSize(base=150_000, window=100_000, points=10, batch=8000,
 TINY = NetSize(base=20_000, window=10_000, points=10, batch=2000,
                theta_detect=0.005, theta_hhh=0.6, check_every=1000)
 
-PERIOD = 0.2  # seconds between due monitoring ticks
+PERIOD = 0.14  # seconds between due monitoring ticks
 SETUPS = 20
 SUBNET_MASK = 0xFF000000
 
@@ -121,6 +122,7 @@ def run_netwide(ctx: RunContext) -> Metrics:
     theta_d, theta_h = size.theta_detect, size.theta_hhh
 
     stream = Stream(packets, size.batch)
+    freeze_inputs()
     opened = []  # every deployment built, closed on every exit path
 
     builds: List[float] = []
@@ -135,7 +137,10 @@ def run_netwide(ctx: RunContext) -> Metrics:
 
     try:
         reps = 1 if ctx.tiny else SETUPS
-        deployment, setups = timed_setups(reps, setup, lambda d: (d.close(), opened.remove(d)))
+        # every point and the controller run on this thread, which never
+        # waits: it is timed on its own CPU clock
+        clock = Clock(thread_time)
+        deployment, setups = timed_setups(reps, setup, lambda d: (d.close(), opened.remove(d)), clock)
         m.put("setup_s", statistics.median(setups), "s")
         controller = deployment.controller
 
@@ -144,12 +149,13 @@ def run_netwide(ctx: RunContext) -> Metrics:
 
         untraced_s = ctx.seconds / 2 if ctx.trace else ctx.seconds
         ctx.log(f"hhh-netwide: timed phase ({untraced_s:.1f}s untraced)")
-        phase = drive(stream, deployment.ingest, tick, untraced_s, PERIOD, finish_pass=not ctx.trace)
+        phase = drive(stream, deployment.ingest, tick, untraced_s, PERIOD,
+                      finish_pass=not ctx.trace, clock=clock)
         m.put("ingest_pps", phase.pps, "pkt/s")
         put_latency(m, phase)
         if ctx.trace:
             tracer = Tracer()
-            traced = _traced(ctx, m, deployment, stream, size, tracer)
+            traced = _traced(ctx, m, deployment, stream, size, tracer, clock)
             m.put("trace.pps_ratio", traced.pps / phase.pps, "ratio")
             put_load_layer(m, traced)
             m.put("engine.build_s", statistics.median(builds), "s")
@@ -203,7 +209,7 @@ def _missed(spec, tau, batch_size, size, seed, flood, theta_d) -> float:
         deployment.close()
 
 
-def _traced(ctx, m, deployment, stream, size, tracer: Tracer):
+def _traced(ctx, m, deployment, stream, size, tracer: Tracer, clock):
     """Traced phase: observe/receive spans per point, H-Memento's ingest
     calls under receive, and the tick split into detection and
     ``compute_hhh`` over H-Memento's public estimators."""
@@ -250,10 +256,11 @@ def _traced(ctx, m, deployment, stream, size, tracer: Tracer):
         return detected, selected
 
     samples_before = controller.samples_ingested
+    probed = clock.probe_wall_ns
     started = time.perf_counter_ns()
     first = stream.position
     try:
-        phase = drive(stream, ingest, tick, ctx.seconds / 2, PERIOD, finish_pass=True)
+        phase = drive(stream, ingest, tick, ctx.seconds / 2, PERIOD, finish_pass=True, clock=clock)
     finally:
         for restore in undo:
             restore()
@@ -272,5 +279,6 @@ def _traced(ctx, m, deployment, stream, size, tracer: Tracer):
     m.put("hierarchy.hhh_candidates", last["candidates"], "count")
     m.put("hierarchy.hhh_selected", last["selected"], "count")
     m.put("hierarchy.estimator_calls", per_unit(tracer.counts["hierarchy.estimator_calls"], hhh_calls), "count")
-    m.put("trace.self_time_coverage", covered_ns(tracer.spans, started, ended) / (ended - started), "frac")
+    timed = ended - started - (clock.probe_wall_ns - probed)
+    m.put("trace.self_time_coverage", covered_ns(tracer.spans, started, ended) / timed, "frac")
     return phase

@@ -4,8 +4,9 @@ Usage (from the root of a checkout)::
 
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
-Workloads: ``memento-direct``, ``memento-sharded``, ``memento-service``
-and ``hhh-netwide`` (see ``perfbench/README.md`` for why each exists).
+Workloads: ``memento-direct``, ``memento-service`` and ``hhh-netwide``
+(see ``perfbench/README.md`` for why each exists; the traced run of
+``memento-direct`` also measures the sharding layers).
 ``--trace 0`` prints every end-to-end metric; ``--trace 1`` runs half
 the time untraced and half traced and prints every per-layer metric,
 with spans written to ``.perfbench_out/``.  Every run checks its answers
@@ -36,7 +37,7 @@ from perfbench import reap  # noqa: E402
 #: the metric names and units every run prints
 CONTRACT_PATH = BENCH_DIR.parent / "BENCHMARK.json"
 
-WORKLOADS = ("memento-direct", "memento-sharded", "memento-service", "hhh-netwide")
+WORKLOADS = ("memento-direct", "memento-service", "hhh-netwide")
 #: a run that has not finished by then is interrupted and torn down
 WORKLOAD_TIMEOUT_S = 150.0
 OUT_DIR = ".perfbench_out"
@@ -81,13 +82,12 @@ def main(argv=None) -> int:
     root = Path.cwd()
     import_program(root)
     from perfbench.common import RunContext
-    from perfbench.inproc import run_direct, run_sharded
+    from perfbench.inproc import run_direct
     from perfbench.netwide import run_netwide
     from perfbench.service import run_service
 
     runners = {
         "memento-direct": run_direct,
-        "memento-sharded": run_sharded,
         "memento-service": run_service,
         "hhh-netwide": run_netwide,
     }

@@ -23,7 +23,8 @@ import threading
 import time
 from typing import List
 
-from .common import Metrics, Phase, QuerySchedule, RunContext, SliceMeter, Stream, latency_summary, peak_rss_mb, per_unit, put_latency, put_load_layer, timed_setups
+from .clock import Clock, StealFreeClock
+from .common import Metrics, Phase, QuerySchedule, RunContext, SliceMeter, Stream, freeze_inputs, latency_summary, peak_rss_mb, per_unit, put_latency, put_load_layer, timed_setups
 from .inproc import flat_missed_frac, flat_size, flat_spec, flat_trace, grade_final
 from .oracle import same_answers
 from .reap import close_all, stop_popen
@@ -33,7 +34,7 @@ __all__ = ["run_service"]
 
 FRAME = 32  # packets per report frame (a netwide Batch report's size)
 PERIOD = 0.025  # seconds between due queries on the query connection
-SETUPS = 3
+SETUPS = 5
 CHECKPOINT_INTERVAL = {False: 1_000_000, True: 20_000}  # keyed by tiny
 READY_TIMEOUT_S = 60.0
 #: backpressure budget: bounds the writes a read can queue behind
@@ -93,6 +94,7 @@ def run_service(ctx: RunContext) -> Metrics:
     stderr_path = ctx.work_dir / "repro-serve.stderr"
 
     stream = Stream(packets, FRAME)
+    freeze_inputs()
     opened: List[Daemon] = []  # closed on every exit path
 
     def setup() -> Daemon:
@@ -116,17 +118,20 @@ def run_service(ctx: RunContext) -> Metrics:
         client.flush()
         return daemon
 
+    # the client, the daemon and the query thread wait for each other:
+    # everything is timed on the steal-free wall clock
+    clock = Clock(StealFreeClock())
     query_client = None
     try:
         reps = 1 if ctx.tiny else SETUPS
-        daemon, setups = timed_setups(reps, setup, lambda d: (d.close(), opened.remove(d)))
+        daemon, setups = timed_setups(reps, setup, lambda d: (d.close(), opened.remove(d)), clock)
         m.put("setup_s", statistics.median(setups), "s")
         client = daemon.client
         query_client = ServiceClient.connect(port=daemon.port, timeout=READY_TIMEOUT_S)
         untraced_s = ctx.seconds / 2 if ctx.trace else ctx.seconds
         ctx.log(f"memento-service: timed phase ({untraced_s:.1f}s untraced)")
         phase = _phase(stream, client.report, client, query_client, size.theta,
-                       untraced_s, finish_pass=not ctx.trace, errors=(ServiceError,))
+                       untraced_s, finish_pass=not ctx.trace, errors=(ServiceError,), clock=clock)
         m.put("ingest_pps", phase.pps, "pkt/s")
         put_latency(m, phase)
         if ctx.trace:
@@ -135,7 +140,7 @@ def run_service(ctx: RunContext) -> Metrics:
                 stream,
                 lambda items: tracer.call("service.report_call", client.report, items),
                 client, query_client, size.theta, ctx.seconds / 2,
-                finish_pass=True, errors=(ServiceError,),
+                finish_pass=True, errors=(ServiceError,), clock=clock,
             )
             m.put("trace.pps_ratio", traced.pps / phase.pps, "ratio")
             put_load_layer(m, traced)
@@ -190,10 +195,13 @@ def run_service(ctx: RunContext) -> Metrics:
     return m
 
 
-def _phase(stream, report, client, query_client, theta, seconds, finish_pass, errors) -> Phase:
+def _phase(stream, report, client, query_client, theta, seconds, finish_pass, errors, clock) -> Phase:
     """One timed phase: closed-loop reports on this thread, open-loop
-    queries on a second thread and connection."""
-    clock = time.perf_counter
+    queries on a second thread and connection.  Rates, due times and
+    latencies are read from ``clock`` and scaled by its host-speed
+    factor; the phase lasts ``seconds`` of wall time."""
+    first = stream.position
+    meter = SliceMeter(clock, first)
     start = clock()
     schedule = QuerySchedule(PERIOD, start)
     stop = threading.Event()
@@ -203,29 +211,29 @@ def _phase(stream, report, client, query_client, theta, seconds, finish_pass, er
         try:
             while True:
                 due = schedule.next_due
-                if stop.wait(max(0.0, due - clock())):
-                    return
+                while clock() < due:
+                    if stop.wait(due - clock()):
+                        return
                 issued = clock()
                 try:
                     query_client.heavy_hitters(theta)
                     ok = True
                 except errors:
                     ok = False
-                schedule.done(due, issued, clock(), ok)
+                # the median factor: a probe here would stop the clock
+                # while the ingest thread goes on reporting
+                schedule.done(due, issued, clock(), clock.factor, ok)
         except BaseException as exc:  # surfaced by the main thread
             crashed.append(exc)
 
     querier = threading.Thread(target=query_loop, name="perfbench-query", daemon=True)
     querier.start()
-    first = stream.position
-    meter = SliceMeter(start, first)
-    deadline = start + seconds
+    deadline = time.perf_counter() + seconds
     try:
         while True:
-            now = clock()
-            if now >= deadline and (not finish_pass or stream.at_pass_end):
+            if time.perf_counter() >= deadline and (not finish_pass or stream.at_pass_end):
                 break
-            meter.tick(now, stream.position)
+            meter.tick(stream.position)
             report(stream.next_batch())
         # flush-consistent: ordered after every report on this connection
         final = client.heavy_hitters(theta)
@@ -238,7 +246,7 @@ def _phase(stream, report, client, query_client, theta, seconds, finish_pass, er
             querier.join(timeout=10.0)
     if crashed:
         raise crashed[0]
-    return Phase(stream.position - first, elapsed, schedule, final, meter.rates)
+    return Phase(stream.position - first, elapsed, schedule, final, meter)
 
 
 def _wire_probe(m: Metrics, packets, tracer: Tracer) -> None:

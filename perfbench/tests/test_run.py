@@ -57,9 +57,13 @@ def test_without_the_program_it_fails_without_a_result(tmp_path):
     assert '"correct"' not in out.stdout
 
 
-@pytest.mark.parametrize("workload", ["memento-sharded", "memento-service"])
-def test_sigterm_mid_run_leaves_nothing_behind(workload):
-    proc = subprocess.Popen(_command(workload, 60, 0), cwd=ROOT, stdout=subprocess.PIPE,
+@pytest.mark.parametrize("workload, seconds, trace, marker", [
+    # the sharded engine's workers and shm rings live in this phase
+    ("memento-direct", 12, 1, "sharding layers"),
+    ("memento-service", 60, 0, "timed phase"),
+])
+def test_sigterm_mid_run_leaves_nothing_behind(workload, seconds, trace, marker):
+    proc = subprocess.Popen(_command(workload, seconds, trace), cwd=ROOT, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True, start_new_session=True)
     stderr = []
     try:
@@ -67,9 +71,9 @@ def test_sigterm_mid_run_leaves_nothing_behind(workload):
         while time.monotonic() < deadline:
             line = proc.stderr.readline()
             stderr.append(line)
-            if "timed phase" in line or not line:
+            if marker in line or not line:
                 break
-        assert "timed phase" in stderr[-1], "".join(stderr)
+        assert marker in stderr[-1], "".join(stderr)
         time.sleep(0.5)
         proc.send_signal(signal.SIGTERM)
         out, err = proc.communicate(timeout=60)
