@@ -45,7 +45,7 @@ def test_sampler_throughput(benchmark, stream, sampler, tau):
 @pytest.mark.parametrize("sampler", ["table", "geometric", "bernoulli"])
 @pytest.mark.parametrize("tau", [2**-2, 2**-8])
 def test_sampler_block_throughput(benchmark, stream, sampler, tau):
-    """The same ablation over ``sample_block`` (the batch engine's path)."""
+    """The same ablation over ``decision_array`` (the batch engine's path)."""
 
     def run():
         sketch = Memento(

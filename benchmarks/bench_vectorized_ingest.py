@@ -1,19 +1,17 @@
-"""Vectorized-ingest benchmark: the columnar kernel vs the PR-1 batch path.
+"""Vectorized-ingest benchmark: the columnar kernel vs scalar updates.
 
 Extends the ``repro-bench/1`` perf trail (``bench_micro_updates.py``,
 ``bench_sharded_ingest.py``) to the columnar ingestion kernel and the
 persistent shard workers:
 
-* ``python benchmarks/bench_vectorized_ingest.py`` — times three
-  generations of every update path per sketch: **scalar** (one
-  ``update`` per packet), **batch** (the PR-1 block path, preserved as
-  ``update_many_blocked`` where the kernel replaced it), and
-  **vectorized** (the decision-column → ingest-plan pipeline behind
-  ``update_many`` / ``ingest_plan``).  Results persist to
+* ``python benchmarks/bench_vectorized_ingest.py`` — times the two
+  ingestion paths of every sketch: **scalar** (one ``update`` per
+  packet, the reference semantics) and **vectorized** (the
+  decision-column → ingest-plan pipeline behind ``update_many`` /
+  ``ingest_plan``).  Results persist to
   ``BENCH_vectorized_ingest.json`` at the repo root.  The full run
   gates the kernel's contract on ``memento_tau0.1``: vectorized must
-  reach ≥ ``MIN_VEC_VS_BATCH``× the batch path and
-  ≥ ``MIN_VEC_VS_SCALAR``× the scalar path.
+  reach ≥ ``MIN_VEC_VS_SCALAR``× the scalar path.
 * the same run times sharded ingestion through the round-trip
   ``ProcessExecutor`` against the ``PersistentProcessExecutor`` at
   1/2/4/8 shards (1 shard is the executor-bypassing delegation path,
@@ -22,8 +20,9 @@ persistent shard workers:
   The full run gates that persistent beats the round-trip on the
   4-shard critical path.
 * ``--smoke`` shrinks the workload for CI and relaxes the memento gate
-  to a plain no-regression bound (≥ ``SMOKE_MIN_VEC_VS_BATCH``×);
-  executor scaling runs at 2 shards only and is ungated.
+  to a plain no-regression bound (vectorized ≥
+  ``SMOKE_MIN_VEC_VS_SCALAR``× scalar); executor scaling runs at 2
+  shards only and is ungated.
 
 ``memento_tau0.1`` uses a window geometry with paper-scale blocks
 (``W/k = 256``) — tiny blocks make the boundary bookkeeping, not the
@@ -78,11 +77,10 @@ EXEC_COUNTERS = 512
 EXEC_N = 20_000
 SHARD_COUNTS = (1, 2, 4, 8)
 
-#: full-run gates on ``memento_tau0.1``
-MIN_VEC_VS_BATCH = 1.5
+#: full-run gate on ``memento_tau0.1``
 MIN_VEC_VS_SCALAR = 3.0
 #: smoke-mode no-regression gate (CI noise tolerance is the repeats)
-SMOKE_MIN_VEC_VS_BATCH = 1.0
+SMOKE_MIN_VEC_VS_SCALAR = 1.0
 
 GATED_CASE = "memento_tau0.1"
 
@@ -104,16 +102,6 @@ def drive_scalar(algorithm, stream):
     update = algorithm.update
     for item in stream:
         update(item)
-    return algorithm
-
-
-def drive_batch(algorithm, stream, chunk: int = CHUNK):
-    """The PR-1 block path (``update_many_blocked`` where preserved)."""
-    fn = getattr(algorithm, "update_many_blocked", None)
-    if fn is None:
-        fn = algorithm.update_many
-    for start in range(0, len(stream), chunk):
-        fn(stream[start : start + chunk])
     return algorithm
 
 
@@ -302,10 +290,9 @@ def run_harness(
         case_stream = streams[variant]
         paths = (
             ("scalar", drive_scalar),
-            ("batch", drive_batch),
             ("vectorized", vec_driver),
         )
-        # the three paths are timed in interleaved rounds (one pass per
+        # the two paths are timed in interleaved rounds (one pass per
         # path per round, best-of over rounds) so slow drift — thermal,
         # scheduler, allocator — biases a *ratio* gate as little as
         # possible; sequential per-path blocks would hand whichever path
@@ -342,9 +329,7 @@ def run_harness(
             results.append(result)
             timed[path] = result.ops_per_sec
         speedups[name] = {
-            "batch_vs_scalar": timed["batch"] / timed["scalar"],
             "vectorized_vs_scalar": timed["vectorized"] / timed["scalar"],
-            "vectorized_vs_batch": timed["vectorized"] / timed["batch"],
         }
 
     exec_stream = make_stream(exec_n)
@@ -429,17 +414,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     width = max(len(name) for name, _, _, _ in CASES)
     by_name = {r.name: r for r in results}
     print(
-        f"{'case'.ljust(width)}  {'scalar ops/s':>13}  {'batch ops/s':>13}  "
-        f"{'vector ops/s':>13}  v/batch  v/scalar"
+        f"{'case'.ljust(width)}  {'scalar ops/s':>13}  "
+        f"{'vector ops/s':>13}  v/scalar"
     )
     for name, _, _, _ in CASES:
         ratios = speedups[name]
         print(
             f"{name.ljust(width)}  "
             f"{by_name[f'{name}/scalar'].ops_per_sec:>13,.0f}  "
-            f"{by_name[f'{name}/batch'].ops_per_sec:>13,.0f}  "
             f"{by_name[f'{name}/vectorized'].ops_per_sec:>13,.0f}  "
-            f"{ratios['vectorized_vs_batch']:>6.2f}x  "
             f"{ratios['vectorized_vs_scalar']:>6.2f}x"
         )
     print()
@@ -453,19 +436,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(f"results -> {out}")
 
     failures: List[str] = []
-    gate = SMOKE_MIN_VEC_VS_BATCH if args.smoke else MIN_VEC_VS_BATCH
-    ratio = speedups[GATED_CASE]["vectorized_vs_batch"]
+    gate = SMOKE_MIN_VEC_VS_SCALAR if args.smoke else MIN_VEC_VS_SCALAR
+    ratio = speedups[GATED_CASE]["vectorized_vs_scalar"]
     if ratio < gate:
         failures.append(
-            f"vectorized path {ratio:.2f}x < {gate}x batch on {GATED_CASE}"
+            f"vectorized path {ratio:.2f}x < {gate}x scalar on {GATED_CASE}"
         )
     if not args.smoke:
-        scalar_ratio = speedups[GATED_CASE]["vectorized_vs_scalar"]
-        if scalar_ratio < MIN_VEC_VS_SCALAR:
-            failures.append(
-                f"vectorized path {scalar_ratio:.2f}x < {MIN_VEC_VS_SCALAR}x "
-                f"scalar on {GATED_CASE}"
-            )
         four = executor_scaling.get("shards4")
         if four and four["persistent_vs_process"] < 1.0:
             failures.append(
@@ -487,11 +464,10 @@ def stream():
     return make_stream()
 
 
-@pytest.mark.parametrize("path", ["scalar", "batch", "vectorized"])
+@pytest.mark.parametrize("path", ["scalar", "vectorized"])
 def test_memento_tau01_paths(benchmark, stream, path):
     driver = {
         "scalar": drive_scalar,
-        "batch": drive_batch,
         "vectorized": drive_vectorized,
     }[path]
     result = benchmark(

@@ -103,16 +103,17 @@ class BatchIngest:
         The plan covers ``plan.n`` stream packets of which only the
         selected ones belong to this sketch.  With ``sampled=False`` the
         selected items go through the sketch's own ``update`` semantics
-        (a Memento still flips its coin per item — the sharding layer's
-        owned-packet feed); with ``sampled=True`` they are treated as
-        already-sampled and routed through ``ingest_samples`` when the
-        sketch has one (the controller/decision-column feed).  Windowed
+        (the sharding layer's owned-packet feed); with ``sampled=True``
+        they are treated as already-sampled and routed through
+        ``ingest_samples`` when the sketch has one (the
+        controller/decision-column feed).  Windowed
         sketches advance over unselected stretches via ``ingest_gap``;
         interval sketches simply never see them.
 
         Subclasses with a faster representation override this (the
-        Memento family fuses the gap walk and the full updates; Space
-        Saving applies count-weighted runs).
+        Memento family draws its coins as one column and fuses the gap
+        walk with the full updates; Space Saving applies count-weighted
+        runs).
         """
         apply = None
         if sampled:
@@ -132,21 +133,6 @@ class BatchIngest:
         tail = plan.tail_gap
         if tail:
             gap_fn(tail)
-
-    def ingest_plan_owned(self, plan) -> None:
-        """Consume a plan of *owned* packets in one batched call.
-
-        Semantically identical to ``ingest_plan(plan, sampled=False)`` —
-        every selected item goes through the sketch's own ``update``
-        semantics (coin flips included), gaps advance the window — and
-        that generic replay is exactly what this default does.  The
-        Memento family overrides it with a fused path that draws the
-        whole decision column up front instead of replaying the plan
-        segment by segment; the sharding layer's columnar (shared
-        memory) lane calls this so scattered per-shard plans don't decay
-        into thousands of tiny ``update_many`` segments.
-        """
-        self.ingest_plan(plan)
 
 
 def regroup_by_pattern(hierarchy, packets, num_patterns: int) -> List[list]:

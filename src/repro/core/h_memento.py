@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from itertools import compress
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
@@ -36,9 +35,9 @@ from ..hierarchy.domain import Hierarchy
 from ..hierarchy.hhh_output import compute_hhh
 from .api import Entry, WindowedEntries
 from .batching import BatchIngest, as_batch
-from .kernel import plan_from_positions
+from .kernel import IngestPlan, dense_plan, plan_from_positions
 from .memento import Memento
-from .sampling import draw_decision_array, draw_decisions, make_sampler
+from .sampling import draw_decision_array, make_sampler
 
 __all__ = ["HMemento"]
 
@@ -168,66 +167,45 @@ class HMemento(BatchIngest):
             self._memento.window_update()
 
     def update_many(self, packets: Sequence) -> None:
-        """Process a batch of packets through the columnar fast path.
+        """Process a batch of packets through the plan-fed path.
 
         Byte-identical to the scalar :meth:`update` loop under a fixed
-        seed: decisions come as a numpy column (``decision_array``, same
-        RNG consumption as the scalar calls), pattern draws happen in
-        arrival order for exactly the sampled packets, and the sampled
-        prefixes ride the shared Memento's span-fused
+        seed (see :meth:`ingest_plan`, which the batch feeds as a dense
+        plan).
+        """
+        self.ingest_plan(dense_plan(as_batch(packets)))
+
+    def ingest_plan(self, plan: IngestPlan, *, sampled: bool = False) -> None:
+        """Consume a kernel plan — the one batch path of the sketch.
+
+        With ``sampled=False`` each selected packet flips its own coin:
+        the decisions come as one numpy column (``decision_array``, same
+        RNG consumption as the scalar calls) and the unsampled packets
+        join the gaps.  With ``sampled=True`` (the controller feed) every
+        selected packet is already sampled.  Pattern draws then happen in
+        arrival order for exactly the sampled packets, and their prefixes
+        ride the shared Memento's span-fused
         ``ingest_plan(..., sampled=True)`` — unsampled stretches never
         touch per-packet Python objects.
         """
-        packets = as_batch(packets)
-        n = len(packets)
-        if n == 0:
-            return
-        self._updates += n
-        decisions = draw_decision_array(self._sampler, n)
-        positions = np.flatnonzero(decisions)
-        if positions.size == 0:
-            self._memento.ingest_gap(n)
-            return
+        packets = plan.items
+        positions = plan.positions
+        if not sampled and len(packets):
+            kept = np.flatnonzero(
+                draw_decision_array(self._sampler, len(packets))
+            )
+            packets = [packets[i] for i in kept.tolist()]
+            positions = kept if positions is None else positions[kept]
+        self._updates += plan.n
         next_pattern = self._next_pattern
         prefix_at = self.hierarchy.prefix_at
-        prefixes = [
-            prefix_at(packets[i], next_pattern())
-            for i in positions.tolist()
-        ]
+        prefixes = [prefix_at(packet, next_pattern()) for packet in packets]
         self._memento.ingest_plan(
-            plan_from_positions(prefixes, positions, n), sampled=True
+            dense_plan(prefixes)
+            if positions is None
+            else plan_from_positions(prefixes, positions, plan.n),
+            sampled=True,
         )
-
-    def update_many_blocked(self, packets: Sequence) -> None:
-        """The previous-generation (PR 1) batch path, kept as a reference.
-
-        Pre-draws a ``list[bool]`` decision block and walks it with
-        ``itertools.compress``, issuing one scalar ``full_update`` per
-        sampled packet.  Retained so the vectorized-ingest bench can
-        measure the columnar kernel against it and the differential
-        tests can pin all three generations to identical state.
-        """
-        packets = as_batch(packets)
-        n = len(packets)
-        if n == 0:
-            return
-        self._updates += n
-        decisions = draw_decisions(self._sampler, n)
-        memento = self._memento
-        ingest_gap = memento.ingest_gap
-        full_update = memento.full_update
-        next_pattern = self._next_pattern
-        prefix_at = self.hierarchy.prefix_at
-        prev = -1
-        for i in compress(range(n), decisions):
-            gap = i - prev - 1
-            if gap:
-                ingest_gap(gap)
-            full_update(prefix_at(packets[i], next_pattern()))
-            prev = i
-        tail = n - 1 - prev
-        if tail:
-            ingest_gap(tail)
 
     def ingest_sample(self, packet) -> None:
         """Feed an externally-sampled packet (network-wide controller path).
@@ -242,13 +220,7 @@ class HMemento(BatchIngest):
 
     def ingest_samples(self, packets: Sequence) -> None:
         """Batch form of :meth:`ingest_sample`: one Full update per packet."""
-        packets = as_batch(packets)
-        self._updates += len(packets)
-        next_pattern = self._next_pattern
-        prefix_at = self.hierarchy.prefix_at
-        self._memento.full_update_many(
-            [prefix_at(packet, next_pattern()) for packet in packets]
-        )
+        self.ingest_plan(dense_plan(as_batch(packets)), sampled=True)
 
     def ingest_gap(self, count: int) -> None:
         """Advance the window for ``count`` unsampled packets."""

@@ -44,21 +44,19 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from itertools import compress
 from typing import Deque, Dict, Hashable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from .api import Entry, WindowedEntries
 from .batching import BatchIngest, as_batch
-from .kernel import IngestPlan, make_plan
+from .kernel import IngestPlan, dense_plan, make_plan
 
 from .sampling import (
     BernoulliSampler,
     GeometricSampler,
     TableSampler,
     draw_decision_array,
-    draw_decisions,
     make_sampler,
 )
 from .space_saving import SpaceSaving, _Bucket
@@ -67,7 +65,7 @@ __all__ = ["Memento", "WCSS"]
 
 #: samplers whose ``should_sample`` is always True (no randomness drawn)
 #: once their ``tau`` reaches 1 — the only safe targets for the WCSS
-#: batch shortcut that skips decision drawing entirely
+#: shortcut that skips decision drawing entirely
 _ALWAYS_SAMPLE_AT_TAU1 = (TableSampler, GeometricSampler, BernoulliSampler)
 
 
@@ -277,166 +275,14 @@ class Memento(BatchIngest):
             self.window_update()
 
     def update_many(self, items: Sequence[Hashable]) -> None:
-        """Process a batch of packets through the columnar fast path.
+        """Process a batch of packets through the plan-fed path.
 
         State after ``update_many(items)`` is identical to calling
-        :meth:`update` once per item under the same seed: the sampler's
-        decisions come as a numpy column (``decision_array``, which
-        consumes the RNG exactly as the scalar calls would), the kernel
-        compiles them into an ingest plan (``np.flatnonzero`` positions,
-        gap run-lengths), and :meth:`ingest_plan` replays the plan with
-        gaps collapsing into counter arithmetic and sampled packets
-        taking the inlined Full-update path.  No per-packet Python
-        objects are created for the unsampled majority.
+        :meth:`update` once per item under the same seed: the batch is a
+        dense plan, and :meth:`ingest_plan` draws its decision column and
+        replays the sampled packets through the span-fused loop.
         """
-        items = as_batch(items)
-        n = len(items)
-        if n == 0:
-            return
-        sampler = self._sampler
-        if (
-            self.tau >= 1.0
-            and isinstance(sampler, _ALWAYS_SAMPLE_AT_TAU1)
-            and sampler.tau >= 1.0
-        ):
-            # genuine WCSS: the random builtin samplers at tau >= 1 return
-            # True without consuming randomness, so the decisions can be
-            # skipped outright.  Any other sampler (FixedSampler scripting
-            # skips, custom objects) is honoured via the general path.
-            self.full_update_many(items)
-            return
-        decisions = draw_decision_array(sampler, n)
-        self.ingest_plan(make_plan(items, decisions), sampled=True)
-
-    def update_many_blocked(self, items: Sequence[Hashable]) -> None:
-        """The previous-generation (PR 1) batch path, kept as a reference.
-
-        Pre-draws a ``list[bool]`` decision block and walks it with
-        ``itertools.compress`` — one Python bool per packet.  Retained so
-        the vectorized-ingest bench can measure the columnar kernel
-        against it and so the differential tests can pin all three
-        generations (scalar / blocked / vectorized) to identical state.
-        """
-        items = as_batch(items)
-        n = len(items)
-        if n == 0:
-            return
-        sampler = self._sampler
-        if (
-            self.tau >= 1.0
-            and isinstance(sampler, _ALWAYS_SAMPLE_AT_TAU1)
-            and sampler.tau >= 1.0
-        ):
-            self.full_update_many(items)
-            return
-        decisions = draw_decisions(sampler, n)
-        # The whole mixed stream runs on locals: gaps collapse into counter
-        # arithmetic (the ingest_gap trick), boundary rotations and drain
-        # pops are rare, and the sampled packets take an inlined Full
-        # update — no per-packet method calls anywhere.
-        y = self._y
-        y_add_query = y.add_query
-        y_flush = y.flush
-        offsets = self._offsets
-        offsets_get = offsets.get
-        queues = self._queues
-        quantum = self.sample_block
-        block_size = self.block_size
-        k = self.k
-        countdown = self._countdown
-        blocks = self._blocks_into_frame
-        newest = self._newest
-        drain = self._drain
-        updates = self._updates
-        full = 0
-        prev = -1
-        # compress() iterates the sampled positions at C speed; the gaps
-        # between them never touch Python per-packet
-        for i in compress(range(n), decisions):
-            gap = i - prev - 1
-            prev = i
-            while gap:
-                if drain:
-                    steps = countdown - 1
-                    if steps > gap:
-                        steps = gap
-                    if steps > len(drain):
-                        steps = len(drain)
-                    if steps:
-                        for _ in range(steps):
-                            old_id = drain.popleft()
-                            remaining = offsets[old_id] - 1
-                            if remaining:
-                                offsets[old_id] = remaining
-                            else:
-                                del offsets[old_id]
-                        countdown -= steps
-                        updates += steps
-                        gap -= steps
-                        continue
-                    # countdown == 1: fall through to the boundary step
-                elif gap < countdown:
-                    countdown -= gap
-                    updates += gap
-                    break
-                else:
-                    # free-run to just before the boundary, then step once
-                    updates += countdown - 1
-                    gap -= countdown - 1
-                    countdown = 1
-                # single window step across the block boundary
-                updates += 1
-                gap -= 1
-                blocks += 1
-                if blocks == k:
-                    blocks = 0
-                    y_flush()
-                queues.popleft()
-                newest = deque()
-                queues.append(newest)
-                drain = queues[0]
-                countdown = block_size
-                if drain:
-                    old_id = drain.popleft()
-                    remaining = offsets[old_id] - 1
-                    if remaining:
-                        offsets[old_id] = remaining
-                    else:
-                        del offsets[old_id]
-            # inlined Full update for the sampled packet
-            updates += 1
-            full += 1
-            countdown -= 1
-            if countdown == 0:
-                blocks += 1
-                if blocks == k:
-                    blocks = 0
-                    y_flush()
-                queues.popleft()
-                newest = deque()
-                queues.append(newest)
-                drain = queues[0]
-                countdown = block_size
-            if drain:
-                old_id = drain.popleft()
-                remaining = offsets[old_id] - 1
-                if remaining:
-                    offsets[old_id] = remaining
-                else:
-                    del offsets[old_id]
-            if y_add_query(item := items[i]) % quantum == 0:  # overflow
-                newest.append(item)
-                offsets[item] = offsets_get(item, 0) + 1
-        # trailing gap after the last sampled packet
-        self._countdown = countdown
-        self._blocks_into_frame = blocks
-        self._newest = newest
-        self._drain = drain
-        self._updates = updates
-        self._full_updates += full
-        tail = n - 1 - prev
-        if tail:
-            self.ingest_gap(tail)
+        self.ingest_plan(dense_plan(as_batch(items)))
 
     def ingest_sample(self, item: Hashable) -> None:
         """Feed an externally-sampled packet (network-wide controller path).
@@ -453,33 +299,53 @@ class Memento(BatchIngest):
         self.full_update_many(items)
 
     def ingest_plan(self, plan: IngestPlan, *, sampled: bool = False) -> None:
-        """Consume a kernel plan through the span-fused columnar loop.
+        """Consume a kernel plan — the one batch path of the sketch.
 
-        With ``sampled=True`` (the decision-column and controller feeds)
-        every selected item receives a Full update.  The loop is
-        organized around **block spans** rather than packets: rotation
-        offsets are computed arithmetically from the countdown, samples
-        are split across spans with one ``np.searchsorted``, and each
-        span performs its boundary bookkeeping once, drains its expiries
-        in one bulk run (the drain queue never grows inside a block, so
-        a span of ``u`` updates pops exactly ``min(u, len(drain))``
-        entries — commuting the pops ahead of the span's insertions
-        leaves identical end-of-span state), and then applies the span's
-        sampled packets through a tight loop whose body is only the
-        fused Space Saving increment plus the overflow check.  The same
-        straight-line increment as ``SpaceSaving.add_query`` (which is
-        contractually in lockstep with ``add`` — the differential tests
-        compare all paths) is inlined so the hot path has no per-sample
-        calls at all.
+        With ``sampled=False`` (``update_many``, ``extend`` and the
+        sharding layer's owned-packet feed) each selected item flips its
+        own coin, exactly as :meth:`update` would: the whole decision
+        column is drawn in one ``decision_array`` call (RNG-identical to
+        sequential scalar draws), the unsampled items are dropped, and
+        what remains is a sampled plan — unsampled packets simply widen
+        the gaps between the surviving positions, as a scalar Window
+        update would.  With ``sampled=True`` (the decision-column and
+        controller feeds) every selected item receives a Full update.
 
-        With ``sampled=False`` the generic
-        :meth:`repro.core.batching.BatchIngest.ingest_plan` applies the
-        plan with per-item coin flips (the sharding layer's owned-packet
-        feed).
+        The sampled plan runs through one loop organized around **block
+        spans** rather than packets: rotation offsets are computed
+        arithmetically from the countdown, samples are split across
+        spans with one ``np.searchsorted``, and each span performs its
+        boundary bookkeeping once, drains its expiries in one bulk run
+        (the drain queue never grows inside a block, so a span of ``u``
+        updates pops exactly ``min(u, len(drain))`` entries — commuting
+        the pops ahead of the span's insertions leaves identical
+        end-of-span state), and then applies the span's sampled packets
+        through a tight loop whose body is only the fused Space Saving
+        increment plus the overflow check.  The same straight-line
+        increment as ``SpaceSaving.add_query`` (which is contractually in
+        lockstep with ``add`` — the differential tests compare every path
+        with scalar ``update``) is inlined so the hot path has no
+        per-sample calls at all.
         """
-        if not sampled:
-            super().ingest_plan(plan)
-            return
+        sampler = self._sampler
+        if not sampled and len(plan.items) and not (
+            self.tau >= 1.0
+            and isinstance(sampler, _ALWAYS_SAMPLE_AT_TAU1)
+            and sampler.tau >= 1.0
+        ):
+            # draw this plan's coins.  Genuine WCSS skips the draw: the
+            # random builtin samplers at tau >= 1 return True without
+            # consuming randomness.  Any other sampler (FixedSampler
+            # scripting skips, custom objects) is always asked.
+            kept = make_plan(
+                plan.items, draw_decision_array(sampler, len(plan.items))
+            )
+            if plan.dense:
+                plan = kept
+            elif not kept.dense:
+                plan = IngestPlan(
+                    plan.n, plan.positions[kept.positions], kept.items
+                )
         items = plan.items
         if plan.dense:
             if items:
@@ -640,53 +506,6 @@ class Memento(BatchIngest):
         tail = plan.tail_gap
         if tail:
             self.ingest_gap(tail)
-
-    def ingest_plan_owned(self, plan: IngestPlan) -> None:
-        """Fused owned-packet plan consumer (the sharding layer's feed).
-
-        Equivalent to the generic
-        :meth:`repro.core.batching.BatchIngest.ingest_plan_owned` — each
-        owned item still flips its own coin — but the whole decision
-        column is drawn in one ``decision_array`` call instead of one
-        per contiguous segment.  That is RNG-identical (``decision_array``
-        consumes the sampler exactly as sequential scalar draws would —
-        the PR-1 invariant) and turns a scattered plan, which the
-        generic replay decays into thousands of tiny ``update_many``
-        segments, into a single sampled plan for the span-fused
-        :meth:`ingest_plan` loop: unsampled owned packets simply widen
-        the gaps between the surviving positions, exactly as a scalar
-        Window update would.
-        """
-        items = plan.items
-        sampler = self._sampler
-        if (
-            self.tau >= 1.0
-            and isinstance(sampler, _ALWAYS_SAMPLE_AT_TAU1)
-            and sampler.tau >= 1.0
-        ):
-            # WCSS: every owned packet is a Full update, no randomness
-            self.ingest_plan(plan, sampled=True)
-            return
-        if not items:
-            self.ingest_plan(plan, sampled=True)  # pure window advance
-            return
-        if plan.dense:
-            self.update_many(items)
-            return
-        decisions = draw_decision_array(sampler, len(items))
-        keep = np.asarray(decisions, dtype=bool)
-        if keep.all():
-            self.ingest_plan(plan, sampled=True)
-            return
-        selected_positions = plan.positions[keep]
-        if isinstance(items, np.ndarray):
-            selected_items = items[keep].tolist()
-        else:
-            selected_items = list(compress(items, keep.tolist()))
-        self.ingest_plan(
-            IngestPlan(plan.n, selected_positions, selected_items),
-            sampled=True,
-        )
 
     def ingest_gap(self, count: int) -> None:
         """Advance the window for ``count`` unsampled (unreported) packets.

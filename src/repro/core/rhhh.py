@@ -22,7 +22,6 @@ matter for the reproduction:
 from __future__ import annotations
 
 import math
-from itertools import compress
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
@@ -148,28 +147,6 @@ class RHHH(BatchIngest):
             pattern = next_pattern()
             per_pattern[pattern].append(prefix_at(packets[i], pattern))
         self._sampled += positions.size
-        for instance, prefixes in zip(self._instances, per_pattern):
-            if prefixes:
-                instance.update_many(prefixes)
-
-    def update_many_blocked(self, packets: Sequence) -> None:
-        """The previous-generation (PR 1) batch path, kept as a reference
-        for the vectorized-ingest bench and the differential tests."""
-        packets = as_batch(packets)
-        n = len(packets)
-        self._packets += n
-        if n == 0:
-            return
-        decisions = self._sampler.sample_block(n)
-        next_pattern = self._next_pattern
-        prefix_at = self.hierarchy.prefix_at
-        per_pattern: List[List] = [[] for _ in self._instances]
-        sampled = 0
-        for i in compress(range(n), decisions):
-            sampled += 1
-            pattern = next_pattern()
-            per_pattern[pattern].append(prefix_at(packets[i], pattern))
-        self._sampled += sampled
         for instance, prefixes in zip(self._instances, per_pattern):
             if prefixes:
                 instance.update_many(prefixes)

@@ -12,16 +12,13 @@ Both are provided here, along with a plain :class:`BernoulliSampler`
 reference, behind a single ``should_sample()`` interface, so benches can
 reproduce Figure 7's crossover and tests can swap in deterministic samplers.
 
-Every sampler additionally exposes the columnar pair of ``should_sample``:
+Every sampler additionally exposes the columnar form of ``should_sample``:
+``decision_array(n) -> np.ndarray[bool]``, the next ``n`` decisions as a
+numpy boolean column — the input of the vectorized ingestion kernel
+(:mod:`repro.core.kernel`).  No per-packet Python objects are created:
+the ingest path goes straight to ``np.flatnonzero`` on the array.
 
-* ``decision_array(n) -> np.ndarray[bool]`` — the next ``n`` decisions as
-  a numpy boolean column, the input of the vectorized ingestion kernel
-  (:mod:`repro.core.kernel`).  No per-packet Python objects are created:
-  the ingest path goes straight to ``np.flatnonzero`` on the array.
-* ``sample_block(n) -> list[bool]`` — the historical list form, now a
-  thin ``.tolist()`` wrapper over ``decision_array``.
-
-Both are defined to consume the underlying randomness *exactly* as ``n``
+It is defined to consume the underlying randomness *exactly* as ``n``
 successive ``should_sample()`` calls would, so a batch-fed sketch stays
 byte-identical to a scalar-fed one under the same seed (the differential
 tests rely on this contract).  :class:`GeometricSampler` realizes it with
@@ -45,11 +42,10 @@ __all__ = [
     "GeometricSampler",
     "FixedSampler",
     "make_sampler",
-    "draw_decisions",
     "draw_decision_array",
 ]
 
-#: Fallback granularity: samplers without the block interface are drained
+#: Fallback granularity: samplers without ``decision_array`` are drained
 #: through ``iter_chunks`` so no more than this many scalar decisions are
 #: ever materialized as Python objects at once, however large ``n`` is.
 FALLBACK_CHUNK = 1 << 15
@@ -58,58 +54,20 @@ FALLBACK_CHUNK = 1 << 15
 _SKIP_CHUNK = 1 << 10
 
 
-def draw_decisions(sampler, n: int) -> List[bool]:
-    """The next ``n`` decisions from ``sampler``, preferring ``sample_block``.
-
-    Falls back to scalar ``should_sample()`` calls for user-supplied
-    sampler objects that predate the block interface, so batch ingestion
-    never demands more of a sampler than the documented contract.  The
-    fallback drains the scalar calls through :func:`iter_chunks` in
-    :data:`FALLBACK_CHUNK`-sized slices, so a huge ``n`` never holds more
-    than one bounded chunk of intermediate state at a time.
-    """
-    sample_block = getattr(sampler, "sample_block", None)
-    if sample_block is not None:
-        return sample_block(n)
-    if n < 0:
-        raise ValueError(f"block size must be non-negative, got {n}")
-    should_sample = sampler.should_sample
-    out: List[bool] = []
-    for chunk in iter_chunks(
-        (should_sample() for _ in range(n)), FALLBACK_CHUNK
-    ):
-        out.extend(chunk)
-    return out
-
-
 def draw_decision_array(sampler, n: int) -> np.ndarray:
-    """The next ``n`` decisions as a boolean column, preferring the
-    columnar interface.
+    """The next ``n`` decisions from ``sampler`` as a boolean column.
 
-    Resolution order mirrors the sampler capability ladder:
-
-    1. ``decision_array`` — the vectorized native path (1 byte/packet);
-    2. ``sample_block`` — coerced with ``np.asarray``;
-    3. scalar ``should_sample`` — streamed through :func:`iter_chunks`
-       into a preallocated byte array, so even a legacy sampler never
-       materializes ``n`` Python bools at once.
+    Samplers with the native ``decision_array`` produce the column in
+    one vectorized call.  Any other object only has to honour the
+    documented scalar contract: its ``should_sample()`` calls are
+    streamed through :func:`iter_chunks` into a preallocated byte array,
+    so even a custom sampler never materializes ``n`` Python bools at
+    once.
     """
     decision_array = getattr(sampler, "decision_array", None)
     if decision_array is not None:
         return decision_array(n)
-    if n < 0:
-        raise ValueError(f"block size must be non-negative, got {n}")
-    sample_block = getattr(sampler, "sample_block", None)
-    if sample_block is not None:
-        if n <= FALLBACK_CHUNK:
-            return np.asarray(sample_block(n), dtype=bool)
-        out = np.empty(n, dtype=bool)
-        filled = 0
-        while filled < n:
-            take = min(n - filled, FALLBACK_CHUNK)
-            out[filled : filled + take] = sample_block(take)
-            filled += take
-        return out
+    _check_block(n)
     should_sample = sampler.should_sample
     out = np.empty(n, dtype=bool)
     filled = 0
@@ -147,10 +105,6 @@ class BernoulliSampler:
         if self.tau >= 1.0:
             return np.ones(n, dtype=bool)
         return self._rng.random(n) <= self.tau
-
-    def sample_block(self, n: int) -> List[bool]:
-        """List form of :meth:`decision_array` (same RNG consumption)."""
-        return self.decision_array(n).tolist()
 
 
 class TableSampler:
@@ -226,10 +180,6 @@ class TableSampler:
                 pos = int(self._rng.integers(0, size))
         self._pos = pos
         return out
-
-    def sample_block(self, n: int) -> List[bool]:
-        """List form of :meth:`decision_array` (same RNG consumption)."""
-        return self.decision_array(n).tolist()
 
 
 class GeometricSampler:
@@ -322,10 +272,6 @@ class GeometricSampler:
         self._remaining = pos - n
         return out
 
-    def sample_block(self, n: int) -> List[bool]:
-        """List form of :meth:`decision_array` (same RNG consumption)."""
-        return self.decision_array(n).tolist()
-
 
 class FixedSampler:
     """Deterministic sampler for tests: replays a fixed decision sequence.
@@ -349,19 +295,15 @@ class FixedSampler:
             return bit
         return self._default
 
-    def sample_block(self, n: int) -> List[bool]:
+    def decision_array(self, n: int) -> np.ndarray:
         """Replay the next ``n`` scripted decisions (padding with default)."""
         _check_block(n)
         pos = self._pos
         scripted = self._decisions[pos : pos + n]
-        self._pos = min(pos + n, len(self._decisions))
-        if len(scripted) < n:
-            scripted.extend([self._default] * (n - len(scripted)))
-        return scripted
-
-    def decision_array(self, n: int) -> np.ndarray:
-        """Columnar form of :meth:`sample_block` (scripted, no RNG)."""
-        return np.asarray(self.sample_block(n), dtype=bool)
+        self._pos = pos + len(scripted)
+        out = np.full(n, self._default, dtype=bool)
+        out[: len(scripted)] = scripted
+        return out
 
 
 def make_sampler(tau: float, method: str = "table", seed: Optional[int] = None):

@@ -19,10 +19,11 @@ Section 4.3:
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import Dict, Hashable, List, Optional, Sequence
 
-from ..core.sampling import draw_decisions, make_sampler
+import numpy as np
+
+from ..core.sampling import draw_decision_array, make_sampler
 from ..hierarchy.domain import Hierarchy
 from .messages import AggregateReport, BatchReport
 
@@ -91,21 +92,21 @@ class SamplingPoint:
 
         State after ``observe_many(packets)`` is identical to calling
         :meth:`observe` per packet under the same seed: sampling decisions
-        are pre-drawn in one block and only the sampled packets are
-        touched individually.
+        are pre-drawn as one decision column and only the sampled packets
+        are touched individually.
         """
         if not isinstance(packets, (list, tuple)):
             packets = list(packets)
         n = len(packets)
         if n == 0:
             return []
-        decisions = draw_decisions(self._sampler, n)
+        sampled = np.flatnonzero(draw_decision_array(self._sampler, n)).tolist()
         reports: List[BatchReport] = []
         samples = self._samples
         batch_size = self.batch_size
         covered = self._covered
         consumed = 0  # batch packets already folded into ``covered``
-        for i in compress(range(n), decisions):
+        for i in sampled:
             covered += i + 1 - consumed
             consumed = i + 1
             samples.append(packets[i])

@@ -147,24 +147,17 @@ def _apply_shard_plan(shard, positions, items, total, windowed, method):
     """Apply one shard's slice of a global batch; returns the shard.
 
     ``positions`` are the global batch indices of the shard's owned
-    ``items`` (ascending).  The slice is compiled into a kernel
-    :class:`~repro.core.kernel.IngestPlan` — run-length-encoded unowned
-    gaps plus contiguous owned segments, boundaries found with one
-    vectorized pass — and consumed through the shard's ``ingest_plan``
-    (``sampled=True`` routes pre-sampled controller feeds through
-    ``ingest_samples``).  Windowed shards thereby stay aligned with the
-    *global* window; interval shards just receive their owned packets.
-    Module-level (not a closure) so the process executors can pickle it.
-
-    The columnar (shared-memory) lane passes ``positions``/``items`` as
-    numpy arrays instead of lists: items decode to the plain Python
-    objects the sketch would have seen (keeping resident state
-    byte-identical to the pipe transport), positions stay a zero-copy
-    view, and the owned-packet feed routes through the sketch's fused
-    ``ingest_plan_owned`` — semantically the per-item ``update`` path,
-    minus the per-segment replay overhead.
+    ``items`` (ascending; lists from the pipe lanes, numpy arrays from
+    the shared-memory lane — the same plan either way).  Interval shards
+    just receive their owned packets.  Windowed shards get the slice as
+    a kernel :class:`~repro.core.kernel.IngestPlan` — owned items plus
+    the run-length-encoded unowned gaps — through their one plan-fed
+    path, ``ingest_plan(plan, sampled=...)``, so every shard's window
+    stays aligned with the *global* window whichever executor or
+    transport carried the plan (``sampled=True`` for pre-sampled
+    controller feeds).  Module-level (not a closure) so the process
+    executors can pickle it.
     """
-    columnar = isinstance(positions, np.ndarray)
     if isinstance(items, np.ndarray):
         # decode to Python objects: sketch state must not depend on the
         # transport (np.int64 keys would pickle differently)
@@ -173,14 +166,7 @@ def _apply_shard_plan(shard, positions, items, total, windowed, method):
         if items:
             getattr(shard, method)(items)
         return shard
-    plan = plan_from_positions(
-        items, np.asarray(positions, dtype=np.int64), total
-    )
-    if columnar and method != "ingest_samples":
-        ingest_owned = getattr(shard, "ingest_plan_owned", None)
-        if ingest_owned is not None:
-            ingest_owned(plan)
-            return shard
+    plan = plan_from_positions(items, positions, total)
     ingest_plan = getattr(shard, "ingest_plan", None)
     if ingest_plan is not None:
         ingest_plan(plan, sampled=method == "ingest_samples")

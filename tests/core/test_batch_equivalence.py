@@ -10,6 +10,10 @@ bookkeeping could silently diverge.
 
 from __future__ import annotations
 
+import pickle
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +24,7 @@ from repro import (
     ExactIntervalCounter,
     ExactWindowCounter,
     ExactWindowHHH,
+    FixedSampler,
     HMemento,
     Memento,
     SRC_HIERARCHY,
@@ -27,6 +32,8 @@ from repro import (
     WindowBaseline,
     generate_trace,
 )
+from repro.core.kernel import make_plan, plan_from_positions
+from repro.core.sampling import draw_decision_array
 from repro.traffic.synth import BACKBONE, DATACENTER
 
 # A window of 1000 with 32 counters gives block_size 32 and frames of
@@ -273,63 +280,6 @@ class TestExactEquivalence:
             assert (x._counts, x._pos, x._total) == (y._counts, y._pos, y._total)
 
 
-class TestThreeGenerationEquivalence:
-    """Scalar, blocked (PR 1), and vectorized (columnar kernel) feeding
-    must all land in byte-identical state under a fixed seed."""
-
-    def blocked_feed(self, sketch, stream, chunks=(1, 7, 64, 1023, 4096)):
-        i, ci, n = 0, 0, len(stream)
-        while i < n:
-            chunk = chunks[ci % len(chunks)]
-            sketch.update_many_blocked(stream[i : i + chunk])
-            i += chunk
-            ci += 1
-        return sketch
-
-    @pytest.mark.parametrize("tau", [0.5, 0.1, 2**-8])
-    def test_memento(self, stream, tau):
-        a = Memento(WINDOW, counters=COUNTERS, tau=tau, seed=11)
-        b = Memento(WINDOW, counters=COUNTERS, tau=tau, seed=11)
-        c = Memento(WINDOW, counters=COUNTERS, tau=tau, seed=11)
-        scalar_feed(a, stream)
-        self.blocked_feed(b, stream)
-        batch_feed(c, stream)
-        assert memento_state(a) == memento_state(b) == memento_state(c)
-
-    def test_hmemento(self, stream):
-        a = HMemento(window=3000, hierarchy=SRC_HIERARCHY, counters=160,
-                     tau=0.3, seed=6)
-        b = HMemento(window=3000, hierarchy=SRC_HIERARCHY, counters=160,
-                     tau=0.3, seed=6)
-        c = HMemento(window=3000, hierarchy=SRC_HIERARCHY, counters=160,
-                     tau=0.3, seed=6)
-        scalar_feed(a, stream)
-        self.blocked_feed(b, stream)
-        batch_feed(c, stream)
-        assert a.updates == b.updates == c.updates
-        assert (
-            memento_state(a._memento)
-            == memento_state(b._memento)
-            == memento_state(c._memento)
-        )
-
-    def test_rhhh(self, stream):
-        a = RHHH(SRC_HIERARCHY, counters=64, seed=4)
-        b = RHHH(SRC_HIERARCHY, counters=64, seed=4)
-        c = RHHH(SRC_HIERARCHY, counters=64, seed=4)
-        scalar_feed(a, stream)
-        self.blocked_feed(b, stream)
-        batch_feed(c, stream)
-        assert (a.packets, a.sampled) == (b.packets, b.sampled)
-        assert (a.packets, a.sampled) == (c.packets, c.sampled)
-        for x, y, z in zip(a._instances, b._instances, c._instances):
-            assert (
-                space_saving_state(x)
-                == space_saving_state(y)
-                == space_saving_state(z)
-            )
-
-
 class TestPlanFedEquivalence:
     """Kernel-plan feeding must equal the scalar replay of the same plan."""
 
@@ -508,75 +458,146 @@ class TestCustomSamplerObjects:
         assert memento_state(a) == memento_state(b)
 
 
-class TestIngestPlanOwnedEquivalence:
-    """The fused owned-packet consumer must equal the generic plan path.
+class ScalarOnlySampler:
+    """A custom sampler with only the documented ``should_sample()``."""
 
-    ``ingest_plan_owned`` is what the sharding columnar (shm) lane calls
-    on each resident shard; its state must be byte-identical to feeding
-    the same unsampled plan through ``ingest_plan`` — otherwise results
-    would depend on the transport.
-    """
+    def __init__(self, tau, seed):
+        self.tau = tau
+        self._rng = random.Random(seed)
 
-    def scattered_plans(self, stream, seed=13):
-        from repro.core.kernel import plan_from_positions
-        import numpy as np
+    def should_sample(self) -> bool:
+        return self._rng.random() < self.tau
 
-        rng = np.random.default_rng(seed)
+
+def make_sampler_object(kind, tau):
+    """A fresh sampler of ``kind`` (identical for every call)."""
+    if kind == "fixed":
+        # scripted prefix, then the default — at tau = 1 the script still
+        # skips packets, so no WCSS shortcut may bypass it
+        script = np.random.default_rng(21).random(STREAM_LEN // 2) < min(tau, 0.9)
+        return FixedSampler(script.tolist(), default=True)
+    if kind == "scalar-only":
+        return ScalarOnlySampler(tau, seed=21)
+    return kind  # a builtin sampler name: the sketch builds it from seed
+
+
+def window_step(twin):
+    """One scalar Window update (H-Memento exposes it as a one-packet gap,
+    which ``test_ingest_gap`` pins to ``window_update``)."""
+    step = getattr(twin, "window_update", None)
+    if step is None:
+        twin.ingest_gap(1)
+    else:
+        step()
+
+
+def path_update_many(sketch, twin, stream):
+    batch_feed(sketch, stream)
+    scalar_feed(twin, stream)
+
+
+def path_extend(sketch, twin, stream):
+    sketch.extend(iter(stream), chunk_size=313)
+    scalar_feed(twin, stream)
+
+
+def owned_plans_path(positions_as):
+    """``ingest_plan(plan, sampled=False)`` on shard-style plans: each chunk
+    owns a scattered ~40% of its packets; the scalar twin updates the
+    owned packets and takes one Window update per unowned one."""
+
+    def path(sketch, twin, stream):
+        rng = np.random.default_rng(13)
         offset = 0
-        for chunk_len in (700, 1, 3000, 64, 2048, 17):
+        for chunk_len in (700, 1, 3000, 64, 0, 2048, 17, 4000):
             chunk = stream[offset : offset + chunk_len]
             offset += chunk_len
-            keep = rng.random(len(chunk)) < 0.4
-            positions = np.flatnonzero(keep).astype(np.int64)
+            owned_mask = rng.random(len(chunk)) < 0.4
+            positions = np.flatnonzero(owned_mask)
             owned = [chunk[i] for i in positions.tolist()]
-            yield plan_from_positions(owned, positions, len(chunk))
+            sketch.ingest_plan(
+                plan_from_positions(owned, positions_as(positions), len(chunk)),
+                sampled=False,
+            )
+            for keep, item in zip(owned_mask.tolist(), chunk):
+                if keep:
+                    twin.update(item)
+                else:
+                    window_step(twin)
 
-    @pytest.mark.parametrize("tau", [0.3, 1.0])
-    def test_memento_fused_equals_generic(self, stream, tau):
-        a = Memento(WINDOW, counters=COUNTERS, tau=tau, seed=5)
-        b = Memento(WINDOW, counters=COUNTERS, tau=tau, seed=5)
-        for plan in self.scattered_plans(stream):
-            a.ingest_plan_owned(plan)
-        for plan in self.scattered_plans(stream):
-            b.ingest_plan(plan)
-        assert a.updates == b.updates
-        assert a.full_updates == b.full_updates
-        assert memento_state(a) == memento_state(b)
+    return path
 
-    def test_memento_dense_plan(self, stream):
-        from repro.core.kernel import dense_plan
 
-        a = Memento(WINDOW, counters=COUNTERS, tau=0.25, seed=8)
-        b = Memento(WINDOW, counters=COUNTERS, tau=0.25, seed=8)
-        chunk = stream[:3000]
-        a.ingest_plan_owned(dense_plan(chunk))
-        b.ingest_plan(dense_plan(chunk))
-        assert memento_state(a) == memento_state(b)
+def path_sampled_plans(sketch, twin, stream):
+    """``ingest_plan(make_plan(...), sampled=True)`` fed by the sketch's own
+    decision column, with ``ingest_gap`` advances between chunks."""
+    offset = 0
+    for chunk_len, gap in zip(
+        (900, 1, 4096, 0, 2500, 37, 3000), (0, 5, 1500, 3, 0, 2049, 1)
+    ):
+        chunk = stream[offset : offset + chunk_len]
+        offset += chunk_len
+        decisions = draw_decision_array(sketch._sampler, len(chunk))
+        sketch.ingest_plan(make_plan(chunk, decisions), sampled=True)
+        sketch.ingest_gap(gap)
+        scalar_feed(twin, chunk)
+        for _ in range(gap):
+            window_step(twin)
 
-    def test_memento_pure_gap_plan(self, stream):
-        from repro.core.kernel import plan_from_positions
-        import numpy as np
 
-        a = Memento(WINDOW, counters=COUNTERS, tau=0.25, seed=8)
-        b = Memento(WINDOW, counters=COUNTERS, tau=0.25, seed=8)
-        empty = plan_from_positions(
-            [], np.empty(0, dtype=np.int64), 500
-        )
-        a.ingest_plan_owned(empty)
-        b.ingest_plan(empty)
-        assert memento_state(a) == memento_state(b)
+PATHS = {
+    "update_many": path_update_many,
+    "extend": path_extend,
+    "owned_plans_list": owned_plans_path(lambda positions: positions.tolist()),
+    "owned_plans_ndarray": owned_plans_path(lambda positions: positions),
+    "sampled_plans": path_sampled_plans,
+}
+SAMPLERS = ["table", "geometric", "bernoulli", "fixed", "scalar-only"]
 
-    def test_base_class_default_delegates(self, stream):
-        # sketches without a fused override (the exact oracle) fall back
-        # to the generic consumer on the BatchIngest base class
-        from repro.core.kernel import plan_from_positions
-        import numpy as np
 
-        a = ExactWindowCounter(WINDOW)
-        b = ExactWindowCounter(WINDOW)
-        positions = np.arange(0, 2000, 7, dtype=np.int64)
-        owned = [stream[i] for i in positions.tolist()]
-        plan = plan_from_positions(owned, positions, 2000)
-        a.ingest_plan_owned(plan)
-        b.ingest_plan(plan)
-        assert sorted(a.entries()) == sorted(b.entries())
+class TestEveryPathMatchesScalar:
+    """Every batch ingestion path must leave the sketch in the same state
+    (sampler included) as a twin fed one scalar ``update`` at a time from
+    the same seed — the scalar path is the reference."""
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    @pytest.mark.parametrize("tau", [1.0, 0.25, 0.1])
+    def test_memento(self, stream, tau, sampler, path):
+        def build():
+            return Memento(
+                WINDOW,
+                counters=COUNTERS,
+                tau=tau,
+                sampler=make_sampler_object(sampler, tau),
+                seed=11,
+            )
+
+        sketch, twin = build(), build()
+        PATHS[path](sketch, twin, stream)
+        assert memento_state(sketch) == memento_state(twin)
+        assert pickle.dumps(sketch) == pickle.dumps(twin)
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    @pytest.mark.parametrize("sampler", ["table", "geometric", "scalar-only"])
+    def test_hmemento(self, stream, sampler, path):
+        def build():
+            return HMemento(
+                window=3000,
+                hierarchy=SRC_HIERARCHY,
+                counters=160,
+                tau=0.3,
+                sampler=make_sampler_object(sampler, 0.3),
+                seed=6,
+            )
+
+        sketch, twin = build(), build()
+        PATHS[path](sketch, twin, stream)
+        assert sketch.updates == twin.updates
+        assert memento_state(sketch._memento) == memento_state(twin._memento)
+        # prefix keys are tuples, which pickle memoizes by identity, so the
+        # random streams are compared byte-for-byte and the sketch by value
+        assert sketch._pattern_pos == twin._pattern_pos
+        assert pickle.dumps(
+            (sketch._sampler, sketch._pattern_rng, sketch._pattern_buf)
+        ) == pickle.dumps((twin._sampler, twin._pattern_rng, twin._pattern_buf))

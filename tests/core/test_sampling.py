@@ -12,11 +12,7 @@ from repro import (
     TableSampler,
     make_sampler,
 )
-from repro.core.sampling import (
-    FALLBACK_CHUNK,
-    draw_decision_array,
-    draw_decisions,
-)
+from repro.core.sampling import FALLBACK_CHUNK, draw_decision_array
 
 ALL_SAMPLERS = [BernoulliSampler, TableSampler, GeometricSampler]
 
@@ -113,8 +109,9 @@ class TestFactory:
 
 
 class TestSampleBlock:
-    """``sample_block(n)`` must consume the RNG exactly as ``n`` scalar
-    ``should_sample()`` calls — the batch engine's core contract."""
+    """A block of ``n`` decisions from ``decision_array(n)`` must consume
+    the RNG exactly as ``n`` scalar ``should_sample()`` calls — the batch
+    engine's core contract."""
 
     @pytest.mark.parametrize("method", ["table", "geometric", "bernoulli"])
     @pytest.mark.parametrize("tau", [0.01, 0.3, 0.9, 1.0])
@@ -124,16 +121,17 @@ class TestSampleBlock:
         want = [scalar.should_sample() for _ in range(2000)]
         got = []
         for size in (1, 7, 0, 64, 251, 999, 678):
-            got.extend(block.sample_block(size))
+            got.extend(block.decision_array(size).tolist())
         assert got == want
         # and the samplers stay in sync afterwards
-        assert block.sample_block(50) == [
+        assert block.decision_array(50).tolist() == [
             scalar.should_sample() for _ in range(50)
         ]
 
     @pytest.mark.parametrize("method", ["table", "geometric", "bernoulli"])
     def test_block_crossing_table_wrap(self, method):
-        # a block larger than the table forces the wrap re-roll path
+        # small blocks that straddle the end of a 64-bit table take the
+        # wrap re-roll path mid-block, over and over
         kwargs = {"table_size": 64} if method == "table" else {}
         cls = {
             "table": TableSampler,
@@ -143,52 +141,56 @@ class TestSampleBlock:
         scalar = cls(0.4, seed=9, **kwargs)
         block = cls(0.4, seed=9, **kwargs)
         want = [scalar.should_sample() for _ in range(500)]
-        assert block.sample_block(500) == want
+        got = []
+        for _ in range(10):
+            got.extend(block.decision_array(50).tolist())
+        assert got == want
 
     def test_empty_block(self):
         sampler = make_sampler(0.5, method="table", seed=1)
-        assert sampler.sample_block(0) == []
+        out = sampler.decision_array(0)
+        assert out.dtype == np.bool_ and out.size == 0
 
     def test_negative_block_rejected(self):
-        sampler = make_sampler(0.5, method="table", seed=1)
         with pytest.raises(ValueError, match="non-negative"):
-            sampler.sample_block(-1)
+            FixedSampler([True]).decision_array(-1)
 
     def test_fixed_sampler_replays_and_pads(self):
         sampler = FixedSampler([True, False, True], default=False)
-        assert sampler.sample_block(5) == [True, False, True, False, False]
-        assert sampler.sample_block(2) == [False, False]
+        assert sampler.decision_array(5).tolist() == [
+            True, False, True, False, False,
+        ]
+        assert sampler.decision_array(2).tolist() == [False, False]
+        # the column and the scalar calls walk one shared script
+        mixed = FixedSampler([True, False, False, True], default=True)
+        assert mixed.decision_array(2).tolist() == [True, False]
+        assert mixed.should_sample() is False
+        assert mixed.decision_array(3).tolist() == [True, True, True]
 
     def test_block_frequency_approximates_tau(self):
         sampler = make_sampler(0.2, method="bernoulli", seed=3)
-        decisions = sampler.sample_block(20_000)
-        assert 0.17 < sum(decisions) / len(decisions) < 0.23
+        decisions = sampler.decision_array(20_000)
+        assert 0.17 < decisions.mean() < 0.23
 
 
 class TestDecisionArray:
-    """``decision_array(n)`` must be bit-identical to ``sample_block(n)``
-    and to ``n`` scalar ``should_sample()`` calls — the columnar kernel's
-    input contract."""
+    """The column form itself: a numpy bool array that can be mixed
+    freely with scalar ``should_sample()`` calls on one random stream —
+    the columnar kernel's input contract."""
 
     @pytest.mark.parametrize("method", ["table", "geometric", "bernoulli"])
     @pytest.mark.parametrize("tau", [0.01, 0.3, 0.9, 1.0])
     def test_matches_scalar_and_block_streams(self, method, tau):
+        # blocks interleaved with scalar calls walk the scalar stream
         scalar = make_sampler(tau, method=method, seed=5)
-        block = make_sampler(tau, method=method, seed=5)
-        columnar = make_sampler(tau, method=method, seed=5)
-        want = [scalar.should_sample() for _ in range(2000)]
-        blocks, columns = [], []
+        mixed = make_sampler(tau, method=method, seed=5)
+        got = []
         for size in (1, 7, 0, 64, 251, 999, 678):
-            blocks.extend(block.sample_block(size))
-            got = columnar.decision_array(size)
-            assert isinstance(got, np.ndarray) and got.dtype == np.bool_
-            columns.extend(got.tolist())
-        assert blocks == want
-        assert columns == want
-        # all three stay in sync afterwards
-        assert columnar.decision_array(50).tolist() == [
-            scalar.should_sample() for _ in range(50)
-        ]
+            column = mixed.decision_array(size)
+            assert isinstance(column, np.ndarray) and column.dtype == np.bool_
+            got.extend(column.tolist())
+            got.append(mixed.should_sample())
+        assert got == [scalar.should_sample() for _ in range(len(got))]
 
     @pytest.mark.parametrize("method", ["table", "geometric", "bernoulli"])
     def test_crossing_table_wrap(self, method):
@@ -232,26 +234,8 @@ class TestDecisionArray:
 
 
 class TestDrawDecisionArray:
-    """Module-level fallback ladder: decision_array → sample_block →
-    streamed scalar calls."""
-
-    class BlockOnlySampler:
-        """Has sample_block but not decision_array."""
-
-        def __init__(self):
-            self.inner = FixedSampler([True, False] * 500, default=False)
-            self.sample_block = self.inner.sample_block
-            self.should_sample = self.inner.should_sample
-
-    class ScalarOnlySampler:
-        """Only the documented minimal scalar surface."""
-
-        def __init__(self):
-            self.calls = 0
-
-        def should_sample(self):
-            self.calls += 1
-            return self.calls % 3 == 0
+    """Module-level ladder, first rung: the sampler's native
+    ``decision_array``."""
 
     def test_prefers_native_decision_array(self):
         sampler = make_sampler(0.5, method="table", seed=3)
@@ -261,29 +245,11 @@ class TestDrawDecisionArray:
             == fresh.decision_array(100).tolist()
         )
 
-    def test_block_only_coerced(self):
-        out = draw_decision_array(self.BlockOnlySampler(), 7)
-        assert isinstance(out, np.ndarray)
-        assert out.tolist() == [True, False, True, False, True, False, True]
-
-    def test_scalar_only_streams_in_chunks(self):
-        sampler = self.ScalarOnlySampler()
-        n = FALLBACK_CHUNK + 1000  # forces more than one fallback chunk
-        out = draw_decision_array(sampler, n)
-        assert sampler.calls == n
-        assert out.dtype == np.bool_ and out.size == n
-        assert out[:9].tolist() == [False, False, True] * 3
-        assert int(out.sum()) == n // 3
-
-    def test_scalar_only_empty(self):
-        sampler = self.ScalarOnlySampler()
-        assert draw_decision_array(sampler, 0).size == 0
-        assert sampler.calls == 0
-
 
 class TestDrawDecisions:
-    """draw_decisions: block fast path plus the scalar fallback for
-    sampler objects that predate ``sample_block``."""
+    """Module-level ladder, second rung: ``draw_decision_array`` streams
+    scalar ``should_sample()`` calls for custom sampler objects that
+    only honour the documented scalar contract."""
 
     class LegacySampler:
         """A user-supplied sampler with only the documented scalar API."""
@@ -297,34 +263,33 @@ class TestDrawDecisions:
 
     def test_fallback_without_sample_block(self):
         sampler = self.LegacySampler()
-        decisions = draw_decisions(sampler, 9)
-        assert decisions == [False, False, True] * 3
+        decisions = draw_decision_array(sampler, 9)
+        assert decisions.dtype == np.bool_
+        assert decisions.tolist() == [False, False, True] * 3
         assert sampler.calls == 9
 
     def test_fallback_zero_draws_nothing(self):
         sampler = self.LegacySampler()
-        assert draw_decisions(sampler, 0) == []
+        assert draw_decision_array(sampler, 0).size == 0
         assert sampler.calls == 0
 
-    def test_prefers_sample_block(self):
-        sampler = FixedSampler([True, False], default=False)
-        assert draw_decisions(sampler, 4) == [True, False, False, False]
-
     def test_fallback_streams_large_n_through_chunks(self):
-        # regression: the scalar fallback must stream through iter_chunks
-        # (bounded intermediate state) instead of materializing one giant
-        # comprehension — and still produce every decision exactly once
+        # the scalar fallback streams through iter_chunks (bounded
+        # intermediate state) instead of materializing one giant
+        # comprehension — and still draws every decision exactly once
         sampler = self.LegacySampler()
         n = FALLBACK_CHUNK * 2 + 17
-        decisions = draw_decisions(sampler, n)
+        decisions = draw_decision_array(sampler, n)
         assert sampler.calls == n
-        assert len(decisions) == n
-        assert decisions[:9] == [False, False, True] * 3
-        assert sum(decisions) == n // 3
+        assert decisions.size == n
+        assert decisions[:9].tolist() == [False, False, True] * 3
+        assert int(decisions.sum()) == n // 3
 
     def test_fallback_rejects_negative(self):
+        sampler = self.LegacySampler()
         with pytest.raises(ValueError, match="non-negative"):
-            draw_decisions(self.LegacySampler(), -1)
+            draw_decision_array(sampler, -1)
+        assert sampler.calls == 0
 
     def test_memento_accepts_legacy_sampler(self):
         from repro import Memento
@@ -337,7 +302,8 @@ class TestDrawDecisions:
 
 
 class TestSampleBlockZero:
-    """sample_block(0) must be an RNG no-op on every sampler."""
+    """A zero-length decision column must be an RNG no-op on every
+    sampler."""
 
     @pytest.mark.parametrize(
         "sampler",
@@ -350,11 +316,13 @@ class TestSampleBlockZero:
         ids=["bernoulli", "table", "geometric", "fixed"],
     )
     def test_empty_block_consumes_nothing(self, sampler):
-        type(sampler)  # ids only
-        assert sampler.sample_block(0) == []
+        assert sampler.decision_array(0).size == 0
         # the next decisions match a fresh same-seed sampler's stream
         if isinstance(sampler, FixedSampler):
-            assert sampler.sample_block(2) == [True, False]
+            assert sampler.decision_array(2).tolist() == [True, False]
             return
         fresh = type(sampler)(0.4, seed=2)
-        assert sampler.sample_block(20) == fresh.sample_block(20)
+        assert (
+            sampler.decision_array(20).tolist()
+            == fresh.decision_array(20).tolist()
+        )

@@ -1,0 +1,92 @@
+"""Every sharding lane ≡ each shard's own scalar replay.
+
+A windowed shard owns a hash slice of the global stream and takes one
+Window update for every packet it does not own.  Whatever lane carries
+the per-shard plans, each shard must end byte-identical (pickle, sampler
+state included) to a sketch built by the same factory and fed that
+sequence one scalar call at a time — and the in-process lane must get
+there through the fused plan path, not a per-segment replay.
+"""
+
+from __future__ import annotations
+
+import pickle
+import random
+
+import pytest
+
+from repro import Memento, PersistentProcessExecutor, ShardedSketch
+from repro.sharding.shm import leaked_segments
+
+WINDOW = 1000
+SHARDS = 2
+CHUNK = 257
+
+
+def factory(i):
+    return Memento(window=WINDOW, counters=32, tau=0.25, seed=1 + i)
+
+
+@pytest.fixture(scope="module")
+def stream():
+    rng = random.Random(29)
+    return [rng.randint(0, 199) for _ in range(6000)]
+
+
+def feed(sharded, stream):
+    for start in range(0, len(stream), CHUNK):
+        sharded.update_many(stream[start : start + CHUNK])
+
+
+def scalar_replays(sharded, stream):
+    """Each shard's reference: update its own packets, Window-update the rest."""
+    replays = [factory(j) for j in range(SHARDS)]
+    for item in stream:
+        owner = sharded.shard_of(item)
+        for j, replay in enumerate(replays):
+            if j == owner:
+                replay.update(item)
+            else:
+                replay.window_update()
+    return replays
+
+
+@pytest.mark.parametrize(
+    "executor",
+    ["serial", "persistent-shm"],
+)
+def test_shards_match_their_scalar_replay(stream, executor):
+    if executor == "persistent-shm":
+        executor = PersistentProcessExecutor(transport="shm")
+    with ShardedSketch(factory, shards=SHARDS, executor=executor) as sharded:
+        feed(sharded, stream)
+        shards = sharded.shards
+        replays = scalar_replays(sharded, stream)
+        assert [shard.updates for shard in shards] == [len(stream)] * SHARDS
+        for shard, replay in zip(shards, replays):
+            assert pickle.dumps(shard) == pickle.dumps(replay)
+    assert leaked_segments() == []
+
+
+def test_serial_lane_takes_the_fused_plan_path(stream, monkeypatch):
+    calls = {"ingest_plan": 0, "update_many": 0}
+    ingest_plan = Memento.ingest_plan
+    update_many = Memento.update_many
+
+    def spy_ingest_plan(self, plan, *, sampled=False):
+        calls["ingest_plan"] += 1
+        return ingest_plan(self, plan, sampled=sampled)
+
+    def spy_update_many(self, items):
+        calls["update_many"] += 1
+        return update_many(self, items)
+
+    monkeypatch.setattr(Memento, "ingest_plan", spy_ingest_plan)
+    monkeypatch.setattr(Memento, "update_many", spy_update_many)
+    with ShardedSketch(factory, shards=SHARDS, executor="serial") as sharded:
+        feed(sharded, stream)
+    batches = -(-len(stream) // CHUNK)
+    # one owned-packet plan per shard per batch, never split into
+    # per-segment update_many calls
+    assert calls["update_many"] == 0
+    assert calls["ingest_plan"] >= batches * SHARDS

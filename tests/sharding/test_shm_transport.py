@@ -35,8 +35,8 @@ WINDOW = 96
 
 
 def memento_factory(i):
-    # tau < 1 exercises the sampled lane: the fused owned-plan consumer
-    # must stay RNG-identical to the generic path across transports
+    # tau < 1 exercises the sampled lane: each shard draws the coins of
+    # its owned-packet plans, identically whichever transport carried them
     return Memento(window=WINDOW, counters=32, tau=0.25, seed=1 + i)
 
 
