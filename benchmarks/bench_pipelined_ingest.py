@@ -20,21 +20,15 @@ pipelined ingestion front-end (``ShardedSketch(pipeline=...)``):
   ``S`` pipe messages *per packet* — the O(S) path the write buffer
   removes) and under pre-chunked 4096-packet batches (where the
   synchronous path is already amortized and the thread can only win
-  the partition/apply overlap).
-* every case also times the **shared-memory transport**
-  (``pipelined-shm``): the same pipelined stack with
-  ``transport: "shm"``, where plan columns travel through a per-worker
-  shared-memory ring instead of the pickle-over-pipe payload and
-  resident shards consume them through the fused owned-plan path.
+  the partition/apply overlap).  The executor picks each plan's lane
+  from its size: report-scale plans are pickled into the worker pipes,
+  chunk-scale ones ride the shared-memory rings.
 * the full run gates the front-end's contract: pipelined must reach
   ≥ ``MIN_PIPE_4SHARD``× the synchronous persistent path at 4 shards
   and ≥ ``MIN_PIPE_1SHARD``× at 1 shard (the delegation fast path —
-  coalescing must never cost throughput); the shm transport must reach
-  ≥ ``MIN_SHM_CHUNKS``× the pipe-based pipelined path on the 4-shard
-  pre-chunked columnar feed and must never regress (≥ ``MIN_SHM_OTHER``×)
-  on the report-scale and scalar feeds.  ``--smoke`` shrinks the
-  workload for CI and relaxes every gate to a plain ≥ 1.0×
-  no-regression bound.
+  coalescing must never cost throughput).  ``--smoke`` shrinks the
+  workload for CI and relaxes the gate to a plain ≥ 1.0×
+  no-regression bound at 4 shards.
 
 Results persist to ``BENCH_pipelined_ingest.json`` at the repo root.
 """
@@ -81,20 +75,13 @@ GATED_SHARDS = 4
 #: full-run gates on the report-scale feed
 MIN_PIPE_4SHARD = 1.3
 MIN_PIPE_1SHARD = 1.0
-#: full-run shm-transport gates (vs the pipe-based pipelined path):
-#: the columnar chunk feed is where the zero-copy ring + fused consumer
-#: must pay off; everywhere else it must simply never regress
-MIN_SHM_CHUNKS = 1.5
-MIN_SHM_OTHER = 1.0
-#: smoke-mode no-regression gates (CI noise tolerance is the repeats)
+#: smoke-mode no-regression gate (CI noise tolerance is the repeats)
 SMOKE_MIN_PIPE = 1.0
-SMOKE_MIN_SHM = 1.0
 
-#: timed modes: (row-name suffix, pipelined?, plan transport)
+#: timed modes: (row-name suffix, pipelined?)
 MODES = (
-    ("sync", False, "pipe"),
-    ("pipelined", True, "pipe"),
-    ("pipelined-shm", True, "shm"),
+    ("sync", False),
+    ("pipelined", True),
 )
 
 
@@ -102,9 +89,7 @@ def make_stream(n: int = N) -> list:
     return generate_trace(BACKBONE, n, seed=99).packets_1d()
 
 
-def case_spec(
-    shards: int, pipelined: bool, transport: str = "pipe"
-) -> SketchSpec:
+def case_spec(shards: int, pipelined: bool) -> SketchSpec:
     """The declarative spec of one timed deployment.
 
     Every timed construction goes through ``build_engine`` on this, and
@@ -120,11 +105,7 @@ def case_spec(
             "tau": TAU,
             "seed": 1,
         },
-        "sharding": {
-            "shards": shards,
-            "executor": "persistent",
-            "transport": transport,
-        },
+        "sharding": {"shards": shards, "executor": "persistent"},
     }
     if pipelined:
         payload["pipeline"] = {"buffer_size": PIPELINE_BUFFER}
@@ -165,10 +146,9 @@ def time_feed(
     pipelined: bool,
     stream,
     repeats: int,
-    transport: str = "pipe",
 ) -> float:
     """Best wall-seconds for one full feed pass + the query sync point."""
-    sharded = build_engine(case_spec(shards, pipelined, transport))
+    sharded = build_engine(case_spec(shards, pipelined))
     drive = FEEDS[feed]
     probe = stream[0]
     try:
@@ -201,10 +181,10 @@ def run_harness(
     repeats: int = 3,
     with_context: bool = True,
 ) -> Tuple[List[BenchResult], Dict[str, Dict[str, float]]]:
-    """Time sync vs pipelined vs pipelined-shm per (feed, shard count).
+    """Time sync vs pipelined per (feed, shard count).
 
-    Returns the results plus a ``{case: {sync, pipelined, shm, speedup,
-    shm_vs_pipe}}`` summary, keyed ``reports/shards{S}`` for the gated
+    Returns the results plus a ``{case: {sync, pipelined, speedup}}``
+    summary, keyed ``reports/shards{S}`` for the gated
     critical path and ``scalar/shards4`` / ``chunks/shards4`` for the
     context rows.
     """
@@ -221,11 +201,9 @@ def run_harness(
     for feed, shards, case_stream in cases:
         ops = len(case_stream)
         row: Dict[str, float] = {}
-        for mode, pipelined, transport in MODES:
-            seconds = time_feed(
-                feed, shards, pipelined, case_stream, repeats,
-                transport=transport,
-            )
+        for mode, pipelined in MODES:
+            spec = case_spec(shards, pipelined)
+            seconds = time_feed(feed, shards, pipelined, case_stream, repeats)
             row[mode] = ops / seconds
             results.append(
                 BenchResult(
@@ -239,18 +217,15 @@ def run_harness(
                         "shards": shards,
                         "mode": mode,
                         "executor": "persistent",
-                        "transport": transport,
+                        "transport": spec.sharding.resolved_transport,
                         "report": REPORT,
                         "chunk": CHUNK,
                         "pipeline_buffer": PIPELINE_BUFFER,
-                        "spec": case_spec(
-                            shards, pipelined, transport
-                        ).to_dict(),
+                        "spec": spec.to_dict(),
                     },
                 )
             )
         row["speedup"] = row["pipelined"] / row["sync"]
-        row["shm_vs_pipe"] = row["pipelined-shm"] / row["pipelined"]
         summary[f"{feed}/shards{shards}"] = row
     return results, summary
 
@@ -304,31 +279,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     width = max(len(case) for case in summary)
     print(
         f"{'case'.ljust(width)}  {'sync ops/s':>13}  "
-        f"{'pipelined ops/s':>15}  {'shm ops/s':>13}  speedup  shm/pipe"
+        f"{'pipelined ops/s':>15}  speedup"
     )
     for case, row in summary.items():
         print(
             f"{case.ljust(width)}  {row['sync']:>13,.0f}  "
-            f"{row['pipelined']:>15,.0f}  {row['pipelined-shm']:>13,.0f}  "
-            f"{row['speedup']:>6.2f}x  {row['shm_vs_pipe']:>7.2f}x"
+            f"{row['pipelined']:>15,.0f}  {row['speedup']:>6.2f}x"
         )
     print(f"results -> {out}")
 
     failures: List[str] = []
     gated = summary[f"reports/shards{GATED_SHARDS}"]["speedup"]
     one = summary["reports/shards1"]["speedup"]
-    shm_reports = summary[f"reports/shards{GATED_SHARDS}"]["shm_vs_pipe"]
     if args.smoke:
         if gated < SMOKE_MIN_PIPE:
             failures.append(
                 f"pipelined {gated:.2f}x < {SMOKE_MIN_PIPE}x synchronous on "
                 f"the {GATED_SHARDS}-shard report feed (smoke no-regression)"
-            )
-        if shm_reports < SMOKE_MIN_SHM:
-            failures.append(
-                f"shm transport {shm_reports:.2f}x < {SMOKE_MIN_SHM}x the "
-                f"pipe transport on the {GATED_SHARDS}-shard report feed "
-                f"(smoke no-regression)"
             )
     else:
         if gated < MIN_PIPE_4SHARD:
@@ -342,24 +309,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"pipelined {one:.2f}x < {MIN_PIPE_1SHARD}x synchronous on "
                 f"the 1-shard delegation path"
             )
-        shm_chunks = summary[f"chunks/shards{GATED_SHARDS}"]["shm_vs_pipe"]
-        if shm_chunks < MIN_SHM_CHUNKS:
-            failures.append(
-                f"shm transport {shm_chunks:.2f}x < {MIN_SHM_CHUNKS}x the "
-                f"pipe transport on the {GATED_SHARDS}-shard pre-chunked "
-                f"columnar feed"
-            )
-        for case in (
-            "reports/shards1",
-            f"reports/shards{GATED_SHARDS}",
-            f"scalar/shards{GATED_SHARDS}",
-        ):
-            ratio = summary[case]["shm_vs_pipe"]
-            if ratio < MIN_SHM_OTHER:
-                failures.append(
-                    f"shm transport {ratio:.2f}x < {MIN_SHM_OTHER}x the "
-                    f"pipe transport on {case} (no-regression)"
-                )
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)

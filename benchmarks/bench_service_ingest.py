@@ -104,11 +104,7 @@ def case_spec(
         },
     }
     if sharded:
-        payload["sharding"] = {
-            "shards": SHARDS,
-            "executor": "persistent",
-            "transport": "pipe",
-        }
+        payload["sharding"] = {"shards": SHARDS, "executor": "persistent"}
         payload["pipeline"] = {"buffer_size": PIPELINE_BUFFER}
     if service:
         section: Dict[str, object] = {"port": 0}

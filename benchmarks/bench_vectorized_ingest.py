@@ -12,17 +12,15 @@ persistent shard workers:
   ``BENCH_vectorized_ingest.json`` at the repo root.  The full run
   gates the kernel's contract on ``memento_tau0.1``: vectorized must
   reach ≥ ``MIN_VEC_VS_SCALAR``× the scalar path.
-* the same run times sharded ingestion through the round-trip
-  ``ProcessExecutor`` against the ``PersistentProcessExecutor`` at
-  1/2/4/8 shards (1 shard is the executor-bypassing delegation path,
-  reported for context).  Timed passes include the post-batch state
-  sync (a query), so the persistent numbers pay their ``collect``.
-  The full run gates that persistent beats the round-trip on the
-  4-shard critical path.
+* the same run times sharded ingestion through the
+  ``PersistentProcessExecutor`` at 1/2/4/8 shards (1 shard is the
+  executor-bypassing delegation path, reported for context).  Timed
+  passes include the post-batch state sync (a query), so the numbers
+  pay their ``collect``.  These rows are context and ungated.
 * ``--smoke`` shrinks the workload for CI and relaxes the memento gate
   to a plain no-regression bound (vectorized ≥
   ``SMOKE_MIN_VEC_VS_SCALAR``× scalar); executor scaling runs at 2
-  shards only and is ungated.
+  shards only.
 
 ``memento_tau0.1`` uses a window geometry with paper-scale blocks
 (``W/k = 256``) — tiny blocks make the boundary bookkeeping, not the
@@ -70,8 +68,8 @@ COUNTERS = 64
 N = 40_000
 CHUNK = 4096
 
-#: executor-case geometry: heavier per-shard state so the round-trip's
-#: pickling cost is representative
+#: executor-case geometry: heavier per-shard state, representative of a
+#: deployed controller shard
 EXEC_WINDOW = 131_072
 EXEC_COUNTERS = 512
 EXEC_N = 20_000
@@ -252,7 +250,7 @@ def time_executor(
     probe = stream[0]
     n = len(stream)
     try:
-        # warmup pass spawns the workers/pool and fills caches
+        # warmup pass spawns the workers and fills caches
         for start in range(0, n, CHUNK):
             sharded.update_many(stream[start : start + CHUNK])
         sharded.query(probe)
@@ -279,7 +277,7 @@ def run_harness(
     """Time every (case, path) pair plus the executor scaling matrix.
 
     Returns the results, per-case speedup ratios, and the per-shard-count
-    executor comparison (ops/sec and the persistent/round-trip ratio).
+    persistent-executor throughput (ops/sec).
     """
     stream = make_stream(n)
     streams = {"plain": stream, "grouped": grouped_stream(stream)}
@@ -334,33 +332,29 @@ def run_harness(
 
     exec_stream = make_stream(exec_n)
     executor_scaling: Dict[str, Dict[str, float]] = {}
+    executor = "persistent"
     for shards in shard_counts:
-        row: Dict[str, float] = {}
-        for executor in ("process", "persistent"):
-            seconds = time_executor(executor, shards, exec_stream, repeats)
-            ops_per_sec = exec_n / seconds
-            row[executor] = ops_per_sec
-            spec = exec_spec(executor, shards)
-            results.append(
-                BenchResult(
-                    name=f"executor_{executor}/shards{shards}",
-                    ops=exec_n,
-                    seconds=seconds,
-                    mean_seconds=seconds,
-                    repeats=repeats,
-                    metadata={
-                        "path": "sharded",
-                        "executor": executor,
-                        "shards": shards,
-                        "chunk": CHUNK,
-                        "case": "memento_tau0.1_exec",
-                        "spec": spec.to_dict(),
-                        "transport": spec.sharding.resolved_transport,
-                    },
-                )
+        seconds = time_executor(executor, shards, exec_stream, repeats)
+        spec = exec_spec(executor, shards)
+        results.append(
+            BenchResult(
+                name=f"executor_{executor}/shards{shards}",
+                ops=exec_n,
+                seconds=seconds,
+                mean_seconds=seconds,
+                repeats=repeats,
+                metadata={
+                    "path": "sharded",
+                    "executor": executor,
+                    "shards": shards,
+                    "chunk": CHUNK,
+                    "case": "memento_tau0.1_exec",
+                    "spec": spec.to_dict(),
+                    "transport": spec.sharding.resolved_transport,
+                },
             )
-        row["persistent_vs_process"] = row["persistent"] / row["process"]
-        executor_scaling[f"shards{shards}"] = row
+        )
+        executor_scaling[f"shards{shards}"] = {executor: exec_n / seconds}
     return results, speedups, executor_scaling
 
 
@@ -426,13 +420,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"{ratios['vectorized_vs_scalar']:>6.2f}x"
         )
     print()
-    print("shards  round-trip ops/s  persistent ops/s  persistent/round-trip")
+    print("shards  persistent ops/s")
     for shards in shard_counts:
         row = executor_scaling[f"shards{shards}"]
-        print(
-            f"{shards:>6}  {row['process']:>16,.0f}  {row['persistent']:>16,.0f}  "
-            f"{row['persistent_vs_process']:>21.2f}x"
-        )
+        print(f"{shards:>6}  {row['persistent']:>16,.0f}")
     print(f"results -> {out}")
 
     failures: List[str] = []
@@ -442,13 +433,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         failures.append(
             f"vectorized path {ratio:.2f}x < {gate}x scalar on {GATED_CASE}"
         )
-    if not args.smoke:
-        four = executor_scaling.get("shards4")
-        if four and four["persistent_vs_process"] < 1.0:
-            failures.append(
-                f"persistent executor {four['persistent_vs_process']:.2f}x "
-                f"round-trip on the 4-shard critical path (needs >= 1.0x)"
-            )
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
@@ -478,7 +462,7 @@ def test_memento_tau01_paths(benchmark, stream, path):
     assert result.updates == N
 
 
-@pytest.mark.parametrize("executor", ["process", "persistent"])
+@pytest.mark.parametrize("executor", ["serial", "persistent"])
 def test_executor_four_shards(benchmark, stream, executor):
     def run():
         sharded = ShardedSketch(exec_factory, shards=4, executor=executor)

@@ -141,10 +141,8 @@ from .service import (
 from .sharding import (
     PersistentProcessExecutor,
     PipelineConfig,
-    ProcessExecutor,
     SerialExecutor,
     ShardedSketch,
-    ThreadExecutor,
     make_executor,
     shard_index,
 )
@@ -207,8 +205,6 @@ __all__ = [
     "ShardedSketch",
     "shard_index",
     "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
     "PersistentProcessExecutor",
     "make_executor",
     "PipelineConfig",

@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
             p.add_argument(
                 "--executor",
-                choices=("serial", "thread", "process", "persistent"),
+                choices=("serial", "persistent"),
                 default="serial",
                 help="shard execution strategy; 'persistent' keeps shard "
                 "state resident in long-lived workers (no per-batch "

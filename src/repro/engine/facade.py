@@ -142,17 +142,10 @@ class HeavyHitterEngine:
         def factory(shard_id: int) -> object:
             return info.factory(spec.algorithm, hierarchy, shard_id)
 
-        executor: object = sharding.executor
-        if sharding.transport is not None:
-            # the spec layer guarantees executor == "persistent" here; a
-            # ready executor object carries the transport choice down
-            from ..sharding.executors import PersistentProcessExecutor
-
-            executor = PersistentProcessExecutor(transport=sharding.transport)
         sketch = ShardedSketch(
             factory,
             shards=sharding.shards,
-            executor=executor,
+            executor=sharding.executor,
             query_mode=query_mode,
             merge_counters=sharding.merge_counters,
             pipeline=(

@@ -46,7 +46,7 @@ from pathlib import Path
 from typing import Dict, Optional, Type, TypeVar, Union
 
 from ..hierarchy.domain import SRC_DST_HIERARCHY, SRC_HIERARCHY, Hierarchy
-from ..sharding.executors import _EXECUTORS, TRANSPORTS
+from ..sharding.executors import _EXECUTORS
 from ..sharding.pipeline import PipelineConfig
 from ..sharding.sharded import QUERY_MODES
 
@@ -194,13 +194,15 @@ class ShardingSpec:
     ``route`` otherwise — the same choice the network-wide controller
     hard-coded before this layer existed.
 
-    ``transport`` selects the persistent executor's plan payload
-    channel: ``"pipe"`` (the default when omitted) pickles plans into
-    the worker pipes, ``"shm"`` ships columnar plans through per-worker
-    shared-memory rings (descriptors only on the pipe).  It is a
-    persistent-executor knob — naming it with any other executor is a
-    parse error, because silently ignoring it would misrecord how a
-    benched deployment actually ran.
+    ``executor`` is ``"serial"`` (in-process) or ``"persistent"``
+    (resident shard workers).  ``transport`` survives only so specs
+    written against the old two-lane persistent executor still parse:
+    ``"shm"`` and null both mean the one lane there is now (the executor
+    picks shared memory or pickling per task from its size), and
+    ``"pipe"`` fails with a ``ValueError`` that says the knob is gone.
+    It is a persistent-executor field — naming it with any other
+    executor is a parse error, because silently ignoring it would
+    misrecord how a benched deployment actually ran.
     """
 
     shards: int = 1
@@ -223,9 +225,15 @@ class ShardingSpec:
             )
         _check_positive("merge_counters", self.merge_counters)
         if self.transport is not None:
-            if self.transport not in TRANSPORTS:
+            if self.transport == "pipe":
                 raise ValueError(
-                    f"transport must be one of {TRANSPORTS} or null, got "
+                    "transport 'pipe' was removed: the persistent executor "
+                    "now picks the pickle or shared-memory lane per task "
+                    "from its size; drop the transport field"
+                )
+            if self.transport != "shm":
+                raise ValueError(
+                    f"transport must be 'shm' or null, got "
                     f"{self.transport!r}"
                 )
             if self.executor != "persistent":
@@ -237,16 +245,14 @@ class ShardingSpec:
 
     @property
     def resolved_transport(self) -> Optional[str]:
-        """The transport this spec actually runs with.
+        """The plan channel this spec actually runs with.
 
-        ``None`` for non-persistent executors (no plan channel exists);
-        for the persistent executor the explicit knob, defaulting to
-        ``"pipe"``.  Bench rows record this so a row's metadata says how
-        its plans moved even when the spec left the knob implicit.
+        ``"shm"`` for the persistent executor (its size-selected lane,
+        shared memory with a pickle fallback) and ``None`` otherwise (no
+        plan channel exists).  Bench rows record this so a row's
+        metadata says how its plans moved.
         """
-        if self.executor != "persistent":
-            return None
-        return self.transport or "pipe"
+        return "shm" if self.executor == "persistent" else None
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ pipeline under an HTTP flood and measures detection latency (see
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Hashable, Optional, Sequence
 
@@ -26,10 +25,8 @@ from ..core.exact import ExactWindowCounter
 from ..engine.facade import build_engine
 from ..engine.spec import (
     AlgorithmSpec,
-    ShardingSpec,
     SketchSpec,
     hierarchy_spec_for,
-    pipeline_spec_for,
 )
 from ..hierarchy.domain import Hierarchy
 from .budget import BudgetModel
@@ -55,10 +52,7 @@ class NetwideConfig:
     counters, tau, seed, and delta are **resolved** by
     :class:`NetwideSystem` from this config and the budget model (the
     transport sampling rate is a Theorem 5.5 output, not a spec input).
-    The legacy ``shards`` / ``shard_executor`` / ``shard_pipeline``
-    fields are deprecation shims that synthesize a spec; when ``spec``
-    is given they are back-filled *from* it so introspection stays
-    coherent.
+    Without a ``spec`` the controller is one unsharded sketch.
     """
 
     points: int = 10
@@ -75,16 +69,6 @@ class NetwideConfig:
     #: Entry cap for aggregation reports ("all the entries of its HH
     #: algorithm"); defaults to ``counters`` when None.
     aggregate_max_entries: Optional[int] = None
-    #: DEPRECATED (use ``spec``): controller-side ingestion shards
-    #: (1 = the single-sketch path).  ``counters`` is split across
-    #: shards so total state stays constant.
-    shards: int = 1
-    #: DEPRECATED (use ``spec``): executor for the sharded controller:
-    #: serial / thread / process / persistent.
-    shard_executor: str = "serial"
-    #: DEPRECATED (use ``spec``): pipelined ingestion front-end for the
-    #: sharded controller — ``False``, ``True``, or a buffer size.
-    shard_pipeline: object = False
     #: The controller's declarative execution spec (see class docstring).
     spec: Optional[SketchSpec] = None
 
@@ -95,73 +79,31 @@ class NetwideConfig:
             )
         if self.points <= 0:
             raise ValueError(f"points must be positive, got {self.points}")
-        if self.shards <= 0:
-            raise ValueError(f"shards must be positive, got {self.shards}")
-        legacy_given = (
-            self.shards > 1
-            or self.shard_executor != "serial"
-            or self.shard_pipeline not in (False, None)
-        )
-        if self.spec is not None:
-            if legacy_given:
-                raise ValueError(
-                    "pass either spec= or the legacy shards/shard_executor/"
-                    "shard_pipeline knobs, not both — mixing them would "
-                    "silently discard one side"
-                )
-            # the spec is authoritative; back-fill the legacy fields so
-            # code (and result rows) reading config.shards stay coherent
-            sharding = self.spec.sharding
-            object.__setattr__(
-                self, "shards", sharding.shards if sharding else 1
-            )
+        if self.spec is None:
             object.__setattr__(
                 self,
-                "shard_executor",
-                sharding.executor if sharding else "serial",
+                "spec",
+                SketchSpec(
+                    algorithm=AlgorithmSpec(
+                        family=(
+                            "h_memento"
+                            if self.hierarchy is not None
+                            else "memento"
+                        ),
+                        window=self.window,
+                        counters=self.counters,
+                        seed=self.seed,
+                        delta=self.delta,
+                    ),
+                    hierarchy=hierarchy_spec_for(self.hierarchy),
+                ),
             )
-            object.__setattr__(
-                self, "shard_pipeline", self.spec.pipeline is not None
-            )
-            return
-        if legacy_given:
-            warnings.warn(
-                "NetwideConfig(shards=/shard_executor=/shard_pipeline=) is "
-                "deprecated; pass spec=SketchSpec(..., sharding=..., "
-                "pipeline=...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        object.__setattr__(self, "spec", self._synthesize_spec())
 
-    def _synthesize_spec(self) -> SketchSpec:
-        """A spec equivalent to the legacy shard knobs.
-
-        Mirrors the historical wiring exactly: the sharding and pipeline
-        sections appear only when ``shards > 1`` (a 1-shard config always
-        built the plain sketch, silently ignoring executor/pipeline), and
-        the algorithm template carries the config's window/counters/seed
-        with tau left for the budget-model resolution.
-        """
-        sharded = self.shards > 1
-        return SketchSpec(
-            algorithm=AlgorithmSpec(
-                family="h_memento" if self.hierarchy is not None else "memento",
-                window=self.window,
-                counters=self.counters,
-                seed=self.seed,
-                delta=self.delta,
-            ),
-            hierarchy=hierarchy_spec_for(self.hierarchy),
-            sharding=(
-                ShardingSpec(shards=self.shards, executor=self.shard_executor)
-                if sharded
-                else None
-            ),
-            pipeline=(
-                pipeline_spec_for(self.shard_pipeline) if sharded else None
-            ),
-        )
+    @property
+    def shards(self) -> int:
+        """Controller ingestion shards declared by ``spec`` (1 = unsharded)."""
+        sharding = self.spec.sharding
+        return sharding.shards if sharding is not None else 1
 
 
 class NetwideSystem:
@@ -255,7 +197,7 @@ class NetwideSystem:
         through untouched.
         """
         spec = config.spec
-        shards = spec.sharding.shards if spec.sharding is not None else 1
+        shards = config.shards
         counters = (
             config.counters
             if shards == 1
@@ -354,8 +296,8 @@ class NetwideSystem:
     def close(self) -> None:
         """Release controller-side resources (idempotent).
 
-        A sharded controller may hold executor worker processes
-        (``shard_executor="process"``/``"persistent"``) and a pipeline
+        A sharded controller may hold resident worker processes (a spec
+        with ``"executor": "persistent"``) and a pipeline
         thread; without an explicit teardown every simulated point in a
         fig9 sweep leaks them.  The simulation owns the controller it
         built, so it owns the ``close()`` — callers that construct a

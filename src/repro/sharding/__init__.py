@@ -6,10 +6,9 @@ Public surface:
   :class:`repro.core.api.SlidingSketch`, with global-window alignment
   for the Memento family and merge-on-query combining.
 * :func:`shard_index` — the deterministic routing hash.
-* Executors — :class:`SerialExecutor`, :class:`ThreadExecutor`,
-  :class:`ProcessExecutor`, :class:`PersistentProcessExecutor`
-  (resident shard workers; state never round-trips per batch), and
-  :func:`make_executor`.
+* Executors — :class:`SerialExecutor` (in-process) and
+  :class:`PersistentProcessExecutor` (resident shard workers; state
+  never round-trips per batch), and :func:`make_executor`.
 * Pipelined front-end — :class:`PipelineConfig` /
   ``ShardedSketch(pipeline=...)``: coalesced write buffering plus a
   background partitioner thread overlapping worker applies.
@@ -17,9 +16,7 @@ Public surface:
 
 from .executors import (
     PersistentProcessExecutor,
-    ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     make_executor,
 )
 from .pipeline import PipelineConfig, make_pipeline_config
@@ -29,8 +26,6 @@ __all__ = [
     "ShardedSketch",
     "shard_index",
     "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
     "PersistentProcessExecutor",
     "make_executor",
     "PipelineConfig",

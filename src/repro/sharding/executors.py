@@ -1,51 +1,37 @@
-"""Pluggable executors for per-shard ingestion work.
+"""Executors for per-shard ingestion work.
 
 :class:`repro.sharding.sharded.ShardedSketch` hands each shard's batch
-plan to an executor; the executor decides where the work runs.  Four
-strategies ship:
+plan to an executor; the executor decides where the work runs.  Two
+strategies ship, the two that win somewhere on the measured trail:
 
 * :class:`SerialExecutor` — run shard plans one after another in the
   calling thread.  Zero overhead, the default, and the baseline the
   sharded-ingest bench gates against.
-* :class:`ThreadExecutor` — a ``concurrent.futures`` thread pool.  Under
-  CPython's GIL pure-Python sketch updates do not speed up wall-clock,
-  but the strategy exercises the exact concurrency structure a
-  free-threaded build or a C-accelerated sketch kernel would use, and it
-  overlaps any I/O a custom sketch performs.
-* :class:`ProcessExecutor` — a process pool using a *round-trip* model:
-  the shard sketch and its plan are pickled to a worker, mutated there,
-  and the updated sketch is pickled back.  Shards therefore always live
-  in the parent between calls (queries never cross process boundaries),
-  at the price of serializing state both ways — profitable only when the
-  per-batch compute dwarfs the pickling cost.
 * :class:`PersistentProcessExecutor` — one long-lived worker process per
   shard holding the shard sketch **resident**: the initial state is
   shipped once (``seed``), each batch sends only its per-shard plan
-  (positions + owned items) over a pipe, and state returns to the parent
-  only on demand (``collect``, which :class:`ShardedSketch` triggers
-  lazily at the first query after ingestion).  This removes the
-  per-batch state round-trip that makes :class:`ProcessExecutor`
-  profitable only for huge batches, and it is the strategy whose
-  ingestion critical path actually scales with shard count.  Marked
-  ``stateful = True`` so the sharding layer switches to the
-  seed/submit/collect protocol instead of ``map``.
+  (positions + owned items), and state returns to the parent only on
+  demand (``collect``, which :class:`ShardedSketch` triggers lazily at
+  the first query after ingestion).  Marked ``stateful = True`` so the
+  sharding layer switches to the seed/submit/collect protocol instead
+  of ``map``.
 
-  The plan payload channel is the ``transport`` knob: ``"pipe"``
-  (default) pickles each task into the worker pipe; ``"shm"`` adds one
-  :class:`~repro.sharding.shm.PlanRing` shared-memory ring per worker —
-  vectorizable task columns (numpy plan columns, int/str/bytes item
-  lists) are written into the ring and the pipe carries only a slot
-  descriptor, with automatic per-task fallback to the pickle message
-  for payloads that don't fit a slot or can't ride a column.  Both
-  transports deliver equal task arguments, pinned by the differential
-  suite in ``tests/sharding/test_shm_transport.py``.
+  Each plan takes one of two lanes, picked per task from its size.  A
+  task that splits into ring columns, holds at least
+  :data:`RING_MIN_ITEMS` items and fits a slot is written into the
+  worker's :class:`~repro.sharding.shm.PlanRing` shared-memory ring and
+  the pipe carries only a slot descriptor; every other task is pickled
+  into the pipe whole.  Both lanes deliver equal task arguments, pinned
+  against serial ingestion by ``tests/sharding/test_shm_transport.py``
+  and against each shard's scalar replay by
+  ``tests/sharding/test_scalar_replay.py``.
 
-The stateless executors implement ``map(fn, tasks)`` — apply
-``fn(*task)`` for each task, returning results in task order — and
-``close()``.  Any object with that surface can be passed wherever an
-executor name is accepted; objects additionally exposing the stateful
-protocol (``stateful``/``seed``/``submit``/``broadcast``/``collect``)
-get the resident-worker treatment.
+``SerialExecutor`` implements ``map(fn, tasks)`` — apply ``fn(*task)``
+for each task, returning results in task order — and ``close()``.  Any
+object with that surface can be passed wherever an executor name is
+accepted; objects additionally exposing the stateful protocol
+(``stateful``/``seed``/``submit``/``broadcast``/``collect``) get the
+resident-worker treatment.
 """
 
 from __future__ import annotations
@@ -53,22 +39,30 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import traceback
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .shm import PlanRing, TRACKER_FORK_LOCK, rebuild_task, split_task
 
 __all__ = [
     "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
     "PersistentProcessExecutor",
     "make_executor",
-    "TRANSPORTS",
+    "RING_MIN_ITEMS",
 ]
 
-#: Plan payload channels the persistent executor supports.
-TRANSPORTS = ("pipe", "shm")
+#: Smallest task (in items: the longest array or list among its
+#: arguments) that goes through the shared-memory ring; smaller tasks
+#: are pickled into the pipe.  Set at the measured break-even of the two
+#: lanes: one resident worker, 2000 submits of ``(positions, items)``
+#: int64 columns, lane forced, per-task wall time, medians of 5 runs on
+#: a 2-vCPU x86-64 VM under Python 3.11.  Pickle vs ring: 39.0 vs
+#: 45.7 µs at 8 items, 55.3 vs 58.9 at 256, 49.7 vs 52.7 at 384, 56.3 vs
+#: 55.9 at 512, 73.0 vs 69.9 at 1024, 166.9 vs 124.6 at 4096.  The
+#: ring's fixed cost (slot bookkeeping, column layouts, rebuilding the
+#: views) only pays off once the copy it saves is a few KiB.
+RING_MIN_ITEMS = 512
 
 #: How long :meth:`PersistentProcessExecutor.collect` waits for a worker
 #: reply before raising.  A healthy worker answers in milliseconds even
@@ -89,76 +83,9 @@ class SerialExecutor:
         """Nothing to release."""
 
 
-class _PoolExecutor:
-    """Shared lazy-pool plumbing for the thread/process strategies."""
-
-    _pool_cls = None  # set by subclasses
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        if max_workers is not None and max_workers <= 0:
-            raise ValueError(
-                f"max_workers must be positive, got {max_workers}"
-            )
-        self.max_workers = max_workers
-        self._pool = None
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            self._pool = self._pool_cls(max_workers=self.max_workers)
-        return self._pool
-
-    def map(self, fn: Callable, tasks: Sequence[Tuple]) -> List:
-        """Apply ``fn(*task)`` per task on the pool, preserving order.
-
-        One future per task (not ``pool.map`` over transposed columns,
-        which silently returned ``[]`` for zero-arity tasks and
-        truncated ragged ones), so the result always has exactly one
-        entry per task.
-        """
-        if not tasks:
-            return []
-        pool = self._ensure_pool()
-        futures = [pool.submit(fn, *task) for task in tasks]
-        results = [future.result() for future in futures]
-        if len(results) != len(tasks):  # pragma: no cover - structural guard
-            raise RuntimeError(
-                f"executor returned {len(results)} results for "
-                f"{len(tasks)} tasks"
-            )
-        return results
-
-    def close(self) -> None:
-        """Shut the pool down (idempotent); a later map() re-creates it."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def __del__(self):  # pragma: no cover - interpreter-teardown best effort
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
-class ThreadExecutor(_PoolExecutor):
-    """Thread-pool execution of shard plans (lazy pool creation)."""
-
-    _pool_cls = ThreadPoolExecutor
-
-
-class ProcessExecutor(_PoolExecutor):
-    """Process-pool execution via sketch round-tripping.
-
-    ``fn`` and every task element must be picklable; the returned
-    (mutated) sketch replaces the parent's copy.
-    """
-
-    _pool_cls = ProcessPoolExecutor
-
-
 def _persistent_worker(
     conn,
-    ring_args: Optional[Tuple] = None,
+    ring_args: Tuple[str, int, int],
     stale_fds: Tuple[int, ...] = (),
 ) -> None:
     """Loop of one resident shard worker (module-level: must pickle).
@@ -197,7 +124,7 @@ def _persistent_worker(
     shard = None
     error: Optional[str] = None
     parent_pid = os.getppid()
-    ring = PlanRing.attach(*ring_args) if ring_args is not None else None
+    ring = PlanRing.attach(*ring_args)
     try:
         while True:
             while not conn.poll(1.0):
@@ -231,13 +158,12 @@ def _persistent_worker(
                 finally:
                     ring.retire()
             elif kind == "collect":
-                if error is not None:
-                    conn.send(("error", error))
-                else:
-                    try:
-                        conn.send(("state", shard))
-                    except BaseException:
-                        conn.send(("error", traceback.format_exc()))
+                try:
+                    _send_state(conn, shard, error)
+                except OSError:
+                    # the parent closed its end (a collect deadline tears
+                    # the workers down): nobody is left to answer
+                    return
             elif kind == "seed":
                 shard = msg[1]
                 error = None
@@ -245,21 +171,41 @@ def _persistent_worker(
                 conn.close()
                 return
     finally:
-        if ring is not None:
-            ring.close()
+        ring.close()
+
+
+def _send_state(conn, shard, error: Optional[str]) -> None:
+    """Answer a collect with the shard, or with the recorded failure (a
+    shard that cannot be pickled answers with that traceback)."""
+    if error is None:
+        try:
+            conn.send(("state", shard))
+            return
+        except OSError:
+            raise
+        except Exception:  # an unpicklable shard
+            error = traceback.format_exc()
+    conn.send(("error", error))
 
 
 class PersistentProcessExecutor:
-    """Resident shard workers: state stays put, only plans cross the pipe.
+    """Resident shard workers: state stays put, only plans cross over.
 
-    One worker process per shard.  ``seed(shards)`` ships each shard's
-    initial state once; ``submit(fn, tasks)`` sends one
-    ``fn(shard, *task)`` application per worker **without waiting** (the
-    parent can partition the next batch while workers apply — applies on
-    one worker are strictly ordered by the pipe); ``collect()`` is the
-    synchronization point that returns the current shard states (and
-    raises if any worker failed since the last seed).  ``close()``
-    terminates the workers; the sketch re-seeds lazily afterwards.
+    One worker process per shard, each with its own shared-memory plan
+    ring.  ``seed(shards)`` ships each shard's initial state once;
+    ``submit(fn, tasks)`` sends one ``fn(shard, *task)`` application per
+    worker **without waiting** (the parent can partition the next batch
+    while workers apply — applies on one worker are strictly ordered by
+    the pipe); ``collect()`` is the synchronization point that returns
+    the current shard states (and raises if any worker failed since the
+    last seed).  ``close()`` terminates the workers; the sketch re-seeds
+    lazily afterwards.
+
+    A collect that runs into its deadline tears the workers down before
+    it raises: their unread replies would otherwise answer the *next*
+    collect with the previous round's state.  Until the next ``seed()``
+    every ``submit``/``broadcast``/``collect`` then raises a
+    ``RuntimeError`` naming the deadline.
     """
 
     stateful = True
@@ -268,14 +214,9 @@ class PersistentProcessExecutor:
         self,
         mp_context: Optional[str] = None,
         *,
-        transport: str = "pipe",
         ring_slots: int = 8,
         ring_slot_bytes: int = 1 << 20,
     ) -> None:
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"transport must be one of {TRANSPORTS}, got {transport!r}"
-            )
         if ring_slots <= 0:
             raise ValueError(f"ring_slots must be positive, got {ring_slots}")
         if ring_slot_bytes <= 0:
@@ -283,12 +224,14 @@ class PersistentProcessExecutor:
                 f"ring_slot_bytes must be positive, got {ring_slot_bytes}"
             )
         self._ctx = mp.get_context(mp_context)
-        self.transport = transport
         self.ring_slots = int(ring_slots)
         self.ring_slot_bytes = int(ring_slot_bytes)
         self._workers: List = []
         self._conns: List = []
-        self._rings: List[Optional[PlanRing]] = []
+        self._rings: List[PlanRing] = []
+        #: why the workers were torn down under a caller that still
+        #: expects them (a collect deadline); cleared by ``seed``
+        self._broken: Optional[str] = None
 
     @property
     def seeded(self) -> bool:
@@ -298,13 +241,14 @@ class PersistentProcessExecutor:
     def seed(self, shards: Sequence) -> None:
         """Spawn one resident worker per shard and ship initial state.
 
-        Workers (and their shared-memory rings, under the ``shm``
-        transport) register before their state ships, so a mid-loop
-        failure (an unpicklable shard, a dead pipe) tears every spawned
-        worker and segment down via :meth:`close` instead of leaking
-        processes blocked on ``recv`` or unlinked segments.
+        Workers and their shared-memory rings register before their
+        state ships, so a mid-loop failure (an unpicklable shard, a dead
+        pipe) tears every spawned worker and segment down via
+        :meth:`close` instead of leaking processes blocked on ``recv``
+        or unlinked segments.
         """
         self.close()
+        self._broken = None
         # under fork, each worker inherits the parent end of its own
         # pipe and of every earlier sibling's; hand those fd numbers to
         # the child so it can close them and restore EOF/EPIPE semantics
@@ -312,13 +256,8 @@ class PersistentProcessExecutor:
         fork = self._ctx.get_start_method() == "fork"
         try:
             for shard in shards:
-                ring_args = None
-                if self.transport == "shm":
-                    ring = PlanRing(self.ring_slots, self.ring_slot_bytes)
-                    self._rings.append(ring)
-                    ring_args = (ring.name, ring.slots, ring.slot_bytes)
-                else:
-                    self._rings.append(None)
+                ring = PlanRing(self.ring_slots, self.ring_slot_bytes)
+                self._rings.append(ring)
                 parent_conn, child_conn = self._ctx.Pipe()
                 stale_fds = (
                     tuple(c.fileno() for c in self._conns)
@@ -328,7 +267,11 @@ class PersistentProcessExecutor:
                 )
                 worker = self._ctx.Process(
                     target=_persistent_worker,
-                    args=(child_conn, ring_args, stale_fds),
+                    args=(
+                        child_conn,
+                        (ring.name, ring.slots, ring.slot_bytes),
+                        stale_fds,
+                    ),
                     daemon=True,
                 )
                 # under fork, starting a worker while another thread (a
@@ -348,23 +291,42 @@ class PersistentProcessExecutor:
             self.close()
             raise
 
+    def _live_conns(self) -> List:
+        """The worker pipes, or a ``RuntimeError`` when none may be used."""
+        if self._broken is not None:
+            raise RuntimeError(
+                f"persistent executor was torn down: {self._broken}; "
+                f"seed() it again before submitting or collecting"
+            )
+        if not self._conns:
+            raise RuntimeError(
+                "persistent executor has no resident workers; seed() it "
+                "before submitting or collecting"
+            )
+        return self._conns
+
     def submit(self, fn: Callable, tasks: Sequence[Tuple]) -> None:
         """Send one ``fn(shard, *task)`` application per worker (no wait).
 
-        Under the ``shm`` transport each task's vectorizable columns go
-        through the worker's ring and the pipe carries a slot
-        descriptor; a task whose payload exceeds a ring slot (or has no
-        columns at all) falls back to the classic pickle message, so
-        submit never fails on payload shape.  The only wait is ring
-        backpressure: with every slot still in flight, the write blocks
-        until the worker retires one.
+        A task goes through the worker's ring when it splits into
+        columns, holds at least :data:`RING_MIN_ITEMS` items and fits a
+        slot; the pipe then carries only the slot descriptor.  Every
+        other task is pickled into the pipe whole, so submit never fails
+        on payload shape.  The only wait is ring backpressure: with
+        every slot still in flight, the write blocks until the worker
+        retires one.
         """
-        if len(tasks) != len(self._conns):
+        conns = self._live_conns()
+        if len(tasks) != len(conns):
             raise RuntimeError(
-                f"{len(tasks)} tasks for {len(self._conns)} resident workers"
+                f"{len(tasks)} tasks for {len(conns)} resident workers"
             )
-        if self.transport == "shm":
-            for conn, ring, task in zip(self._conns, self._rings, tasks):
+        for conn, ring, task in zip(conns, self._rings, tasks):
+            items = max(
+                (len(arg) for arg in task if isinstance(arg, (np.ndarray, list))),
+                default=0,
+            )
+            if items >= RING_MIN_ITEMS:
                 split = split_task(task)
                 if split is not None:
                     columns, recipe = split
@@ -373,14 +335,11 @@ class PersistentProcessExecutor:
                         slot, layouts = written
                         conn.send(("apply_cols", fn, slot, layouts, recipe))
                         continue
-                conn.send(("apply", fn, *task))
-            return
-        for conn, task in zip(self._conns, tasks):
             conn.send(("apply", fn, *task))
 
     def broadcast(self, fn: Callable, *args) -> None:
         """Send the same ``fn(shard, *args)`` application to every worker."""
-        for conn in self._conns:
+        for conn in self._live_conns():
             conn.send(("apply", fn, *args))
 
     def collect(
@@ -392,13 +351,16 @@ class PersistentProcessExecutor:
         (``None`` waits forever).  The deadline is far above any healthy
         reply latency — it exists so a wedged or silently-dead worker
         surfaces as a ``RuntimeError`` naming the worker and its state
-        instead of deadlocking the parent (and CI) indefinitely.
+        instead of deadlocking the parent (and CI) indefinitely.  On a
+        deadline the workers and rings are closed before the error is
+        raised, and the executor refuses further work until re-seeded.
         """
-        for conn in self._conns:
+        conns = self._live_conns()
+        for conn in conns:
             conn.send(("collect",))
         states: List = []
         failures: List[str] = []
-        for index, conn in enumerate(self._conns):
+        for index, conn in enumerate(conns):
             if timeout is not None and not conn.poll(timeout):
                 worker = self._workers[index]
                 status = (
@@ -406,10 +368,13 @@ class PersistentProcessExecutor:
                     if worker.is_alive()
                     else f"dead (exitcode {worker.exitcode})"
                 )
-                raise RuntimeError(
+                reason = (
                     f"persistent shard worker {index} sent no reply for "
                     f"{timeout}s (worker {status}) — wedged or deadlocked"
                 )
+                self.close()
+                self._broken = reason
+                raise RuntimeError(reason)
             kind, payload = conn.recv()
             if kind == "error":
                 failures.append(payload)
@@ -433,7 +398,7 @@ class PersistentProcessExecutor:
         for conn in self._conns:
             try:
                 conn.send(("stop",))
-            except (BrokenPipeError, OSError):
+            except OSError:
                 pass
         for conn in self._conns:
             try:
@@ -446,8 +411,7 @@ class PersistentProcessExecutor:
                 worker.terminate()
                 worker.join(timeout=5)
         for ring in self._rings:
-            if ring is not None:
-                ring.close()
+            ring.close()
         self._workers = []
         self._conns = []
         self._rings = []
@@ -461,15 +425,13 @@ class PersistentProcessExecutor:
 
 _EXECUTORS = {
     "serial": SerialExecutor,
-    "thread": ThreadExecutor,
-    "process": ProcessExecutor,
     "persistent": PersistentProcessExecutor,
 }
 
 
 def make_executor(spec: object = "serial"):
-    """Resolve an executor: a name (``serial``/``thread``/``process``/
-    ``persistent``) or any ready object exposing one of the protocols.
+    """Resolve an executor: a name (``serial``/``persistent``) or any
+    ready object exposing one of the protocols.
 
     The stateful (resident-worker) protocol is checked **first**: an
     executor declaring ``stateful`` with the full

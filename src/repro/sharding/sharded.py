@@ -34,6 +34,12 @@ Two query disciplines cover the two ways keys relate to routing:
 Merged snapshots are cached and invalidated by an ingestion version
 counter, so repeated queries between batches merge once.
 
+Shard plans run on one of two executors (:mod:`repro.sharding.executors`):
+``serial`` applies them in the calling thread; ``persistent`` keeps each
+shard resident in its own worker process and ships only the plans, each
+through a shared-memory ring or pickled into the pipe depending on its
+size.
+
 ``pipeline=...`` enables the **pipelined ingestion front-end**
 (:mod:`repro.sharding.pipeline`): scalar and report-scale writes
 coalesce in a bounded buffer and a background partitioner thread
@@ -47,7 +53,6 @@ point.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from itertools import chain
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
@@ -69,27 +74,6 @@ __all__ = ["ShardedSketch", "shard_index"]
 _MASK64 = (1 << 64) - 1
 
 QUERY_MODES = ("route", "sum")
-
-#: Batch size (items) above which the per-shard item gathers fan out
-#: across the shared thread pool.  ``np.take`` releases the GIL for
-#: large gathers, so overlapping them only pays off once each gather is
-#: big enough to amortize the task handoff; below the bar the loop runs
-#: inline.
-PARALLEL_GATHER_MIN = 1 << 16
-
-_GATHER_POOL: Optional[ThreadPoolExecutor] = None
-
-
-def _gather_pool() -> ThreadPoolExecutor:
-    """The process-wide gather pool (lazily created, shared by all
-    sketches — gathers are pure reads, so interleaving is safe)."""
-    global _GATHER_POOL
-    if _GATHER_POOL is None:
-        _GATHER_POOL = ThreadPoolExecutor(
-            max_workers=4, thread_name_prefix="shard-gather"
-        )
-    return _GATHER_POOL
-
 
 def _mix64(value: int) -> int:
     """Finalizing 64-bit mix (murmur3 fmix64): decorrelates low bits so
@@ -131,36 +115,24 @@ def _group_by_owner(owners: np.ndarray, shards: int) -> List[np.ndarray]:
     return np.split(order, bounds)
 
 
-def _gather_items(probe: np.ndarray, groups: List[np.ndarray]) -> List[np.ndarray]:
-    """Gather each group's items from the probe column.
-
-    Large batches fan the per-shard ``np.take`` gathers across the
-    shared thread pool (``np.take`` releases the GIL); small ones run
-    inline — the handoff would cost more than the copy.
-    """
-    if probe.size >= PARALLEL_GATHER_MIN and len(groups) > 1:
-        return list(_gather_pool().map(probe.take, groups))
-    return [probe.take(group) for group in groups]
-
-
 def _apply_shard_plan(shard, positions, items, total, windowed, method):
     """Apply one shard's slice of a global batch; returns the shard.
 
     ``positions`` are the global batch indices of the shard's owned
-    ``items`` (ascending; lists from the pipe lanes, numpy arrays from
-    the shared-memory lane — the same plan either way).  Interval shards
-    just receive their owned packets.  Windowed shards get the slice as
-    a kernel :class:`~repro.core.kernel.IngestPlan` — owned items plus
-    the run-length-encoded unowned gaps — through their one plan-fed
-    path, ``ingest_plan(plan, sampled=...)``, so every shard's window
-    stays aligned with the *global* window whichever executor or
-    transport carried the plan (``sampled=True`` for pre-sampled
-    controller feeds).  Module-level (not a closure) so the process
-    executors can pickle it.
+    ``items`` (ascending; numpy columns for integer batches, lists
+    otherwise — the same plan either way).  Interval shards just receive
+    their owned packets.  Windowed shards get the slice as a kernel
+    :class:`~repro.core.kernel.IngestPlan` — owned items plus the
+    run-length-encoded unowned gaps — through their one plan-fed path,
+    ``ingest_plan(plan, sampled=...)``, so every shard's window stays
+    aligned with the *global* window whichever executor or lane carried
+    the plan (``sampled=True`` for pre-sampled controller feeds).
+    Module-level (not a closure) so the persistent executor can pickle
+    it.
     """
     if isinstance(items, np.ndarray):
         # decode to Python objects: sketch state must not depend on the
-        # transport (np.int64 keys would pickle differently)
+        # lane (np.int64 keys would pickle differently)
         items = items.tolist()
     if not windowed:
         if items:
@@ -205,8 +177,9 @@ class ShardedSketch(BatchIngest):
         and delegates straight to the inner sketch (the no-regression
         fast path the bench gates).
     executor:
-        ``"serial"`` (default), ``"thread"``, ``"process"``, or any
-        object with ``map(fn, tasks)``/``close()`` — see
+        ``"serial"`` (default), ``"persistent"`` (resident shard
+        workers), or any object with ``map(fn, tasks)``/``close()`` or
+        the stateful seed/submit/broadcast/collect protocol — see
         :mod:`repro.sharding.executors`.
     key_fn:
         Maps an *item* to its routing key (default: the item itself).
@@ -354,17 +327,20 @@ class ShardedSketch(BatchIngest):
         return owners, probe
 
     def _partition(self, items: Sequence) -> List[tuple]:
-        """Split a batch into per-shard ``(positions, items)`` list pairs."""
+        """Split a batch into per-shard ``(positions, items)`` pairs.
+
+        Integer batches route vectorized and come back as numpy columns
+        (ascending int64 positions plus the gathered items); anything
+        else goes through the scalar routing loop and comes back as
+        lists.  :func:`_apply_shard_plan` accepts both, and the
+        persistent executor picks each task's lane from its size.
+        """
         shards = self.num_shards
         routed = self._route_owners(items)
         if routed is not None:
             owners, probe = routed
             groups = _group_by_owner(owners, shards)
-            gathered = _gather_items(probe, groups)
-            return [
-                (positions.tolist(), owned.tolist())
-                for positions, owned in zip(groups, gathered)
-            ]
+            return [(positions, probe.take(positions)) for positions in groups]
         key_fn = self._key_fn
         per_positions: List[list] = [[] for _ in range(shards)]
         per_items: List[list] = [[] for _ in range(shards)]
@@ -374,18 +350,6 @@ class ShardedSketch(BatchIngest):
             per_positions[j].append(idx)
             per_items[j].append(item)
         return list(zip(per_positions, per_items))
-
-    def _partition_columns(self, items: Sequence) -> Optional[List[tuple]]:
-        """Columnar :meth:`_partition`: per-shard ``(positions, items)``
-        numpy pairs for the shared-memory transport, or ``None`` when the
-        batch doesn't vectorize (the caller partitions into lists and the
-        executor's per-task fallback picks the channel)."""
-        routed = self._route_owners(items)
-        if routed is None:
-            return None
-        owners, probe = routed
-        groups = _group_by_owner(owners, self.num_shards)
-        return list(zip(groups, _gather_items(probe, groups)))
 
     # ------------------------------------------------------------------
     # ingestion (SlidingSketch + WindowedSketch surface)
@@ -505,18 +469,11 @@ class ShardedSketch(BatchIngest):
             getattr(self._shards[0], method)(items)
             return
         windowed = self.windowed
+        partition = self._partition(items)
         if self._stateful:
-            partition = None
-            if getattr(self._executor, "transport", None) == "shm":
-                # columnar lane: positions/items stay numpy arrays so the
-                # executor ships them through the shared-memory ring and
-                # the worker consumes zero-copy views
-                partition = self._partition_columns(items)
-            if partition is None:
-                partition = self._partition(items)
             if not self._resident:
                 # ship current parent state once; from here on only the
-                # per-shard plans cross the pipes
+                # per-shard plans cross to the workers
                 self._executor.seed(self._shards)
                 self._resident = True
             self._executor.submit(
@@ -528,7 +485,6 @@ class ShardedSketch(BatchIngest):
             )
             self._shards_stale = True
             return
-        partition = self._partition(items)
         tasks = [
             (shard, positions, owned, n, windowed, method)
             for shard, (positions, owned) in zip(self._shards, partition)

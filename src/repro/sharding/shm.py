@@ -1,10 +1,12 @@
-"""Zero-copy shared-memory plan transport for resident shard workers.
+"""Zero-copy shared-memory plan lane for resident shard workers.
 
-The persistent executor's original transport pickles each per-shard plan
-(positions + owned items) into its worker pipe.  For columnar feeds the
-payload *is* a couple of numpy columns, so serializing them per batch is
-pure overhead on the ingestion critical path.  This module replaces the
-payload channel with one :class:`PlanRing` per worker:
+Every :class:`~repro.sharding.executors.PersistentProcessExecutor`
+worker gets one :class:`PlanRing`.  A per-shard plan (positions + owned
+items) that is large enough — at least
+:data:`~repro.sharding.executors.RING_MIN_ITEMS` items — travels through
+it instead of being pickled into the worker pipe, because for columnar
+feeds the payload *is* a couple of numpy columns and serializing them
+per batch is pure overhead:
 
 * the **parent** writes the plan columns into the next free slot of a
   per-worker ring inside one ``multiprocessing.shared_memory`` segment
@@ -20,15 +22,15 @@ payload channel with one :class:`PlanRing` per worker:
   ``write`` only waits when every slot is still in flight
   (backpressure-when-full).
 
-Payloads that don't fit a slot — or tasks with no vectorizable column at
-all — fall back to the classic pickle-over-pipe message for that task,
+Small tasks, payloads that don't fit a slot, and tasks with no
+vectorizable column at all go as the pickle-over-pipe message instead,
 so the ring never limits what the executor can carry.
 
 :func:`split_task` / :func:`rebuild_task` translate between executor
 task tuples and ring columns: 1-D numeric/fixed-width-string arrays ride
 as columns, ``list`` payloads of ints/strs/bytes are encoded through
 :func:`repro.core.kernel.encode_items_column` and decoded back to the
-identical lists on the worker (so both transports deliver *equal* task
+identical lists on the worker (so both lanes deliver *equal* task
 arguments), and anything else stays an inline (pickled) object.
 
 Lifecycle: the creating side owns the segment and ``unlink``\\ s it on

@@ -33,15 +33,14 @@ def assert_no_leaked_processes():
         f"child processes leaked past the test session: {leaked} — "
         f"a ShardedSketch/NetwideSystem/executor was not closed"
     )
-    # mirror guard for the shm transport: every PlanRing this process
+    # mirror guard for the shm plan lane: every PlanRing this process
     # created must have been closed (and its segment unlinked) by now
     from repro.sharding.shm import leaked_segments
 
     segments = leaked_segments()
     assert not segments, (
         f"shared-memory segments leaked past the test session: {segments} "
-        f"— a PlanRing/PersistentProcessExecutor(transport='shm') was not "
-        f"closed"
+        f"— a PlanRing or PersistentProcessExecutor was not closed"
     )
 
 

@@ -1,4 +1,4 @@
-"""NetwideConfig spec field: shim equivalence and engine-built controllers."""
+"""NetwideConfig spec field: engine-built controllers."""
 
 from __future__ import annotations
 
@@ -12,14 +12,12 @@ from repro import (
     SRC_HIERARCHY,
     NetwideConfig,
     NetwideSystem,
-    ShardedSketch,
     generate_trace,
     run_error_experiment,
 )
 from repro.engine import (
     AlgorithmSpec,
     HierarchySpec,
-    PipelineSpec,
     ShardingSpec,
     SketchSpec,
     build_engine,
@@ -32,41 +30,23 @@ def stream():
     return generate_trace(DATACENTER, 9000, seed=17).packets_1d()
 
 
-def controller_state(system) -> bytes:
-    algorithm = system.controller.algorithm
-    sketch = algorithm.sketch
-    if isinstance(sketch, ShardedSketch):
-        return pickle.dumps([pickle.dumps(s) for s in sketch.shards])
-    return pickle.dumps(sketch)
-
-
 def drive(system, stream) -> None:
     for t, packet in enumerate(stream):
         system.offer(t % system.config.points, packet)
 
 
-def spec_template(shards=None, executor="serial", pipeline=None):
+def spec_template(shards):
     return SketchSpec(
         algorithm=AlgorithmSpec(
             family="memento", window=2000, counters=128, seed=13
         ),
-        sharding=(
-            ShardingSpec(shards=shards, executor=executor)
-            if shards is not None
-            else None
-        ),
-        pipeline=pipeline,
+        sharding=ShardingSpec(shards=shards),
     )
 
 
 class TestDeprecationShims:
-    def test_legacy_knobs_warn(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            NetwideConfig(window=2000, shards=2)
-        with pytest.warns(DeprecationWarning):
-            NetwideConfig(window=2000, shard_executor="thread")
-        with pytest.warns(DeprecationWarning):
-            NetwideConfig(window=2000, shard_pipeline=True)
+    """The legacy ``shards``/``shard_executor``/``shard_pipeline`` shims
+    are gone: ``spec=`` is the only way to shard the controller."""
 
     def test_defaults_do_not_warn(self, recwarn):
         NetwideConfig(window=2000)
@@ -74,86 +54,33 @@ class TestDeprecationShims:
             w for w in recwarn.list if w.category is DeprecationWarning
         ]
 
-    def test_legacy_synthesizes_spec(self):
-        with pytest.warns(DeprecationWarning):
-            config = NetwideConfig(
-                window=2000,
-                counters=64,
-                seed=5,
-                shards=4,
-                shard_executor="thread",
-                shard_pipeline=256,
-            )
-        spec = config.spec
-        assert spec.algorithm.family == "memento"
-        assert spec.sharding == ShardingSpec(shards=4, executor="thread")
-        assert spec.pipeline == PipelineSpec(buffer_size=256)
-
     def test_single_shard_legacy_stays_plain(self):
-        # a 1-shard legacy config always built the bare sketch, silently
-        # ignoring executor/pipeline — the shim must preserve that
-        with pytest.warns(DeprecationWarning):
-            config = NetwideConfig(
-                window=2000, shards=1, shard_pipeline=True
-            )
+        # without a spec the controller is one plain sketch
+        config = NetwideConfig(window=2000, counters=64, seed=5)
+        assert config.spec.algorithm.family == "memento"
         assert config.spec.sharding is None
         assert config.spec.pipeline is None
+        assert config.shards == 1
 
     def test_mixing_spec_and_legacy_knobs_rejected(self):
-        # mixing would silently discard one side; fail fast instead
-        with pytest.raises(ValueError, match="not both"):
-            NetwideConfig(
-                window=2000, shards=8, spec=spec_template(shards=2)
-            )
-        with pytest.raises(ValueError, match="not both"):
-            NetwideConfig(
-                window=2000, shard_executor="process", spec=spec_template()
-            )
+        for knob, value in (
+            ("shards", 8),
+            ("shard_executor", "persistent"),
+            ("shard_pipeline", True),
+        ):
+            with pytest.raises(TypeError, match=knob):
+                NetwideConfig(window=2000, **{knob: value})
+            with pytest.raises(TypeError, match=knob):
+                NetwideConfig(
+                    window=2000, spec=spec_template(shards=2), **{knob: value}
+                )
 
     def test_explicit_spec_backfills_legacy_fields(self):
+        # config.shards readers derive the count from spec.sharding
         config = NetwideConfig(
-            window=2000,
-            counters=64,
-            spec=spec_template(shards=3, executor="thread",
-                               pipeline=PipelineSpec()),
+            window=2000, counters=64, spec=spec_template(shards=3)
         )
         assert config.shards == 3
-        assert config.shard_executor == "thread"
-        assert config.shard_pipeline is True
-
-    @pytest.mark.parametrize(
-        "shards,executor,pipeline",
-        [(2, "serial", False), (3, "thread", True)],
-    )
-    def test_shim_equivalent_to_explicit_spec(
-        self, stream, shards, executor, pipeline
-    ):
-        """Legacy shard_* fields and the equivalent spec build the same
-        controller, byte-for-byte."""
-        base = dict(
-            points=3, method="batch", window=2000, counters=90, seed=13
-        )
-        with pytest.warns(DeprecationWarning):
-            legacy_config = NetwideConfig(
-                **base,
-                shards=shards,
-                shard_executor=executor,
-                shard_pipeline=pipeline,
-            )
-        spec_config = NetwideConfig(
-            **base,
-            spec=spec_template(
-                shards=shards,
-                executor=executor,
-                pipeline=PipelineSpec() if pipeline else None,
-            ),
-        )
-        with NetwideSystem(legacy_config) as a, NetwideSystem(spec_config) as b:
-            drive(a, stream)
-            drive(b, stream)
-            a.controller.algorithm.flush()
-            b.controller.algorithm.flush()
-            assert controller_state(a) == controller_state(b)
 
 
 class TestEngineBuiltControllers:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 from pathlib import Path
 
 import pytest
@@ -171,10 +172,24 @@ class TestValidation:
         payload = spec_payload("memento", sharded=True)
         payload["sharding"]["executor"] = "persistent"
         payload["sharding"]["transport"] = "warp"
-        with pytest.raises(ValueError, match="transport must be one of"):
+        with pytest.raises(ValueError, match="transport must be 'shm' or null"):
             SketchSpec.from_dict(payload)
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_pipe_transport_was_removed(self):
+        payload = spec_payload("memento", sharded=True)
+        payload["sharding"]["executor"] = "persistent"
+        payload["sharding"]["transport"] = "pipe"
+        with pytest.raises(ValueError, match="transport 'pipe' was removed"):
+            SketchSpec.from_dict(payload)
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_removed_executor_names(self, executor):
+        payload = spec_payload("memento", sharded=True)
+        payload["sharding"]["executor"] = executor
+        with pytest.raises(ValueError, match="executor must be one of"):
+            SketchSpec.from_dict(payload)
+
+    @pytest.mark.parametrize("executor", ["serial"])
     def test_transport_requires_persistent_executor(self, executor):
         payload = spec_payload("memento", sharded=True)
         payload["sharding"]["executor"] = executor
@@ -323,7 +338,7 @@ class TestServiceSpec:
 class TestTransportKnob:
     """The sharding section's plan-transport knob."""
 
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
+    @pytest.mark.parametrize("transport", ["shm"])
     def test_round_trips(self, transport):
         payload = spec_payload("memento", sharded=True)
         payload["sharding"]["executor"] = "persistent"
@@ -335,10 +350,9 @@ class TestTransportKnob:
 
     def test_resolved_transport(self):
         assert ShardingSpec().resolved_transport is None
-        assert ShardingSpec(executor="thread").resolved_transport is None
         persistent = ShardingSpec(executor="persistent")
         assert persistent.transport is None
-        assert persistent.resolved_transport == "pipe"
+        assert persistent.resolved_transport == "shm"
         assert (
             ShardingSpec(executor="persistent", transport="shm")
             .resolved_transport
@@ -354,15 +368,20 @@ class TestTransportKnob:
         with build_engine(payload) as engine:
             executor = engine.sketch._executor
             assert isinstance(executor, PersistentProcessExecutor)
-            assert executor.transport == "shm"
 
     def test_default_spec_leaves_transport_implicit(self):
-        # a persistent spec without the knob keeps the historic executor
-        # construction (name resolution, pipe transport)
+        # "shm" and an omitted knob build the same executor: the one
+        # size-selected lane
         payload = spec_payload("memento", sharded=True)
         payload["sharding"]["executor"] = "persistent"
-        with build_engine(payload) as engine:
-            assert engine.sketch._executor.transport == "pipe"
+        with build_engine(payload) as implicit:
+            payload["sharding"]["transport"] = "shm"
+            with build_engine(payload) as explicit:
+                for engine in (implicit, explicit):
+                    engine.update_many(list(range(2000)))
+                assert [pickle.dumps(s) for s in implicit.sketch.shards] == [
+                    pickle.dumps(s) for s in explicit.sketch.shards
+                ]
 
 
 class TestCheckedInSpecFiles:

@@ -35,7 +35,7 @@ class TestLifecycleRL001:
             {
                 "app.py": """
                 def main():
-                    pool = PersistentProcessExecutor(transport="shm")
+                    pool = PersistentProcessExecutor()
                     results = pool.map(len, [[1], [2]])
                     print(len(results))
                 """

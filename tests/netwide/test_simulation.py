@@ -14,6 +14,7 @@ from repro import (
     generate_trace,
     run_error_experiment,
 )
+from repro.engine import AlgorithmSpec, PipelineSpec, ShardingSpec, SketchSpec
 from repro.netwide.simulation import _assignment_iter
 from repro.traffic.synth import DATACENTER
 
@@ -87,6 +88,16 @@ class TestSystemWiring:
         assert system.controller.packets_covered > 3000
 
 
+def sharded_spec(executor="serial", pipeline=None):
+    """A 2-shard controller spec template (NetwideSystem pins the
+    algorithm section from the config)."""
+    return SketchSpec(
+        algorithm=AlgorithmSpec(family="memento", window=1500, counters=128),
+        sharding=ShardingSpec(shards=2, executor=executor),
+        pipeline=pipeline,
+    )
+
+
 class TestLifecycle:
     """Simulations must tear down the executor workers they spawn."""
 
@@ -98,8 +109,7 @@ class TestLifecycle:
             window=1500,
             counters=128,
             seed=7,
-            shards=2,
-            shard_executor="persistent",
+            spec=sharded_spec("persistent"),
         )
         base.update(overrides)
         return NetwideConfig(**base)
@@ -129,7 +139,7 @@ class TestLifecycle:
         assert mp.active_children() == []
 
     def test_pipelined_sharded_experiment_matches_serial(self, stream):
-        # shard_pipeline must not change a single estimate: the whole
+        # a pipeline section must not change a single estimate: the whole
         # experiment (reports, gaps, on-arrival queries) is differential
         base = dict(
             points=3,
@@ -138,13 +148,14 @@ class TestLifecycle:
             window=1500,
             counters=256,
             seed=7,
-            shards=2,
         )
         serial = run_error_experiment(
-            NetwideConfig(**base), stream[:6000], stride=100
+            NetwideConfig(**base, spec=sharded_spec()), stream[:6000], stride=100
         )
         pipelined = run_error_experiment(
-            NetwideConfig(**base, shard_pipeline=True), stream[:6000], stride=100
+            NetwideConfig(**base, spec=sharded_spec(pipeline=PipelineSpec())),
+            stream[:6000],
+            stride=100,
         )
         assert pipelined["rmse"] == serial["rmse"]
         assert pipelined["observations"] == serial["observations"]
@@ -152,7 +163,7 @@ class TestLifecycle:
 
     def test_system_builds_pipelined_controller(self):
         config = self._persistent_config(
-            shard_executor="serial", shard_pipeline=True
+            spec=sharded_spec("serial", pipeline=PipelineSpec())
         )
         with NetwideSystem(config) as system:
             algorithm = system.controller.algorithm

@@ -12,11 +12,9 @@ from repro import (
     ExactWindowCounter,
     Memento,
     PersistentProcessExecutor,
-    ProcessExecutor,
     SerialExecutor,
     ShardedSketch,
     SpaceSaving,
-    ThreadExecutor,
     make_executor,
 )
 
@@ -41,8 +39,6 @@ def make_stream(n=2000, seed=23):
 class TestMakeExecutor:
     def test_by_name(self):
         assert isinstance(make_executor("serial"), SerialExecutor)
-        assert isinstance(make_executor("thread"), ThreadExecutor)
-        assert isinstance(make_executor("process"), ProcessExecutor)
         assert isinstance(make_executor("persistent"), PersistentProcessExecutor)
 
     def test_ready_object_passthrough(self):
@@ -61,12 +57,17 @@ class TestMakeExecutor:
     def test_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown executor"):
             make_executor("quantum")
+        for removed in ("thread", "process"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                make_executor(removed)
         with pytest.raises(TypeError):
             make_executor(42)
 
     def test_rejects_bad_workers(self):
-        with pytest.raises(ValueError):
-            ThreadExecutor(max_workers=0)
+        with pytest.raises(ValueError, match="ring_slots"):
+            PersistentProcessExecutor(ring_slots=0)
+        with pytest.raises(ValueError, match="ring_slot_bytes"):
+            PersistentProcessExecutor(ring_slot_bytes=0)
 
     def test_stateful_with_map_gets_resident_treatment(self):
         # the docstring promises the stateful protocol wins over a
@@ -154,7 +155,7 @@ class TestMakeExecutor:
 class TestExecutorEquivalence:
     """Every strategy must produce byte-identical shard state."""
 
-    @pytest.mark.parametrize("executor", ["thread", "process", "persistent"])
+    @pytest.mark.parametrize("executor", ["serial", "persistent"])
     def test_exact_matches_serial(self, executor):
         stream = make_stream()
         reference = ShardedSketch(exact_factory, shards=4, executor="serial")
@@ -165,7 +166,7 @@ class TestExecutorEquivalence:
             for key in range(31):
                 assert sharded.query(key) == reference.query(key)
 
-    @pytest.mark.parametrize("executor", ["thread", "process", "persistent"])
+    @pytest.mark.parametrize("executor", ["serial", "persistent"])
     def test_memento_matches_serial(self, executor):
         stream = make_stream(n=1200)
         reference = ShardedSketch(memento_factory, shards=3, executor="serial")
@@ -179,18 +180,6 @@ class TestExecutorEquivalence:
             assert [s.updates for s in sharded.shards] == [
                 s.updates for s in reference.shards
             ]
-
-    def test_process_round_trip_replaces_shards(self):
-        with ShardedSketch(
-            exact_factory, shards=2, executor="process"
-        ) as sharded:
-            before = sharded.shards
-            sharded.update_many(make_stream(n=200))
-            # round-tripped shards are fresh unpickled objects
-            assert all(a is not b for a, b in zip(before, sharded.shards))
-            # every shard saw the full 200-packet stream (gap-aligned),
-            # so each window holds exactly WINDOW slots
-            assert all(s.size == WINDOW for s in sharded.shards)
 
 
 class TestPersistentExecutor:
@@ -323,6 +312,50 @@ class TestPersistentExecutor:
             # the late reply and the stop message still drain cleanly
             executor.close()
 
+    def test_collect_deadline_tears_down_instead_of_queueing_replies(
+        self, capfd
+    ):
+        # a deadline used to raise with the other workers' replies still
+        # unread, so the next collect() answered with the previous
+        # round's state ([1, 1] where [2, 2] was correct) and close()
+        # printed BrokenPipeError tracebacks from the late repliers
+        executor = PersistentProcessExecutor()
+        executor.seed([[], []])
+        try:
+            executor.submit(_stall_then_append, [(0.5,), (0.0,)])
+            with pytest.raises(RuntimeError, match="sent no reply"):
+                executor.collect(timeout=0.1)
+            assert not executor.seeded
+            with pytest.raises(RuntimeError, match="torn down"):
+                executor.submit(_stall_then_append, [(0.0,), (0.0,)])
+            with pytest.raises(RuntimeError, match="torn down"):
+                executor.broadcast(_stall_then_append, 0.0)
+            with pytest.raises(RuntimeError, match="torn down"):
+                executor.collect()
+            # a fresh seed makes the executor usable again
+            executor.seed([[], []])
+            executor.submit(_stall_then_append, [(0.0,), (0.0,)])
+            assert [len(shard) for shard in executor.collect()] == [1, 1]
+        finally:
+            executor.close()
+        assert "BrokenPipeError" not in capfd.readouterr().err
+
+    def test_sketch_close_after_deadline_keeps_parent_shards(self):
+        stream = make_stream(n=400)
+        sharded = ShardedSketch(exact_factory, shards=2, executor="persistent")
+        sharded.update_many(stream)
+        parent_shards = list(sharded._shards)
+        executor = sharded._executor
+        executor.submit(_stall, [(0.5,), (0.0,)])
+        with pytest.raises(RuntimeError, match="sent no reply"):
+            executor.collect(timeout=0.1)
+        with pytest.raises(RuntimeError, match="torn down"):
+            sharded.close()
+        # the failed sync must not adopt an empty shard list
+        assert sharded._shards == parent_shards
+        assert len(sharded.shards) == 2
+        assert not executor.seeded
+
     def test_fork_serialized_against_tracker_sections(self):
         # regression: under the fork start method, a worker forked while
         # another thread sits in a resource-tracker critical section
@@ -383,7 +416,7 @@ class TestPersistentExecutor:
             with ShardedSketch(
                 memento_factory,
                 shards=2,
-                executor=PersistentProcessExecutor(transport="shm"),
+                executor="persistent",
                 pipeline=True,
             ) as sharded:
                 sharded.update_many(stream)
@@ -419,47 +452,39 @@ def _arg_count(*args):
     return len(args)
 
 
+def _stall_then_append(shard, seconds):
+    time.sleep(seconds)
+    shard.append(seconds)
+
+
 class TestLifecycle:
     def test_close_idempotent_and_reusable(self):
-        executor = ThreadExecutor(max_workers=2)
-        sharded = ShardedSketch(
-            exact_factory, shards=2, executor=executor
-        )
+        sharded = ShardedSketch(exact_factory, shards=2, executor="persistent")
         sharded.update_many([1, 2, 3, 4])
         sharded.close()
         sharded.close()
-        # a later batch lazily re-creates the pool
+        # a later batch lazily re-seeds fresh workers
         sharded.update_many([5, 6])
         assert sharded.updates == 6
         sharded.close()
 
     def test_map_empty_tasks(self):
-        assert ThreadExecutor().map(max, []) == []
         assert SerialExecutor().map(max, []) == []
 
     def test_map_zero_arity_tasks_keep_their_results(self):
-        # zip(*tasks) over empty tuples used to collapse the task list
-        # and silently return [] — one result per task is the contract
-        executor = ThreadExecutor(max_workers=2)
-        try:
-            assert executor.map(_forty_two, [(), ()]) == [42, 42]
-            assert executor.map(_forty_two, [()]) == [42]
-        finally:
-            executor.close()
+        # one result per task is the map() contract, empty tasks included
+        assert SerialExecutor().map(_forty_two, [(), ()]) == [42, 42]
         assert SerialExecutor().map(_forty_two, [()]) == [42]
 
     def test_map_ragged_arity_tasks(self):
-        # transposed pool.map also truncated ragged tasks to the
-        # shortest arity; per-task submission must apply each fully
-        executor = ThreadExecutor(max_workers=2)
-        try:
-            assert executor.map(_arg_count, [(1,), (1, 2, 3), ()]) == [1, 3, 0]
-        finally:
-            executor.close()
+        # every task is applied with all of its own arguments
+        assert SerialExecutor().map(
+            _arg_count, [(1,), (1, 2, 3), ()]
+        ) == [1, 3, 0]
 
 
 class TestNonWindowedSharding:
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "persistent"])
     def test_space_saving_substreams(self, executor):
         stream = make_stream()
         with ShardedSketch(

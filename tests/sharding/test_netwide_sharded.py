@@ -16,7 +16,17 @@ from repro import (
     SketchController,
     run_error_experiment,
 )
+from repro.engine import AlgorithmSpec, ShardingSpec, SketchSpec
 from repro.netwide.messages import BatchReport
+
+
+def controller_spec(shards):
+    """Spec template declaring ``shards`` controller ingestion shards
+    (NetwideSystem pins the algorithm section from the config)."""
+    return SketchSpec(
+        algorithm=AlgorithmSpec(family="memento", window=1000, counters=64),
+        sharding=ShardingSpec(shards=shards) if shards > 1 else None,
+    )
 
 
 def make_stream(n=4000, seed=31):
@@ -73,12 +83,14 @@ class TestShardedSketchController:
 class TestNetwideConfigSharding:
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            NetwideConfig(shards=0)
+            ShardingSpec(shards=0)
+        with pytest.raises(TypeError):
+            NetwideConfig(shards=2)  # spec= is the only way in
 
     def test_system_builds_sharded_controller(self):
         config = NetwideConfig(
             points=4, method="batch", window=2000, counters=64,
-            seed=1, shards=4,
+            seed=1, spec=controller_spec(4),
         )
         system = NetwideSystem(config)
         # the controller hosts the engine facade over the sharded stack
@@ -91,7 +103,7 @@ class TestNetwideConfigSharding:
     def test_hierarchy_uses_sum_mode(self):
         config = NetwideConfig(
             points=2, method="batch", window=2000, counters=200,
-            hierarchy=SRC_HIERARCHY, seed=1, shards=2,
+            hierarchy=SRC_HIERARCHY, seed=1, spec=controller_spec(2),
         )
         system = NetwideSystem(config)
         algo = system.controller.algorithm
@@ -112,7 +124,7 @@ class TestNetwideConfigSharding:
             window=1500,
             counters=256,
             seed=7,
-            shards=shards,
+            spec=controller_spec(shards),
         )
         stream = make_stream(n=4500, seed=7)
         result = run_error_experiment(config, stream, stride=150)
@@ -132,7 +144,7 @@ class TestNetwideConfigSharding:
             counters=400,
             hierarchy=SRC_HIERARCHY,
             seed=5,
-            shards=2,
+            spec=controller_spec(2),
         )
         system = NetwideSystem(config)
         heavy = 0x0A0B0C0D
@@ -158,7 +170,7 @@ class TestNetwideConfigSharding:
             counters=300,
             hierarchy=SRC_HIERARCHY,
             seed=3,
-            shards=2,
+            spec=controller_spec(2),
         )
         stream = make_stream(n=3600, seed=3)
         result = run_error_experiment(

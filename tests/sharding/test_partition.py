@@ -3,8 +3,8 @@
 ``_group_by_owner`` replaced the per-shard boolean-mask loop
 (``index[owners == j]`` for each shard ``j``) with one stable argsort
 plus a ``searchsorted``.  These tests pin the new grouping — and the
-partition paths built on it — byte-identical to a reference
-implementation of the old loop, including the parallel-gather lane.
+partition built on it — byte-identical to a reference implementation
+of the old loop.
 """
 
 from __future__ import annotations
@@ -15,12 +15,7 @@ import numpy as np
 import pytest
 
 from repro import ShardedSketch, SpaceSaving, shard_index
-from repro.sharding import sharded as sharded_mod
-from repro.sharding.sharded import (
-    PARALLEL_GATHER_MIN,
-    _gather_items,
-    _group_by_owner,
-)
+from repro.sharding.sharded import _group_by_owner
 
 
 def reference_groups(owners: np.ndarray, shards: int):
@@ -39,6 +34,14 @@ def reference_partition(items, shards, key_fn=None):
         per_positions[j].append(idx)
         per_items[j].append(item)
     return list(zip(per_positions, per_items))
+
+
+def as_lists(partition):
+    """A partition with numpy columns decoded to the reference's lists."""
+    return [
+        tuple(col.tolist() if isinstance(col, np.ndarray) else col for col in pair)
+        for pair in partition
+    ]
 
 
 class TestGroupByOwner:
@@ -67,27 +70,13 @@ class TestGroupByOwner:
 
 
 class TestGatherItems:
-    def test_inline_matches_take(self, rng):
-        probe = rng.integers(0, 1000, size=256)
-        groups = _group_by_owner(probe % 3, 3)
-        gathered = _gather_items(probe, groups)
-        for group, got in zip(groups, gathered):
-            assert np.array_equal(got, probe[group])
-
-    def test_parallel_lane_identical(self, rng, monkeypatch):
-        # force the thread-pool fan-out regardless of batch size and pin
-        # it byte-identical to the inline gathers
-        monkeypatch.setattr(sharded_mod, "PARALLEL_GATHER_MIN", 1)
-        probe = rng.integers(0, 10_000, size=4096)
-        groups = _group_by_owner(probe % np.uint64(4), 4)
-        gathered = sharded_mod._gather_items(probe, groups)
-        for group, got in zip(groups, gathered):
-            assert np.array_equal(got, probe[group])
-
-    def test_threshold_is_large(self):
-        # the handoff only pays off for big batches; guard against the
-        # constant being accidentally lowered to cover every tiny batch
-        assert PARALLEL_GATHER_MIN >= 1 << 12
+    def test_inline_matches_take(self):
+        rng = random.Random(11)
+        items = [rng.randint(0, 1000) for _ in range(256)]
+        sketch = ShardedSketch(lambda i: SpaceSaving(8), shards=3)
+        probe = np.asarray(items)
+        for positions, owned in sketch._partition(items):
+            assert np.array_equal(owned, probe[positions])
 
 
 class TestPartitionPinned:
@@ -97,7 +86,7 @@ class TestPartitionPinned:
         sketch = ShardedSketch(
             lambda i: SpaceSaving(8), shards=shards, key_fn=key_fn
         )
-        return sketch._partition(items)
+        return as_lists(sketch._partition(items))
 
     @pytest.mark.parametrize("shards", [1, 2, 4, 7])
     def test_int_batch_vectorized(self, shards):
@@ -147,11 +136,6 @@ class TestPartitionPinned:
         assert sketch._route_owners(items) is None
         assert sketch._partition(items) == reference_partition(items, 2)
 
-    def test_forced_parallel_gather_end_to_end(self, monkeypatch):
-        monkeypatch.setattr(sharded_mod, "PARALLEL_GATHER_MIN", 1)
-        rng = random.Random(9)
-        items = [rng.randint(0, 10_000) for _ in range(5000)]
-        assert self.partition(items, 4) == reference_partition(items, 4)
 
 
 class TestPartitionColumns:
@@ -159,17 +143,20 @@ class TestPartitionColumns:
         rng = random.Random(5)
         items = [rng.randint(0, 300) for _ in range(800)]
         sketch = ShardedSketch(lambda i: SpaceSaving(8), shards=4)
-        columns = sketch._partition_columns(items)
-        lists = sketch._partition(items)
-        assert columns is not None
-        for (pos_col, item_col), (pos_list, item_list) in zip(columns, lists):
-            assert isinstance(pos_col, np.ndarray)
-            assert isinstance(item_col, np.ndarray)
-            assert pos_col.tolist() == pos_list
-            assert item_col.tolist() == item_list
+        columns = sketch._partition(items)
+        for positions, owned in columns:
+            assert isinstance(positions, np.ndarray)
+            assert positions.dtype == np.int64
+            assert isinstance(owned, np.ndarray)
+        assert as_lists(columns) == reference_partition(items, 4)
 
-    def test_none_for_non_vectorizable(self):
+    def test_lists_for_non_vectorizable(self):
         sketch = ShardedSketch(lambda i: SpaceSaving(8), shards=4)
-        assert sketch._partition_columns(["a", "b"]) is None
-        assert sketch._partition_columns([1.5, 2.5]) is None
-        assert sketch._partition_columns([]) is None
+        for items in (["a", "b"], [1.5, 2.5]):
+            partition = sketch._partition(items)
+            assert all(
+                isinstance(positions, list) and isinstance(owned, list)
+                for positions, owned in partition
+            )
+            assert partition == reference_partition(items, 4)
+        assert sketch._partition([]) == [([], [])] * 4

@@ -160,7 +160,7 @@ class TestPipelinedEquivalence:
                 0.05
             )
 
-    @pytest.mark.parametrize("executor", ["persistent", "process", "thread"])
+    @pytest.mark.parametrize("executor", ["persistent", "serial"])
     def test_exact_oracle_identity_with_executors(self, executor):
         # pipelined sharded-over-exact stays result-identical to the
         # unsharded oracle across every executor strategy

@@ -2,10 +2,12 @@
 
 A windowed shard owns a hash slice of the global stream and takes one
 Window update for every packet it does not own.  Whatever lane carries
-the per-shard plans, each shard must end byte-identical (pickle, sampler
-state included) to a sketch built by the same factory and fed that
-sequence one scalar call at a time — and the in-process lane must get
-there through the fused plan path, not a per-segment replay.
+the per-shard plans — in process, pickled into a worker pipe, or through
+a worker's shared-memory ring — each shard must end byte-identical
+(pickle, sampler state included) to a sketch built by the same factory
+and fed that sequence one scalar call at a time — and the in-process
+lane must get there through the fused plan path, not a per-segment
+replay.
 """
 
 from __future__ import annotations
@@ -15,12 +17,18 @@ import random
 
 import pytest
 
-from repro import Memento, PersistentProcessExecutor, ShardedSketch
+from repro import Memento, ShardedSketch
+from repro.sharding.executors import RING_MIN_ITEMS
 from repro.sharding.shm import leaked_segments
 
 WINDOW = 1000
 SHARDS = 2
 CHUNK = 257
+#: every per-shard task of a batch this size stays below the ring lane
+#: (a task never holds more items than its batch)
+PIPE_CHUNK = RING_MIN_ITEMS - 1
+#: each batch this size hands at least one shard RING_MIN_ITEMS items
+RING_CHUNK = SHARDS * RING_MIN_ITEMS
 
 
 def factory(i):
@@ -33,9 +41,9 @@ def stream():
     return [rng.randint(0, 199) for _ in range(6000)]
 
 
-def feed(sharded, stream):
-    for start in range(0, len(stream), CHUNK):
-        sharded.update_many(stream[start : start + CHUNK])
+def feed(sharded, stream, chunk=CHUNK):
+    for start in range(0, len(stream), chunk):
+        sharded.update_many(stream[start : start + chunk])
 
 
 def scalar_replays(sharded, stream):
@@ -52,20 +60,47 @@ def scalar_replays(sharded, stream):
 
 
 @pytest.mark.parametrize(
-    "executor",
-    ["serial", "persistent-shm"],
+    "executor,chunk",
+    [
+        pytest.param("serial", CHUNK, id="serial"),
+        # at least one task per batch rides the shared-memory ring
+        pytest.param("persistent", RING_CHUNK, id="persistent-shm"),
+        # every task is pickled into the worker pipe
+        pytest.param("persistent", PIPE_CHUNK, id="persistent-below-ring-min"),
+    ],
 )
-def test_shards_match_their_scalar_replay(stream, executor):
-    if executor == "persistent-shm":
-        executor = PersistentProcessExecutor(transport="shm")
+def test_shards_match_their_scalar_replay(stream, executor, chunk):
     with ShardedSketch(factory, shards=SHARDS, executor=executor) as sharded:
-        feed(sharded, stream)
+        feed(sharded, stream, chunk)
         shards = sharded.shards
         replays = scalar_replays(sharded, stream)
         assert [shard.updates for shard in shards] == [len(stream)] * SHARDS
         for shard, replay in zip(shards, replays):
             assert pickle.dumps(shard) == pickle.dumps(replay)
     assert leaked_segments() == []
+
+
+def test_persistent_lane_follows_task_size(stream):
+    """Small tasks are pickled into the pipe, large ones ride the ring."""
+    kinds = []
+    with ShardedSketch(factory, shards=SHARDS, executor="persistent") as sharded:
+        sharded.update_many(stream[:PIPE_CHUNK])  # seeds the workers
+        for conn in sharded._executor._conns:
+            send = conn.send
+
+            def spy(msg, send=send):
+                kinds.append(msg[0])
+                send(msg)
+
+            conn.send = spy
+        rest = stream[PIPE_CHUNK:]
+        feed(sharded, rest[:RING_CHUNK], RING_CHUNK)
+        feed(sharded, rest[RING_CHUNK:], PIPE_CHUNK)
+        shards = sharded.shards
+        replays = scalar_replays(sharded, stream)
+        for shard, replay in zip(shards, replays):
+            assert pickle.dumps(shard) == pickle.dumps(replay)
+    assert "apply_cols" in kinds and "apply" in kinds
 
 
 def test_serial_lane_takes_the_fused_plan_path(stream, monkeypatch):

@@ -1,15 +1,18 @@
-"""Shared-memory plan transport: ring mechanics and shm ≡ pipe ≡ sync.
+"""Shared-memory plan lane: ring mechanics and lanes ≡ serial.
 
 The ring tests pin the SPSC slot protocol (wraparound, backpressure,
-oversize fallback, teardown).  The differential tests are the transport
-contract: a sharded sketch fed through the shm transport must finish
-with **identical state** (complete structural digest per shard,
-including sampler RNG state) to the pipe transport and to synchronous
-serial ingestion — results must never depend on how the plan travelled.
+oversize fallback, teardown).  The differential tests are the lane
+contract: a sharded sketch on the persistent executor — whose small
+tasks are pickled into the worker pipes and whose large ones ride the
+shared-memory rings — must finish with **identical state** (complete
+structural digest per shard, including sampler RNG state) to
+synchronous serial ingestion: results must never depend on how the plan
+travelled.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import threading
 import time
@@ -24,6 +27,7 @@ from repro import (
     ShardedSketch,
     SpaceSaving,
 )
+from repro.sharding.executors import RING_MIN_ITEMS
 from repro.sharding.shm import (
     PlanRing,
     leaked_segments,
@@ -36,7 +40,7 @@ WINDOW = 96
 
 def memento_factory(i):
     # tau < 1 exercises the sampled lane: each shard draws the coins of
-    # its owned-packet plans, identically whichever transport carried them
+    # its owned-packet plans, identically whichever lane carried them
     return Memento(window=WINDOW, counters=32, tau=0.25, seed=1 + i)
 
 
@@ -44,15 +48,27 @@ def exact_factory(i):
     return ExactWindowCounter(WINDOW)
 
 
+#: a batch this size hands each of 3 shards about 2·RING_MIN_ITEMS
+#: items, so every one of its tasks rides the ring
+RING_CHUNK = 6 * RING_MIN_ITEMS
+#: alternating batch sizes: ~86-item tasks (pickled into the pipe) and
+#: ring-sized ones, so every differential run crosses both lanes
+MIXED_CHUNKS = (257, RING_CHUNK)
+
+
 def make_stream(n=3000, universe=40, seed=17):
     rng = random.Random(seed)
     return [rng.randint(0, universe - 1) for _ in range(n)]
 
 
-def feed(sharded, stream, samples=(), chunk=257):
+def feed(sharded, stream, samples=(), chunks=MIXED_CHUNKS):
     """Chunked batches + a few scalars + a pre-sampled batch."""
-    for start in range(0, len(stream), chunk):
+    start = 0
+    for chunk in itertools.cycle(chunks):
+        if start >= len(stream):
+            break
         sharded.update_many(stream[start : start + chunk])
+        start += chunk
     for item in stream[:3]:
         sharded.update(item)
     if samples:
@@ -62,13 +78,13 @@ def feed(sharded, stream, samples=(), chunk=257):
 def memento_digest(m):
     """Identity-insensitive structural digest of a Memento shard.
 
-    Raw ``pickle.dumps`` bytes are NOT comparable across transports:
+    Raw ``pickle.dumps`` bytes are NOT comparable across lanes:
     equal strings that are the *same object* in the parent's queues
     become distinct (equal) objects after a worker round-trip, shifting
     pickle memo references without changing state.  The digest compares
     the complete mutable state by value instead — window bookkeeping,
     queues, the stream-summary chain, and the sampler's RNG state (the
-    sampled lane must consume draws identically on every transport).
+    sampled lane must consume draws identically on every lane).
     """
     chain = []
     bucket = m._y._head
@@ -249,21 +265,18 @@ class TestSplitRebuild:
 # executor plumbing
 # ----------------------------------------------------------------------
 class TestExecutorTransportKnob:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="transport"):
-            PersistentProcessExecutor(transport="carrier_pigeon")
-        with pytest.raises(ValueError, match="ring_slots"):
-            PersistentProcessExecutor(transport="shm", ring_slots=0)
-        with pytest.raises(ValueError, match="ring_slot_bytes"):
-            PersistentProcessExecutor(transport="shm", ring_slot_bytes=-1)
+    """The persistent executor's ring plumbing."""
 
-    def test_default_is_pipe(self):
-        executor = PersistentProcessExecutor()
-        assert executor.transport == "pipe"
-        executor.close()
+    def test_validation(self):
+        with pytest.raises(ValueError, match="ring_slots"):
+            PersistentProcessExecutor(ring_slots=0)
+        with pytest.raises(ValueError, match="ring_slot_bytes"):
+            PersistentProcessExecutor(ring_slot_bytes=-1)
+        with pytest.raises(TypeError):
+            PersistentProcessExecutor(transport="shm")  # the knob is gone
 
     def test_close_unlinks_rings(self):
-        executor = PersistentProcessExecutor(transport="shm")
+        executor = PersistentProcessExecutor()
         executor.seed([SpaceSaving(8), SpaceSaving(8)])
         assert len(leaked_segments()) == 2
         executor.close()
@@ -273,45 +286,41 @@ class TestExecutorTransportKnob:
         # a failed apply must keep retiring ring slots, or the parent's
         # backpressure wait would deadlock behind a poisoned worker
         executor = PersistentProcessExecutor(
-            transport="shm", ring_slots=2, ring_slot_bytes=1 << 16
+            ring_slots=2, ring_slot_bytes=1 << 16
         )
+        ring_task = (list(range(RING_MIN_ITEMS)),)
         try:
             executor.seed([SpaceSaving(8)])
             for _ in range(5):  # > ring_slots: needs the poisoned retires
-                executor.submit(_boom, [([1, 2, 3],)])
+                executor.submit(_boom, [ring_task])
             with pytest.raises(RuntimeError, match="failed"):
                 executor.collect()
+            # every submit took the ring lane
+            assert executor._rings[0]._issued == 5
         finally:
             executor.close()
         assert leaked_segments() == []
 
 
 # ----------------------------------------------------------------------
-# differential: the transport must not change sketch state
+# differential: the lane must not change sketch state
 # ----------------------------------------------------------------------
 class TestTransportDifferential:
     def run_stack(self, factory, stream, executor="serial", samples=(),
-                  shards=3, **kwargs):
+                  shards=3, chunks=MIXED_CHUNKS, **kwargs):
         with ShardedSketch(
             factory, shards=shards, executor=executor, **kwargs
         ) as sharded:
-            feed(sharded, stream, samples=samples)
+            feed(sharded, stream, samples=samples, chunks=chunks)
             hh = sharded.heavy_hitters(0.05)
             return shard_states(sharded), hh
 
-    def test_memento_shm_equals_pipe_equals_sync(self):
+    def test_memento_lanes_equal_sync(self):
         stream = make_stream()
         samples = stream[100:140]
-        runs = {
-            name: self.run_stack(memento_factory, stream, executor, samples)
-            for name, executor in [
-                ("sync", "serial"),
-                ("pipe", PersistentProcessExecutor(transport="pipe")),
-                ("shm", PersistentProcessExecutor(transport="shm")),
-            ]
-        }
-        assert runs["shm"][0] == runs["pipe"][0] == runs["sync"][0]
-        assert runs["shm"][1] == runs["pipe"][1] == runs["sync"][1]
+        sync = self.run_stack(memento_factory, stream, "serial", samples)
+        lanes = self.run_stack(memento_factory, stream, "persistent", samples)
+        assert lanes == sync
         assert leaked_segments() == []
 
     def test_exact_oracle_identity_under_shm(self):
@@ -319,11 +328,9 @@ class TestTransportDifferential:
         oracle = ExactWindowCounter(WINDOW)
         oracle.update_many(stream)
         with ShardedSketch(
-            exact_factory,
-            shards=2,
-            executor=PersistentProcessExecutor(transport="shm"),
+            exact_factory, shards=2, executor="persistent"
         ) as sharded:
-            sharded.update_many(stream)
+            sharded.update_many(stream)  # ~1000-item tasks: the ring lane
             for key in set(stream):
                 assert sharded.query(key) == oracle.query(key)
 
@@ -333,7 +340,7 @@ class TestTransportDifferential:
         with ShardedSketch(
             memento_factory,
             shards=3,
-            executor=PersistentProcessExecutor(transport="shm"),
+            executor="persistent",
             pipeline=64,
         ) as sharded:
             feed(sharded, stream)
@@ -342,41 +349,39 @@ class TestTransportDifferential:
 
     def test_str_keys_ride_the_list_column(self):
         # strings can't vectorize the partition, but the executor still
-        # encodes each shard's item list as a fixed-width ring column
+        # encodes each large shard item list as a fixed-width ring column
         rng = random.Random(31)
-        stream = [f"flow-{rng.randint(0, 30)}" for _ in range(2000)]
+        stream = [f"flow-{rng.randint(0, 30)}" for _ in range(4000)]
         expect_states, expect_hh = self.run_stack(memento_factory, stream)
         got_states, got_hh = self.run_stack(
-            memento_factory,
-            stream,
-            executor=PersistentProcessExecutor(transport="shm"),
+            memento_factory, stream, executor="persistent"
         )
         assert got_states == expect_states
         assert got_hh == expect_hh
 
     def test_tiny_ring_wraparound_under_load(self):
-        # 2 slots << number of batches: every batch exercises reuse and
-        # real backpressure against the live worker
-        stream = make_stream(seed=43)
-        expect = self.run_stack(memento_factory, stream)
+        # 2 slots << number of batches: every batch rides the ring, so
+        # each one exercises reuse and real backpressure against the
+        # live worker
+        stream = make_stream(n=5 * RING_CHUNK, seed=43)
+        expect = self.run_stack(memento_factory, stream, chunks=(RING_CHUNK,))
         got = self.run_stack(
             memento_factory,
             stream,
-            executor=PersistentProcessExecutor(transport="shm", ring_slots=2),
+            executor=PersistentProcessExecutor(ring_slots=2),
+            chunks=(RING_CHUNK,),
         )
         assert got == expect
 
     def test_oversize_slot_falls_back_to_pipe(self):
-        # slots too small for any batch column: every task takes the
-        # pickle fallback, results still identical
+        # slots too small for any ring-sized task: every task takes the
+        # pickle lane, results still identical
         stream = make_stream(n=1500, seed=53)
         expect = self.run_stack(memento_factory, stream, shards=2)
         got = self.run_stack(
             memento_factory,
             stream,
-            executor=PersistentProcessExecutor(
-                transport="shm", ring_slot_bytes=32
-            ),
+            executor=PersistentProcessExecutor(ring_slot_bytes=32),
             shards=2,
         )
         assert got == expect

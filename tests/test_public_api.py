@@ -139,7 +139,6 @@ EXPECTED_EXPORTS = (
     "PersistentProcessExecutor",
     "PipelineConfig",
     "PipelineSpec",
-    "ProcessExecutor",
     "QueryableSketch",
     "RHHH",
     "RunningRMSE",
@@ -158,7 +157,6 @@ EXPECTED_EXPORTS = (
     "SlidingSketch",
     "SpaceSaving",
     "TableSampler",
-    "ThreadExecutor",
     "Trace",
     "TraceProfile",
     "VolumetricMemento",
