@@ -13,6 +13,13 @@ Two entry points share one workload:
 The standalone run enforces the batch engine's contract: ``update_many``
 must reach at least 2× the scalar ops/sec on ``Memento(tau=0.1)`` and on
 ``SpaceSaving`` (exit status 1 otherwise).
+
+The ``hhh_output`` row times H-Memento's ``output(theta)`` on a state
+where the sampling correction exceeds ``theta * W`` (every candidate is
+selected) against the reference scan of Algorithms 2-3 that recomputes
+``G(p|P)`` from the whole selected set for each candidate.  Both must
+return the same set, and the standalone run requires the scan to be at
+least 10× faster than the reference.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from repro import (
 )
 from repro.bench import BenchResult, bench, repo_root, write_results
 from repro.engine import SketchSpec
+from repro.hierarchy.hhh_output import calc_pred_1d, group_by_depth
 from repro.traffic.synth import BACKBONE
 
 WINDOW = 8192
@@ -149,6 +157,14 @@ CASE_SPECS: Dict[str, Dict[str, object]] = {
 }
 
 
+#: the hhh_output row: H-Memento with W/8 counters at tau = 1/8, whose
+#: correction 2·Z·sqrt(V·W) (V = H/tau = 40) exceeds HHH_THETA·W
+HHH_WINDOW = 100_000
+HHH_TAU = 0.125
+HHH_THETA = 0.1
+MIN_SCAN_SPEEDUP = 10.0
+
+
 def make_stream(n: int = N) -> list:
     return generate_trace(BACKBONE, n, seed=99).packets_1d()
 
@@ -165,6 +181,88 @@ def drive_batch(algorithm, stream, chunk: int = CHUNK):
     for start in range(0, len(stream), chunk):
         update_many(stream[start : start + chunk])
     return algorithm
+
+
+def reference_output(sketch: HMemento, theta: float) -> set:
+    """Algorithm 2's output scan with ``G(p|P)`` recomputed per candidate."""
+    hierarchy = sketch.hierarchy
+    correction = sketch.sampling_correction()
+    levels = group_by_depth(hierarchy, sketch.candidates())
+    selected: set = set()
+    for depth in hierarchy.levels():
+        for prefix in levels.get(depth, ()):
+            conditioned = sketch.query(prefix) + calc_pred_1d(
+                hierarchy, prefix, selected, sketch.query_lower, sketch.query
+            )
+            conditioned += correction
+            if conditioned >= theta * sketch.window:
+                selected.add(prefix)
+    return selected
+
+
+def run_hhh_output(
+    window: int, warmup: int, repeats: int
+) -> Tuple[BenchResult, BenchResult]:
+    """Time ``output(HHH_THETA)`` against :func:`reference_output`.
+
+    ``ops`` is the number of candidates one call scans.  The reference
+    is quadratic in that number, so it runs once, untimed warmup aside.
+    """
+    sketch = HMemento(
+        window=window,
+        hierarchy=SRC_HIERARCHY,
+        counters=window // 8,
+        tau=HHH_TAU,
+        seed=1,
+    )
+    sketch.update_many(make_stream(2 * window))
+    candidates = len(list(sketch.candidates()))
+    selected = sketch.output(HHH_THETA)
+    if selected != reference_output(sketch, HHH_THETA):
+        raise AssertionError("hhh_output: scan and reference select different sets")
+    spec = SketchSpec.from_dict(
+        {
+            "algorithm": {
+                "family": "h_memento",
+                "window": window,
+                "counters": window // 8,
+                "tau": HHH_TAU,
+                "seed": 1,
+            },
+            "hierarchy": {"kind": "src"},
+        }
+    ).to_dict()
+    scan = bench(
+        lambda: sketch.output(HHH_THETA),
+        name="hhh_output/scan",
+        ops=candidates,
+        warmup=warmup,
+        repeats=repeats,
+        metadata={
+            "path": "scan",
+            "case": "hhh_output",
+            "theta": HHH_THETA,
+            "selected": len(selected),
+            "spec": spec,
+            "transport": None,
+        },
+    )
+    reference = bench(
+        lambda: reference_output(sketch, HHH_THETA),
+        name="hhh_output/reference",
+        ops=candidates,
+        warmup=0,
+        repeats=1,
+        metadata={
+            "path": "reference",
+            "case": "hhh_output",
+            "theta": HHH_THETA,
+            "selected": len(selected),
+            "spec": spec,
+            "transport": None,
+        },
+    )
+    return scan, reference
 
 
 # ----------------------------------------------------------------------
@@ -229,13 +327,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     results, speedups = run_harness(
         n=n, warmup=0 if args.smoke else 1, repeats=repeats
     )
+    hhh_window = HHH_WINDOW // 10 if args.smoke else HHH_WINDOW
+    scan, reference = run_hhh_output(
+        hhh_window, warmup=0 if args.smoke else 1, repeats=repeats
+    )
+    results.extend((scan, reference))
+    speedups["hhh_output"] = scan.ops_per_sec / reference.ops_per_sec
 
     out = args.out or (repo_root() / "BENCH_micro_updates.json")
     write_results(
         out,
         results,
         extra={
-            "workload": {"packets": n, "window": WINDOW, "chunk": CHUNK},
+            "workload": {
+                "packets": n,
+                "window": WINDOW,
+                "chunk": CHUNK,
+                "hhh_window": hhh_window,
+            },
             "speedups": speedups,
             "smoke": args.smoke,
         },
@@ -251,6 +360,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"{name.ljust(width)}  {scalar.ops_per_sec:>14,.0f}  "
             f"{batch.ops_per_sec:>14,.0f}  {speedups[name]:>6.2f}x"
         )
+    print(
+        f"{'hhh_output'.ljust(width)}  {reference.ops_per_sec:>14,.0f}  "
+        f"{scan.ops_per_sec:>14,.0f}  {speedups['hhh_output']:>6.2f}x"
+        f"  (reference vs scan, candidates/s)"
+    )
     print(f"results -> {out}")
 
     if not args.smoke:
@@ -258,6 +372,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if failures:
             print(
                 f"FAIL: batch path below {MIN_SPEEDUP}x on: {', '.join(failures)}",
+                file=sys.stderr,
+            )
+            return 1
+        if speedups["hhh_output"] < MIN_SCAN_SPEEDUP:
+            print(
+                f"FAIL: hhh_output scan below {MIN_SCAN_SPEEDUP}x the reference",
                 file=sys.stderr,
             )
             return 1

@@ -15,6 +15,7 @@ by the statistical tests that check the guarantees empirically.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from scipy.stats import norm
@@ -29,9 +30,12 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=128)
 def z_quantile(prob: float) -> float:
     """Inverse CDF of the standard normal distribution (the paper's ``Z``).
 
+    Memoized: sketches ask for the same few confidence levels on every
+    output call, and the scipy quantile costs far more than a lookup.
     The paper notes ``Z_{1-δ/4} < 4`` for every ``δ > 1e-6``; tests pin
     that remark.
 

@@ -273,10 +273,18 @@ class HMemento(BatchIngest):
         """
         if not 0.0 < theta < 1.0:
             raise ValueError(f"theta must be in (0, 1), got {theta}")
+        estimates = self._memento.estimates()
+        query = self.query
+
+        def upper(prefix: Hashable) -> float:
+            # the scan also asks for 2-D glbs, which need not be candidates
+            est = estimates.get(prefix)
+            return query(prefix) if est is None else est
+
         return compute_hhh(
             self.hierarchy,
-            list(self._memento.candidates()),
-            upper=self.query,
+            list(estimates),
+            upper=upper,
             lower=self.query_lower,
             threshold_count=theta * self.window,
             correction=self.sampling_correction() if conservative else 0.0,
@@ -305,13 +313,7 @@ class HMemento(BatchIngest):
         This is the plain frequency view used by the accuracy experiments
         (Figure 8); :meth:`output` is the HHH set with coverage semantics.
         """
-        bar = theta * self.window
-        out: Dict[Hashable, float] = {}
-        for prefix in self._memento.candidates():
-            est = self.query(prefix)
-            if est > bar:
-                out[prefix] = est
-        return out
+        return self._memento.heavy_hitters(theta)
 
     def heavy_hitters(self, theta: float) -> Dict[Hashable, float]:
         """Uniform :class:`~repro.core.api.QueryableSketch` surface:

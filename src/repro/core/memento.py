@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, Dict, Hashable, Iterator, List, Optional, Sequence
+from typing import Deque, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -607,6 +607,33 @@ class Memento(BatchIngest):
         """Scaled lower bound companion of :meth:`query`."""
         return self._inv_tau * self.query_lower_raw(item)
 
+    def raw_estimates(self) -> Iterator[Tuple[Hashable, int]]:
+        """``(key, query_raw(key))`` for every candidate, in one pass.
+
+        Walks the overflow table ``B`` and then the flows monitored only in
+        ``y``, so keys come in :meth:`candidates` order.  A flow in ``B``
+        that a full Space Saving has evicted from ``y`` gets ``y``'s
+        minimum counter as its in-frame part, exactly as ``y.query``
+        answers it.
+        """
+        blk = self.sample_block
+        y = self._y
+        index = y._index
+        floor = y.min_value
+        offsets = self._offsets
+        for key, overflows in offsets.items():
+            bucket = index.get(key)
+            count = floor if bucket is None else bucket.value
+            yield key, blk * (overflows + 2) + count % blk
+        for key, bucket in index.items():
+            if key not in offsets:
+                yield key, 2 * blk + bucket.value
+
+    def estimates(self) -> Dict[Hashable, float]:
+        """:meth:`query` of every candidate, from :meth:`raw_estimates`."""
+        inv_tau = self._inv_tau
+        return {key: inv_tau * raw for key, raw in self.raw_estimates()}
+
     def heavy_hitters(self, theta: float) -> Dict[Hashable, float]:
         """Window heavy hitters: flows whose estimate exceeds ``theta * W``.
 
@@ -615,24 +642,19 @@ class Memento(BatchIngest):
         currently monitored in the in-frame Space Saving instance.
         """
         bar = theta * self.window
-        out: Dict[Hashable, float] = {}
-        for item in self._offsets:
-            est = self.query(item)
-            if est > bar:
-                out[item] = est
-        for item, _ in self._y.items():
-            if item not in out:
-                est = self.query(item)
-                if est > bar:
-                    out[item] = est
-        return out
+        inv_tau = self._inv_tau
+        return {
+            key: est
+            for key, raw in self.raw_estimates()
+            if (est := inv_tau * raw) > bar
+        }
 
     def candidates(self) -> Iterator[Hashable]:
         """All flows the sketch currently knows about (B ∪ y), deduplicated."""
-        seen = set(self._offsets)
-        yield from self._offsets
-        for item, _ in self._y.items():
-            if item not in seen:
+        offsets = self._offsets
+        yield from offsets
+        for item in self._y._index:
+            if item not in offsets:
                 yield item
 
     def entries(self) -> List[Entry]:
@@ -644,9 +666,10 @@ class Memento(BatchIngest):
         the scaling once.  This is the window-sketch counterpart of
         ``SpaceSaving.entries``.
         """
+        slack = 4 * self.sample_block
         return [
-            (key, self.query_raw(key), self.query_lower_raw(key))
-            for key in self.candidates()
+            (key, raw, max(0, raw - slack))
+            for key, raw in self.raw_estimates()
         ]
 
     def windowed_entries(self) -> WindowedEntries:

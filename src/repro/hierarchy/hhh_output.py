@@ -20,7 +20,7 @@ and ``lower`` (``f̂−``) bound functions plus a sampling ``correction``
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Dict, Hashable, Iterable, List, Set
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set
 
 from .domain import Hierarchy
 
@@ -55,7 +55,17 @@ def calc_pred_2d(
     subtracted once and needs no compensation.
     """
     best = hierarchy.best_generalized(prefix, selected)
-    result = -sum(lower(h) for h in best)
+    return _inclusion_exclusion(hierarchy, best, [lower(h) for h in best], upper)
+
+
+def _inclusion_exclusion(
+    hierarchy: Hierarchy,
+    best: Sequence[Hashable],
+    lowers: Sequence[float],
+    upper: Estimator,
+) -> float:
+    """Algorithm 4 over a given ``G(p|P)`` and its members' lower bounds."""
+    result = -sum(lowers)
     n = len(best)
     for i in range(n):
         h1 = best[i]
@@ -92,6 +102,12 @@ def compute_hhh(
 ) -> Set[Hashable]:
     """Run the bottom-up HHH scan and return the selected prefix set.
 
+    Each candidate's ``G(p|P)`` is kept current as prefixes are selected
+    instead of being recomputed from the whole selected set, so the scan
+    is linear in the candidates: ``upper`` is called once per distinct
+    candidate (and, in 2-D, for the glbs Algorithm 4 adds back) and
+    ``lower`` once per selected prefix.
+
     Parameters
     ----------
     hierarchy:
@@ -113,17 +129,61 @@ def compute_hhh(
         The approximate HHH set ``P`` satisfying the coverage property with
         the configured confidence.
     """
-    calc_pred = calc_pred_2d if hierarchy.dimensions == 2 else calc_pred_1d
-    levels = group_by_depth(hierarchy, candidates)
+    two_d = hierarchy.dimensions == 2
+    # frontier[a] is G(a|P) for candidate a, each member mapped to its lower
+    # bound (None while empty); selecting h updates h's strict ancestors only
+    frontier: Dict[Hashable, Optional[Dict[Hashable, float]]] = dict.fromkeys(
+        candidates
+    )
+    levels = group_by_depth(hierarchy, frontier)
     selected: Set[Hashable] = set()
     for depth in hierarchy.levels():
         for prefix in levels.get(depth, ()):
-            if prefix in selected:
-                continue
-            conditioned = upper(prefix) + calc_pred(
-                hierarchy, prefix, selected, lower, upper
-            )
+            best = frontier[prefix]
+            if best is None:
+                pred = 0
+            elif two_d:
+                pred = _inclusion_exclusion(
+                    hierarchy, list(best), list(best.values()), upper
+                )
+            else:
+                pred = -sum(best.values())
+            conditioned = upper(prefix) + pred
             conditioned += correction
             if conditioned >= threshold_count:
                 selected.add(prefix)
+                _claim(hierarchy, prefix, lower(prefix), frontier)
     return selected
+
+
+def _claim(
+    hierarchy: Hierarchy,
+    prefix: Hashable,
+    bound: float,
+    frontier: Dict[Hashable, Optional[Dict[Hashable, float]]],
+) -> None:
+    """Add a newly selected ``prefix`` to ``G(a|P)`` of its strict ancestors.
+
+    The scan runs bottom-up, so every selected prefix so far is at most as
+    deep as ``prefix`` and none lies strictly between it and an ancestor
+    ``a``: ``G(a|P ∪ {h}) = G(a|P) − G(h|P) + {h}``.  Ancestors that are
+    not candidates are never scanned, so their sets are not kept.
+    """
+    below = frontier[prefix] or ()
+    parents = hierarchy.parents
+    seen: Set[Hashable] = set()
+    stack = list(parents(prefix))
+    while stack:
+        ancestor = stack.pop()
+        if ancestor in seen:
+            continue
+        seen.add(ancestor)
+        stack.extend(parents(ancestor))
+        if ancestor not in frontier:
+            continue
+        front = frontier[ancestor]
+        if front is None:
+            front = frontier[ancestor] = {}
+        for member in below:
+            front.pop(member, None)
+        front[prefix] = bound

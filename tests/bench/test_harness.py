@@ -115,4 +115,5 @@ class TestMicroUpdatesBench:
         assert "memento_tau0.1/scalar" in names
         assert "memento_tau0.1/batch" in names
         assert "space_saving/batch" in names
+        assert {"hhh_output/scan", "hhh_output/reference"} <= names
         assert "speedups" in payload["extra"]
