@@ -1,14 +1,17 @@
 """Always-on ingestion service for the Memento engine (ROADMAP item 2).
 
 The library becomes a daemon: :class:`IngestServer` hosts one
-:class:`~repro.engine.HeavyHitterEngine` behind a length-prefixed
-JSON-lines protocol (TCP and/or unix socket), accepting batched packet
-reports from many concurrent clients and serving live
+:class:`~repro.engine.HeavyHitterEngine` behind a length-prefixed frame
+protocol (TCP and/or unix socket), accepting batched packet reports
+from many concurrent clients and serving live
 ``heavy_hitters`` / ``top_k`` / ``query`` / ``stats`` with
 flush-consistent reads.  The pieces:
 
-* :mod:`repro.service.protocol` — the ``repro-wire/1`` framing (4-byte
-  big-endian length prefix + JSON object) shared by server and clients.
+* :mod:`repro.service.protocol` — the ``repro-wire/2`` framing shared
+  by server and clients: a 4-byte big-endian length prefix, then either
+  a binary report column (op byte ``0x01``, dtype code ``0x01`` uint32
+  or ``0x02`` int64, little-endian uint32 count, little-endian keys) or
+  a JSON object (control ops and every response).
 * :mod:`repro.service.checkpoint` — the versioned ``repro-ckpt/1``
   checkpoint envelope (resolved spec + pickled engine state + stream
   position + CRC), written atomically, and :class:`CheckpointStore`

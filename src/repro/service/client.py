@@ -2,13 +2,17 @@
 
 :class:`ServiceClient` is the blocking-socket client (examples, tests,
 benchmarks, supervisors); :class:`AsyncServiceClient` is the same
-surface over asyncio streams.  Both speak ``repro-wire/1``
+surface over asyncio streams.  Both speak ``repro-wire/2``
 (:mod:`repro.service.protocol`) and expose the engine's unified query
 surface plus the service ops:
 
 * ``report(items)`` / ``gap(count)`` — fire-and-forget ingestion; the
   server never responds, so a client can saturate the socket, and the
   transport (not the client) carries the daemon's backpressure.
+  ``report`` sends one binary key column: uint32 when every key fits,
+  int64 otherwise.  Any other key (a float, a string, a tuple, an
+  integer outside int64) raises :class:`TypeError` or
+  :class:`OverflowError` before anything is sent.
 * ``flush()`` — synchronous barrier: returns the stream position once
   every previously-reported item is applied; ingestion failures
   poison the daemon and surface here as :class:`ServiceError`.
@@ -17,9 +21,10 @@ surface plus the service ops:
 * ``checkpoint()`` — force a checkpoint now; returns its path and
   position.
 
-Keys travel as JSON, so non-JSON keys (tuples — hierarchical prefix
-entries) come back as lists; the helpers convert them back to tuples so
-``heavy_hitters`` round-trips for every family.
+Control ops and responses travel as JSON, so non-JSON keys in answers
+(tuples — hierarchical prefix entries) come back as lists; the helpers
+convert them back to tuples so ``heavy_hitters`` round-trips for every
+family.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 from .protocol import (
     ProtocolError,
     encode_frame,
+    encode_report,
     read_frame_async,
     read_frame_sync,
     send_frame_sync,
@@ -95,9 +101,12 @@ class ServiceClient:
         return cls(sock)
 
     # --- fire-and-forget ingestion ------------------------------------
-    def report(self, items: Sequence[Hashable]) -> None:
-        """Submit a batch of packet reports (no response)."""
-        send_frame_sync(self._sock, {"op": "report", "items": list(items)})
+    def report(self, items: Sequence[int]) -> None:
+        """Submit a batch of integer packet keys (no response).
+
+        Raises :class:`TypeError` (non-integer key) or
+        :class:`OverflowError` (key outside int64) before sending."""
+        self._sock.sendall(encode_report(items))
 
     def gap(self, count: int) -> None:
         """Advance the daemon's window for ``count`` unobserved packets."""
@@ -184,10 +193,13 @@ class AsyncServiceClient:
         return cls(reader, writer)
 
     # --- fire-and-forget ingestion ------------------------------------
-    async def report(self, items: Sequence[Hashable]) -> None:
-        """Submit a batch of packet reports (no response; ``drain()``
-        is where the daemon's backpressure reaches this coroutine)."""
-        self._writer.write(encode_frame({"op": "report", "items": list(items)}))
+    async def report(self, items: Sequence[int]) -> None:
+        """Submit a batch of integer packet keys (no response; ``drain()``
+        is where the daemon's backpressure reaches this coroutine).
+
+        Raises :class:`TypeError` (non-integer key) or
+        :class:`OverflowError` (key outside int64) before sending."""
+        self._writer.write(encode_report(items))
         await self._writer.drain()
 
     async def gap(self, count: int) -> None:

@@ -1,18 +1,29 @@
 """The always-on ingestion daemon: asyncio front-end over one engine.
 
 :class:`IngestServer` hosts a single
-:class:`~repro.engine.HeavyHitterEngine` behind the ``repro-wire/1``
+:class:`~repro.engine.HeavyHitterEngine` behind the ``repro-wire/2``
 protocol (:mod:`repro.service.protocol`) on TCP and/or a unix socket.
-Many clients connect concurrently; every accepted op — fire-and-forget
+Reports are binary key columns (a 6-byte header — op ``0x01``, dtype
+``0x01`` uint32 or ``0x02`` int64, little-endian uint32 count — then the
+little-endian keys); control ops and responses are JSON objects.  Many
+clients connect concurrently; every accepted op — fire-and-forget
 ``report``/``gap`` frames and synchronous ``flush``/``query``/
 ``heavy_hitters``/``top_k``/``stats``/``checkpoint`` requests — enters
 one ordered queue drained by a pump task, and all engine work runs on a
 single dedicated thread, so the engine observes a serial op stream
 exactly as a synchronous caller would have produced.
 
-**Backpressure** is real, not a growing queue: each report/gap frame's
-wire bytes are charged against ``ServiceSpec.max_inflight_bytes``
-*before* the handler reads its client's next frame, and credited back
+**Multi-frame reads**: a client handler reads whatever its socket has
+(up to 64 KiB) and parses every complete frame in one pass; each run of
+consecutive report columns becomes one queued op, and the pump joins
+queued columns again before one engine hop.  The engine thread turns
+the joined column into Python ``int`` keys with one ``tolist()``, so a
+service-fed engine's state (and its pickled checkpoint bytes) equals a
+directly fed engine's.
+
+**Backpressure** is real, not a growing queue: each run's (or gap
+frame's) wire bytes are charged against ``ServiceSpec.max_inflight_bytes``
+*before* the handler reads from its client again, and credited back
 only after the engine applied the op.  A full budget therefore stops
 the server reading, the socket buffers fill, and the transport pushes
 back on the producing clients (one over-budget op is admitted when the
@@ -22,7 +33,9 @@ observed high-water mark is exported in ``stats`` as
 
 **Flush-consistent reads**: query ops travel the same queue as reports
 and call ``engine.flush()`` first, so a response reflects every report
-frame any client had submitted before the query was accepted.
+frame any client had submitted before the query was accepted.  A
+handler queues the report columns parsed ahead of a JSON op before
+that op, so per-connection order is the wire order.
 
 **Checkpoints**: with ``ServiceSpec.checkpoint_dir`` configured, the
 pump snapshots the engine through :class:`~repro.service.checkpoint
@@ -32,10 +45,12 @@ pause durations are recorded and exported in ``stats`` — which is what
 makes the checkpoint a consistent cut: its ``position`` equals exactly
 the items applied.
 
-A failed engine apply poisons the pump exactly like the pipelined
-dispatcher: later reports are consumed-and-dropped (their budget is
-still credited back, so no client deadlocks) and the first failure
-surfaces on every subsequent synchronous op and in ``stats``.
+A malformed frame, or EOF inside a frame, drops that client; what it
+sent before the bad frame stays applied.  A failed engine apply poisons
+the pump exactly like the pipelined dispatcher: later reports are
+consumed-and-dropped (their budget is still credited back, so no client
+deadlocks) and the first failure surfaces on every subsequent
+synchronous op and in ``stats``.
 
 :class:`ServiceDaemon` wraps the server in a background thread with its
 own event loop for synchronous callers (tests, examples, benchmarks);
@@ -49,6 +64,7 @@ import asyncio
 import threading
 import time
 import traceback
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -56,15 +72,18 @@ from typing import Dict, List, Optional, Tuple
 from ..engine.facade import HeavyHitterEngine, SpecLike, _coerce_spec, build_engine
 from ..engine.spec import SketchSpec
 from .checkpoint import CheckpointStore
-from .protocol import ProtocolError, encode_frame, read_frame_sized_async
+from .protocol import ProtocolError, encode_frame, join_columns, split_frames
 
 __all__ = ["IngestServer", "ServiceDaemon"]
 
 #: Queue sentinel asking the pump task to exit.
 _STOP = object()
 
-#: Ops applied by the engine thread via the ordered queue.
-_INGEST_OPS = ("report", "gap")
+#: Most bytes one socket read takes; every complete frame in them is
+#: parsed before the next read.
+_READ_BYTES = 64 * 1024
+
+#: Request ops that get a response (``report`` and ``gap`` get none).
 _SYNC_OPS = ("flush", "query", "heavy_hitters", "top_k", "stats", "checkpoint")
 
 
@@ -281,7 +300,7 @@ class IngestServer:
                 # merge consecutive report ops into one engine hop: the
                 # executor handoff (~tens of µs) would otherwise dominate
                 # report-sized batches
-                items = list(payload)
+                column = payload
                 total_bytes = nbytes
                 while True:
                     try:
@@ -289,12 +308,12 @@ class IngestServer:
                     except asyncio.QueueEmpty:
                         break
                     if nxt[0] == "report":
-                        items.extend(nxt[1])
+                        column = join_columns(column, nxt[1])
                         total_bytes += nxt[2]
                     else:
                         carry = nxt
                         break
-                await self._apply(loop, self._engine_report, items)
+                await self._apply(loop, self._engine_report, column)
                 await self._release(total_bytes)
             elif kind == "gap":
                 await self._apply(loop, self._engine_gap, payload)
@@ -329,7 +348,10 @@ class IngestServer:
             self._failure = traceback.format_exc()
 
     # --- engine-thread bodies -----------------------------------------
-    def _engine_report(self, items: List[object]) -> None:
+    def _engine_report(self, column: array) -> None:
+        # one conversion per joined run: sketch keys stay Python ints,
+        # so pickled state matches a directly fed engine's
+        items = column.tolist()
         self._engine.update_many(items)
         self._position += len(items)
 
@@ -390,50 +412,53 @@ class IngestServer:
         task = asyncio.current_task()
         self._handler_tasks.add(task)
         loop = asyncio.get_running_loop()
+        buf = bytearray()
         try:
             while True:
-                sized = await read_frame_sized_async(reader)
-                if sized is None:
-                    break
-                message, nbytes = sized
-                op = message.get("op")
-                if op == "report":
-                    items = message.get("items")
-                    if not isinstance(items, list):
-                        break  # malformed fire-and-forget: drop the client
-                    await self._acquire(nbytes)
-                    self._queue.put_nowait(("report", items, nbytes, None))
-                    continue
-                if op == "gap":
-                    count = message.get("count")
-                    if not isinstance(count, int) or count < 0:
+                # every complete frame already read, in one pass; each
+                # run of report columns arrives joined into one column
+                frames, used = split_frames(buf)
+                if not frames:
+                    chunk = await reader.read(_READ_BYTES)
+                    if not chunk:
+                        if buf:
+                            raise ProtocolError("stream truncated inside a frame")
                         break
-                    await self._acquire(nbytes)
-                    self._queue.put_nowait(("gap", count, nbytes, None))
+                    buf += chunk
                     continue
-                request_id = message.get("id")
-                if op not in _SYNC_OPS:
-                    writer.write(
-                        encode_frame(
-                            {
-                                "id": request_id,
-                                "ok": False,
-                                "error": f"unknown op {op!r}",
+                del buf[:used]
+                for message, nbytes in frames:
+                    if isinstance(message, array):
+                        await self._acquire(nbytes)
+                        self._queue.put_nowait(("report", message, nbytes, None))
+                        continue
+                    op = message.get("op")
+                    if op == "gap":
+                        count = message.get("count")
+                        if not isinstance(count, int) or count < 0:
+                            raise ProtocolError(f"bad gap count {count!r}")
+                        await self._acquire(nbytes)
+                        self._queue.put_nowait(("gap", count, nbytes, None))
+                        continue
+                    request_id = message.get("id")
+                    if op not in _SYNC_OPS:
+                        response = {
+                            "id": request_id,
+                            "ok": False,
+                            "error": f"unknown op {op!r}",
+                        }
+                    else:
+                        future = loop.create_future()
+                        self._queue.put_nowait((op, message, 0, future))
+                        try:
+                            response = {"id": request_id, "ok": True}
+                            response.update(await future)
+                        except Exception as exc:
+                            response = {
+                                "id": request_id, "ok": False, "error": str(exc)
                             }
-                        )
-                    )
+                    writer.write(encode_frame(response))
                     await writer.drain()
-                    continue
-                future = loop.create_future()
-                self._queue.put_nowait((op, message, 0, future))
-                try:
-                    result = await future
-                    response = {"id": request_id, "ok": True}
-                    response.update(result)
-                except Exception as exc:
-                    response = {"id": request_id, "ok": False, "error": str(exc)}
-                writer.write(encode_frame(response))
-                await writer.drain()
         except (
             ProtocolError,
             ConnectionResetError,

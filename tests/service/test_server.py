@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import asyncio
+import pickle
 import socket
 import struct
+import time
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +21,10 @@ from repro.service import (
     ServiceError,
 )
 from repro.service.cli import _override_service, build_parser
-from repro.service.protocol import read_frame_sync, send_frame_sync
+from repro.service.protocol import encode_report, read_frame_sync, send_frame_sync
+
+#: seconds a live-daemon case may take before it counts as a hang
+DEADLINE = 5.0
 
 
 def service_spec(**service):
@@ -128,14 +134,102 @@ class TestLiveQueries:
         assert response["ok"] is False
         assert "unknown op" in response["error"]
 
-    def test_malformed_report_drops_the_client(self):
+    def test_json_report_is_not_an_op(self):
+        # the repro-wire/1 JSON report lane is gone: refused, not applied
         with ServiceDaemon(service_spec()) as daemon:
             sock = socket.create_connection(("127.0.0.1", daemon.port))
             try:
-                send_frame_sync(sock, {"op": "report", "items": "nope"})
+                send_frame_sync(sock, {"op": "report", "items": [1, 2]})
+                response = read_frame_sync(sock)
+                send_frame_sync(sock, {"op": "flush", "id": 1})
+                assert read_frame_sync(sock)["position"] == 0
+            finally:
+                sock.close()
+        assert response["ok"] is False
+        assert "unknown op 'report'" in response["error"]
+
+    def test_malformed_report_drops_the_client(self):
+        # a report column whose count (4) disagrees with its 3 keys
+        payload = bytearray(encode_report([1, 2, 3])[4:])
+        struct.pack_into("<I", payload, 2, 4)
+        with ServiceDaemon(service_spec()) as daemon:
+            sock = socket.create_connection(("127.0.0.1", daemon.port))
+            try:
+                sock.sendall(struct.pack(">I", len(payload)) + payload)
                 assert read_frame_sync(sock) is None  # daemon hung up
             finally:
                 sock.close()
+
+    def test_client_disconnecting_mid_frame_is_dropped(self):
+        half = encode_report(list(range(100)))
+        half = half[: len(half) // 2]
+        with ServiceDaemon(service_spec()) as daemon:
+            with ServiceClient.connect(
+                port=daemon.port, timeout=DEADLINE
+            ) as other:
+                sock = socket.create_connection(("127.0.0.1", daemon.port))
+                try:
+                    sock.sendall(encode_report([1, 2, 3]) + half)
+                finally:
+                    sock.close()
+                deadline = time.monotonic() + DEADLINE
+                while other.stats()["clients"] > 1:
+                    assert time.monotonic() < deadline, "client never dropped"
+                    time.sleep(0.01)
+                # the complete frame is in; the partial one is not
+                assert other.flush() == 3
+
+
+class TestReportColumns:
+    @pytest.mark.parametrize(
+        "keys, error",
+        [
+            ([1, 2.5], TypeError),
+            (["a"], TypeError),
+            ([(1, 2)], TypeError),
+            ([1, 2**63], OverflowError),
+            ([-(2**63) - 1], OverflowError),
+        ],
+    )
+    def test_non_integer_keys_rejected_before_sending(self, keys, error):
+        with ServiceDaemon(service_spec()) as daemon:
+            with ServiceClient.connect(
+                port=daemon.port, timeout=DEADLINE
+            ) as client:
+                with pytest.raises(error, match="repro-wire/2"):
+                    client.report(keys)
+                # nothing reached the wire: the stream is still in sync
+                client.report([1])
+                assert client.flush() == 1
+
+    def test_int64_keys_round_trip(self):
+        keys = [-1, -(2**63), 2**32, 2**63 - 1, 7, 2**32, -1, -1]
+        with ServiceDaemon(service_spec()) as daemon:
+            with ServiceClient.connect(port=daemon.port) as client:
+                client.report(keys)
+                assert client.flush() == len(keys)
+                for key in set(keys):
+                    assert client.query(key) == float(keys.count(key))
+                assert client.top_k(2) == [(-1, 3.0), (2**32, 2.0)]
+
+    @pytest.mark.parametrize(
+        "offset", [0, -(2**40)], ids=["uint32", "int64"]
+    )
+    def test_service_fed_state_equals_direct(self, tmp_path, offset):
+        stream = [offset + (i * i) % 97 for i in range(3000)]
+        spec = memento_spec(checkpoint_dir=str(tmp_path))
+        with ServiceDaemon(spec) as daemon:
+            with ServiceClient.connect(port=daemon.port) as client:
+                for lo in range(0, len(stream), 32):
+                    client.report(stream[lo : lo + 32])
+                path, position = client.checkpoint()
+        assert position == len(stream)
+        with build_engine(spec) as direct:
+            direct.update_many(stream)
+            blob = pickle.dumps(
+                direct.snapshot_state(), protocol=pickle.HIGHEST_PROTOCOL
+            )
+        assert Path(path).read_bytes().endswith(blob)
 
 
 class TestConcurrentClients:
@@ -229,10 +323,14 @@ class TestCheckpoints:
 
 
 class TestPoison:
-    def test_ingest_failure_poisons_and_surfaces(self):
+    def test_ingest_failure_poisons_and_surfaces(self, monkeypatch):
+        def explode(items):
+            raise TypeError("injected engine failure")
+
         with ServiceDaemon(service_spec()) as daemon:
+            monkeypatch.setattr(daemon.server.engine, "update_many", explode)
             with ServiceClient.connect(port=daemon.port) as client:
-                client.report([{"not": "hashable"}])
+                client.report([1, 2, 3])
                 with pytest.raises(ServiceError, match="poisoned"):
                     client.flush()
                 # later reports are consumed-and-dropped, never deadlock
@@ -258,6 +356,8 @@ class TestAsyncClient:
     def test_async_client_round_trip(self):
         async def scenario(port):
             async with await AsyncServiceClient.connect(port=port) as client:
+                with pytest.raises(TypeError, match="repro-wire/2"):
+                    await client.report([5, "five"])
                 await client.report([5] * 40 + [6] * 10)
                 assert await client.flush() == 50
                 assert await client.query(5) == 40.0
