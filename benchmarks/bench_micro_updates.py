@@ -14,6 +14,14 @@ The standalone run enforces the batch engine's contract: ``update_many``
 must reach at least 2× the scalar ops/sec on ``Memento(tau=0.1)`` and on
 ``SpaceSaving`` (exit status 1 otherwise).
 
+The ``memento_sampled/{dense,positioned,gap}`` rows time Memento's one
+sampled kernel on the three plan shapes it applies — every packet a
+Full update (``full_update_many``), controller-shaped positioned plans
+(``ingest_plan(..., sampled=True)``: 20 samples at the head of each
+144-packet report span) and pure gaps (``ingest_gap``) — at the
+controller's small-block geometry (8-packet blocks, quantum 1).  They
+are not gated.
+
 The ``hhh_output`` row times H-Memento's ``output(theta)`` on a state
 where the sampling correction exceeds ``theta * W`` (every candidate is
 selected) against the reference scan of Algorithms 2-3 that recomputes
@@ -28,6 +36,7 @@ import argparse
 import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
 import pytest
 
 try:
@@ -48,6 +57,7 @@ from repro import (
     generate_trace,
 )
 from repro.bench import BenchResult, bench, repo_root, write_results
+from repro.core.kernel import make_plan
 from repro.engine import SketchSpec
 from repro.hierarchy.hhh_output import calc_pred_1d, group_by_depth
 from repro.traffic.synth import BACKBONE
@@ -157,6 +167,25 @@ CASE_SPECS: Dict[str, Dict[str, object]] = {
 }
 
 
+#: the memento_sampled rows: 8-packet blocks and an overflow quantum of
+#: 1, as in the netwide controller's H-Memento, fed 144-packet reports
+#: carrying 20 samples each (the positioned shape)
+SAMPLED_COUNTERS = 1024
+SAMPLED_TAU = 0.125
+REPORT_COVERED = 144
+REPORT_SAMPLES = 20
+SAMPLED_SPEC = SketchSpec.from_dict(
+    {
+        "algorithm": {
+            "family": "memento",
+            "window": WINDOW,
+            "counters": SAMPLED_COUNTERS,
+            "tau": SAMPLED_TAU,
+            "seed": 1,
+        }
+    }
+).to_dict()
+
 #: the hhh_output row: H-Memento with W/8 counters at tau = 1/8, whose
 #: correction 2·Z·sqrt(V·W) (V = H/tau = 40) exceeds HHH_THETA·W
 HHH_WINDOW = 100_000
@@ -181,6 +210,61 @@ def drive_batch(algorithm, stream, chunk: int = CHUNK):
     for start in range(0, len(stream), chunk):
         update_many(stream[start : start + chunk])
     return algorithm
+
+
+def sampled_memento() -> Memento:
+    return Memento(
+        window=WINDOW, counters=SAMPLED_COUNTERS, tau=SAMPLED_TAU, seed=1
+    )
+
+
+def run_sampled_shapes(
+    stream: list, warmup: int, repeats: int
+) -> List[BenchResult]:
+    """Time the sampled kernel on dense, positioned and pure-gap plans.
+
+    ``ops`` is the number of stream packets each shape covers, so the
+    three rows share units.
+    """
+    n = len(stream)
+    head = np.arange(n) % REPORT_COVERED < REPORT_SAMPLES
+    plans = [
+        make_plan(stream[start : start + CHUNK], head[start : start + CHUNK])
+        for start in range(0, n, CHUNK)
+    ]
+
+    def dense():
+        sketch = sampled_memento()
+        for start in range(0, n, CHUNK):
+            sketch.full_update_many(stream[start : start + CHUNK])
+
+    def positioned():
+        sketch = sampled_memento()
+        for plan in plans:
+            sketch.ingest_plan(plan, sampled=True)
+
+    def gap():
+        sketch = sampled_memento()
+        for start in range(0, n, CHUNK):
+            sketch.ingest_gap(min(CHUNK, n - start))
+
+    return [
+        bench(
+            fn,
+            name=f"memento_sampled/{shape}",
+            ops=n,
+            warmup=warmup,
+            repeats=repeats,
+            metadata={
+                "path": shape,
+                "case": "memento_sampled",
+                "chunk": CHUNK,
+                "spec": SAMPLED_SPEC,
+                "transport": None,
+            },
+        )
+        for shape, fn in (("dense", dense), ("positioned", positioned), ("gap", gap))
+    ]
 
 
 def reference_output(sketch: HMemento, theta: float) -> set:
@@ -305,6 +389,7 @@ def run_harness(
         )
         results.extend((scalar, batch))
         speedups[name] = batch.ops_per_sec / scalar.ops_per_sec
+    results.extend(run_sampled_shapes(stream, warmup, repeats))
     return results, speedups
 
 
@@ -359,6 +444,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(
             f"{name.ljust(width)}  {scalar.ops_per_sec:>14,.0f}  "
             f"{batch.ops_per_sec:>14,.0f}  {speedups[name]:>6.2f}x"
+        )
+    for shape in ("dense", "positioned", "gap"):
+        row = by_name[f"memento_sampled/{shape}"]
+        print(
+            f"{('sampled/' + shape).ljust(width)}  {'':>14}  "
+            f"{row.ops_per_sec:>14,.0f}  (kernel, packets/s)"
         )
     print(
         f"{'hhh_output'.ljust(width)}  {reference.ops_per_sec:>14,.0f}  "

@@ -35,7 +35,7 @@ from ..hierarchy.domain import Hierarchy
 from ..hierarchy.hhh_output import compute_hhh
 from .api import Entry, WindowedEntries
 from .batching import BatchIngest, as_batch
-from .kernel import IngestPlan, dense_plan, plan_from_positions
+from .kernel import IngestPlan, dense_plan
 from .memento import Memento
 from .sampling import draw_decision_array, make_sampler
 
@@ -43,6 +43,9 @@ __all__ = ["HMemento"]
 
 #: Per-pattern sampling probability below which Section 6.2 saw degradation.
 MIN_PER_PATTERN_RATE = 2.0**-10
+
+#: pattern indices drawn per refill of the pattern buffer
+_PATTERN_REFILL = 4096
 
 
 class HMemento(BatchIngest):
@@ -137,24 +140,48 @@ class HMemento(BatchIngest):
             None if seed is None else seed + 0x9E3779B9
         )
         # pre-drawn uniform pattern indices, refilled in bulk for speed
-        self._pattern_buf = self._pattern_rng.integers(
-            0, self.num_patterns, size=4096
-        ).tolist()
+        self._pattern_buf = self._refill_patterns()
         self._pattern_pos = 0
         self._updates = 0
 
     # ------------------------------------------------------------------
     # update path
     # ------------------------------------------------------------------
+    def _refill_patterns(self) -> List[int]:
+        return self._pattern_rng.integers(
+            0, self.num_patterns, size=_PATTERN_REFILL
+        ).tolist()
+
     def _next_pattern(self) -> int:
         pos = self._pattern_pos
         if pos == len(self._pattern_buf):
-            self._pattern_buf = self._pattern_rng.integers(
-                0, self.num_patterns, size=4096
-            ).tolist()
+            self._pattern_buf = self._refill_patterns()
             pos = 0
         self._pattern_pos = pos + 1
         return self._pattern_buf[pos]
+
+    def _draw_patterns(self, count: int) -> List[int]:
+        """The next ``count`` pattern indices in one call.
+
+        Returns what ``count`` calls of :meth:`_next_pattern` would, with
+        the same refills (so the same RNG consumption) and the same
+        buffer left behind.
+        """
+        buf = self._pattern_buf
+        pos = self._pattern_pos
+        end = pos + count
+        if end <= len(buf):
+            self._pattern_pos = end
+            return buf[pos:end]
+        drawn = buf[pos:]
+        while True:
+            buf = self._refill_patterns()
+            need = count - len(drawn)
+            if need <= len(buf):
+                self._pattern_buf = buf
+                self._pattern_pos = need
+                return drawn + buf[:need]
+            drawn += buf
 
     def update(self, packet) -> None:
         """Process one packet (Algorithm 2, UPDATE)."""
@@ -182,11 +209,11 @@ class HMemento(BatchIngest):
         the decisions come as one numpy column (``decision_array``, same
         RNG consumption as the scalar calls) and the unsampled packets
         join the gaps.  With ``sampled=True`` (the controller feed) every
-        selected packet is already sampled.  Pattern draws then happen in
-        arrival order for exactly the sampled packets, and their prefixes
-        ride the shared Memento's span-fused
-        ``ingest_plan(..., sampled=True)`` — unsampled stretches never
-        touch per-packet Python objects.
+        selected packet is already sampled.  The sampled packets' pattern
+        column is drawn in one call, their prefixes are built from
+        columns (``Hierarchy.prefixes_at``), and the plan rides the
+        shared Memento's sampled kernel — unsampled stretches never touch
+        per-packet Python objects.
         """
         packets = plan.items
         positions = plan.positions
@@ -197,15 +224,10 @@ class HMemento(BatchIngest):
             packets = [packets[i] for i in kept.tolist()]
             positions = kept if positions is None else positions[kept]
         self._updates += plan.n
-        next_pattern = self._next_pattern
-        prefix_at = self.hierarchy.prefix_at
-        prefixes = [prefix_at(packet, next_pattern()) for packet in packets]
-        self._memento.ingest_plan(
-            dense_plan(prefixes)
-            if positions is None
-            else plan_from_positions(prefixes, positions, plan.n),
-            sampled=True,
+        prefixes = self.hierarchy.prefixes_at(
+            packets, self._draw_patterns(len(packets))
         )
+        self._memento._apply_sampled(plan.n, positions, prefixes)
 
     def ingest_sample(self, packet) -> None:
         """Feed an externally-sampled packet (network-wide controller path).

@@ -38,6 +38,15 @@ A query combines the overflow count with the in-frame remainder::
 
 where ``blk = W/k`` and the ``+2`` blocks keep the error one-sided
 (an overestimate), matching MST for comparability (Section 4.1).
+
+Batch ingestion has one sampled kernel.  ``ingest_plan`` (after drawing
+the decision column when the plan is not yet sampled — the
+``update_many``/``extend`` feed), ``full_update_many``, ``ingest_samples``
+and ``ingest_gap`` all hand it a sampled plan: dense (every packet a Full
+update), positioned (Full updates at given offsets, Window updates
+between) or a pure gap.  It walks block boundaries rather than packets
+and pops each expiry at its own update, so its state is byte-identical to
+the scalar twins ``update``, ``full_update`` and ``window_update``.
 """
 
 from __future__ import annotations
@@ -61,12 +70,24 @@ from .sampling import (
 )
 from .space_saving import SpaceSaving, _Bucket
 
-__all__ = ["Memento", "WCSS"]
+__all__ = ["Memento", "WCSS", "ExpiryQueueError"]
 
 #: samplers whose ``should_sample`` is always True (no randomness drawn)
 #: once their ``tau`` reaches 1 — the only safe targets for the WCSS
 #: shortcut that skips decision drawing entirely
 _ALWAYS_SAMPLE_AT_TAU1 = (TableSampler, GeometricSampler, BernoulliSampler)
+
+#: the selected positions of a pure gap
+_NO_POSITIONS = np.empty(0, dtype=np.int64)
+
+
+class ExpiryQueueError(RuntimeError):
+    """A block queue reached retirement with overflows still unexpired.
+
+    The drain queue empties within its block by construction; one that
+    does not means the sketch state was corrupted, and its entries are
+    never dropped silently.
+    """
 
 
 class Memento(BatchIngest):
@@ -216,56 +237,13 @@ class Memento(BatchIngest):
             offsets[item] = offsets.get(item, 0) + 1
 
     def full_update_many(self, items: Sequence[Hashable]) -> None:
-        """Perform one Full update per item through a hoisted block loop.
+        """Perform one Full update per item (a dense plan for the kernel).
 
-        Equivalent to calling :meth:`full_update` once per item, but the
-        window-slide bookkeeping runs on locals (the ``ingest_gap``
-        countdown trick generalized to the full update path): the
-        countdown, block index, and queue handles only touch ``self`` at
-        block boundaries and once at the end of the batch.
+        Equivalent to calling :meth:`full_update` once per item.
         """
         items = as_batch(items)
-        y = self._y
-        y_add_query = y.add_query
-        y_flush = y.flush
-        offsets = self._offsets
-        offsets_get = offsets.get
-        queues = self._queues
-        quantum = self.sample_block
-        block_size = self.block_size
-        k = self.k
-        countdown = self._countdown
-        blocks = self._blocks_into_frame
-        newest = self._newest
-        drain = self._drain
-        for item in items:
-            countdown -= 1
-            if countdown == 0:
-                blocks += 1
-                if blocks == k:
-                    blocks = 0
-                    y_flush()
-                queues.popleft()
-                newest = deque()
-                queues.append(newest)
-                drain = queues[0]
-                countdown = block_size
-            if drain:
-                old_id = drain.popleft()
-                remaining = offsets[old_id] - 1
-                if remaining:
-                    offsets[old_id] = remaining
-                else:
-                    del offsets[old_id]
-            if y_add_query(item) % quantum == 0:  # overflow
-                newest.append(item)
-                offsets[item] = offsets_get(item, 0) + 1
-        self._countdown = countdown
-        self._blocks_into_frame = blocks
-        self._newest = newest
-        self._drain = drain
-        self._updates += len(items)
-        self._full_updates += len(items)
+        if items:
+            self._apply_sampled(len(items), None, items)
 
     def update(self, item: Hashable) -> None:
         """Process one packet: Full update w.p. ``tau``, else Window update."""
@@ -280,7 +258,7 @@ class Memento(BatchIngest):
         State after ``update_many(items)`` is identical to calling
         :meth:`update` once per item under the same seed: the batch is a
         dense plan, and :meth:`ingest_plan` draws its decision column and
-        replays the sampled packets through the span-fused loop.
+        replays the sampled packets through the sampled kernel.
         """
         self.ingest_plan(dense_plan(as_batch(items)))
 
@@ -310,22 +288,7 @@ class Memento(BatchIngest):
         the gaps between the surviving positions, as a scalar Window
         update would.  With ``sampled=True`` (the decision-column and
         controller feeds) every selected item receives a Full update.
-
-        The sampled plan runs through one loop organized around **block
-        spans** rather than packets: rotation offsets are computed
-        arithmetically from the countdown, samples are split across
-        spans with one ``np.searchsorted``, and each span performs its
-        boundary bookkeeping once, drains its expiries in one bulk run
-        (the drain queue never grows inside a block, so a span of ``u``
-        updates pops exactly ``min(u, len(drain))`` entries — commuting
-        the pops ahead of the span's insertions leaves identical
-        end-of-span state), and then applies the span's sampled packets
-        through a tight loop whose body is only the fused Space Saving
-        increment plus the overflow check.  The same straight-line
-        increment as ``SpaceSaving.add_query`` (which is contractually in
-        lockstep with ``add`` — the differential tests compare every path
-        with scalar ``update``) is inlined so the hot path has no
-        per-sample calls at all.
+        Either way the sampled plan runs through the one sampled kernel.
         """
         sampler = self._sampler
         if not sampled and len(plan.items) and not (
@@ -346,217 +309,225 @@ class Memento(BatchIngest):
                 plan = IngestPlan(
                     plan.n, plan.positions[kept.positions], kept.items
                 )
-        items = plan.items
-        if plan.dense:
-            if items:
-                self.full_update_many(items)
+        self._apply_sampled(plan.n, plan.positions, plan.items)
+
+    def ingest_gap(self, count: int) -> None:
+        """Advance the window for ``count`` unsampled (unreported) packets.
+
+        Identical to ``count`` Window updates, in O(W) time whatever the
+        count: two frames of gap expire every overflow and flush ``y``,
+        after which a further whole frame changes nothing but the
+        ``updates`` counter.  Those frames are skipped arithmetically and
+        the last two to three frames walk through the sampled kernel.
+        """
+        if count < 0:
+            raise ValueError(f"count must be non-negative, got {count}")
+        frame = self.effective_window
+        skip = (count // frame - 2) * frame
+        if skip > 0:
+            self._updates += skip
+            count -= skip
+        self._apply_sampled(count, _NO_POSITIONS, ())
+
+    def _apply_sampled(
+        self,
+        n: int,
+        positions: Optional[np.ndarray],
+        items: Sequence[Hashable],
+    ) -> None:
+        """The sampled kernel: ``n`` updates, Full ones for ``items``.
+
+        ``items`` get Full updates at ``positions`` (ascending offsets
+        into the ``n`` updates; ``None`` selects every position, a dense
+        plan) and every other update is a Window update.  The final
+        state, down to the insertion order of the overflow table, is the
+        one the scalar twins leave.
+
+        The loop walks **block spans**, not packets: the rotation offsets
+        follow from the countdown, the samples are split across spans
+        with one ``np.searchsorted``, and each span after the first opens
+        with its boundary bookkeeping.  The retired drain queue is always
+        empty there (a queue takes at most ``block_size`` overflows while
+        newest and later drains one per update for a whole block), so it
+        is rotated round to become the newest queue.  While expiries are
+        pending, each sample first pops up to its own update, the scalar
+        order.  Once the drain queue is empty the rest of the span runs
+        through a tight slice loop whose body is the inlined Space Saving
+        unit increment (the steps of ``SpaceSaving.update_many``, with the
+        free-counter insert at value 1 spelled out) plus the overflow
+        check.
+        """
+        if n <= 0:
             return
-        if not items:
-            if plan.n:
-                self.ingest_gap(plan.n)
-            return
-        positions = plan.positions
-        last = int(positions[-1]) + 1  # stream packets processed here
+        block_size = self.block_size
+        first_rot = self._countdown - 1
+        rots = range(first_rot, n, block_size)
+        bounds = [*rots, n]  # span ends; each rotation update opens a span
+        pos: Sequence[int]
+        if positions is None:
+            pos = range(n)
+            his = bounds
+        else:
+            pos = positions.tolist()
+            if pos:
+                his = np.searchsorted(
+                    positions, np.arange(first_rot, n, block_size)
+                ).tolist()
+            else:
+                his = [0] * len(rots)
+            his.append(len(pos))
         y = self._y
         y_flush = y.flush
         y_index = y._index
         y_index_get = y_index.get
         y_counters = y.counters
-        y_insert = y._insert
-        pending_y_items = 0
+        size = y._size
+        # y's arrivals: its count so far, plus the samples from index
+        # fresh_lo on (both reset by a frame flush inside this call)
+        fresh_items = y._items
+        fresh_lo = 0
         offsets = self._offsets
         offsets_get = offsets.get
         queues = self._queues
         quantum = self.sample_block
-        block_size = self.block_size
         k = self.k
         blocks = self._blocks_into_frame
         newest = self._newest
         drain = self._drain
-        # rotation offsets are fixed by the countdown: the update that
-        # takes the countdown to zero rotates, then every block_size
-        first_rot = self._countdown - 1
-        if first_rot >= last:
-            nrot = 0
-            split = [len(items)]
-        else:
-            nrot = (last - 1 - first_rot) // block_size + 1
-            split = np.searchsorted(
-                positions,
-                first_rot + block_size * np.arange(nrot + 1, dtype=np.int64),
-            ).tolist()
-        sample_lo = 0
-        span_end = 0
-        for i in range(nrot + 1):
-            if i:
-                # span starts with the rotation update (which pops from
-                # the freshly exposed drain queue)
+        s = lo = 0
+        rotating = False  # the first span does not open on a boundary
+        for e, hi in zip(bounds, his):
+            if rotating:
                 blocks += 1
                 if blocks == k:
                     blocks = 0
-                    y_flush()
-                    pending_y_items = 0
-                queues.popleft()
-                newest = deque()
-                queues.append(newest)
+                    y_flush()  # new frame
+                    size = fresh_items = 0
+                    fresh_lo = lo
+                if drain:
+                    raise ExpiryQueueError(
+                        f"block queue retired with {len(drain)} unexpired "
+                        f"overflow(s)"
+                    )
+                queues.rotate(-1)
+                newest = drain
                 drain = queues[0]
-                span = block_size
-                tail_span = last - span_end
-                if span > tail_span:
-                    span = tail_span
-                span_end += span
-            elif nrot:
-                span = first_rot
-                span_end = span
-            else:
-                span = last
-                span_end = last
-            if drain and span:
-                # bulk de-amortized expiry: one pop per update, capped
-                # by what the queue holds
-                pops = span if span < len(drain) else len(drain)
+            rotating = True
+            # de-amortized expiry: one pop per update while the queue lasts
+            end = s + len(drain)
+            if end > e:
+                end = e
+            popped = s
+            if popped < end:
                 popleft = drain.popleft
-                for _ in range(pops):
-                    old_id = popleft()
-                    remaining = offsets[old_id] - 1
-                    if remaining:
-                        offsets[old_id] = remaining
+            while True:
+                b = hi
+                if popped < end:
+                    if lo < hi and pos[lo] < end:
+                        # this sample's own update pops before it inserts
+                        target = pos[lo] + 1
+                        b = lo + 1
                     else:
-                        del offsets[old_id]
-            hi = split[i]
-            pending_y_items += hi - sample_lo
-            for item in items[sample_lo:hi]:
-                # fused SpaceSaving.add_query (stream-summary unit
-                # increment): successor-absorb, in-place bump, splice,
-                # or min-eviction
-                bucket = y_index_get(item)
-                if bucket is not None:
-                    keys = bucket.keys
-                    value = bucket.value + 1
-                    node = bucket.next
-                    if node is not None and node.value == value:
-                        node.keys[item] = keys.pop(item)
-                        y_index[item] = node
-                        if not keys:
-                            prev_b = bucket.prev
-                            if prev_b is not None:
-                                prev_b.next = node
-                            else:
-                                y._head = node
-                            node.prev = prev_b
-                    elif len(keys) == 1:
-                        bucket.value = value
-                    else:
-                        fresh = _Bucket(value)
-                        fresh.keys[item] = keys.pop(item)
-                        fresh.prev, fresh.next = bucket, node
-                        bucket.next = fresh
-                        if node is not None:
-                            node.prev = fresh
-                        y_index[item] = fresh
-                elif y._size < y_counters:
-                    y_insert(item, 1, 0, None)
-                    y._size += 1
-                    value = 1
-                else:
-                    head = y._head
-                    keys = head.keys
-                    victim = next(iter(keys))
-                    min_value = head.value
-                    value = min_value + 1
-                    node = head.next
-                    del keys[victim]
-                    del y_index[victim]
-                    if node is not None and node.value == value:
-                        node.keys[item] = min_value
-                        y_index[item] = node
-                        if not keys:
-                            y._head = node
-                            node.prev = None
-                    elif not keys:
-                        keys[item] = min_value
-                        head.value = value
-                        y_index[item] = head
-                    else:
-                        fresh = _Bucket(value)
-                        fresh.keys[item] = min_value
-                        fresh.prev, fresh.next = head, node
-                        head.next = fresh
-                        if node is not None:
-                            node.prev = fresh
-                        y_index[item] = fresh
-                if value % quantum == 0:  # overflow
-                    newest.append(item)
-                    offsets[item] = offsets_get(item, 0) + 1
-            sample_lo = hi
-        y._items += pending_y_items
-        if nrot:
-            # countdown resets to block_size on the rotation update and
-            # decrements once per update after it
-            self._countdown = block_size - (
-                last - (first_rot + (nrot - 1) * block_size) - 1
-            )
-        else:
-            self._countdown -= last
-        self._blocks_into_frame = blocks
-        self._newest = newest
-        self._drain = drain
-        self._updates += last
-        self._full_updates += len(items)
-        tail = plan.tail_gap
-        if tail:
-            self.ingest_gap(tail)
-
-    def ingest_gap(self, count: int) -> None:
-        """Advance the window for ``count`` unsampled (unreported) packets.
-
-        Semantically identical to ``count`` Window updates, but batches the
-        stretches where no expiry work is pending (empty drain queue, no
-        block boundary) into O(1) counter arithmetic, and drains pending
-        overflow expiries in bulk between boundaries — the controller path
-        advances the window for every unreported packet, so this is its
-        hot loop.
-        """
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        offsets = self._offsets
-        while count > 0:
-            drain = self._drain
-            if drain:
-                # bulk-drain up to the next block boundary: each of these
-                # steps expires exactly one overflow and cannot rotate
-                steps = self._countdown - 1
-                if steps > count:
-                    steps = count
-                if steps > len(drain):
-                    steps = len(drain)
-                if steps > 0:
-                    popleft = drain.popleft
-                    for _ in range(steps):
+                        target = end
+                    while popped < target:
                         old_id = popleft()
                         remaining = offsets[old_id] - 1
                         if remaining:
                             offsets[old_id] = remaining
                         else:
                             del offsets[old_id]
-                    self._countdown -= steps
-                    self._updates += steps
-                    count -= steps
-                else:  # countdown == 1: the boundary step rotates queues
-                    self.window_update()
-                    count -= 1
-                continue
-            remaining = self._countdown
-            if count < remaining:
-                self._countdown = remaining - count
-                self._updates += count
-                return
-            # consume the rest of this block; the final update performs the
-            # boundary bookkeeping (and drains from the rotated queue)
-            self._updates += remaining - 1
-            count -= remaining
-            self._countdown = 1
-            self.window_update()
+                        popped += 1
+                for item in items[lo:b]:
+                    # fused unit increment: successor-absorb, in-place
+                    # bump, splice, or min-eviction
+                    bucket = y_index_get(item)
+                    if bucket is not None:
+                        keys = bucket.keys
+                        value = bucket.value + 1
+                        node = bucket.next
+                        if node is not None and node.value == value:
+                            node.keys[item] = keys.pop(item)
+                            y_index[item] = node
+                            if not keys:
+                                prev_b = bucket.prev
+                                if prev_b is not None:
+                                    prev_b.next = node
+                                else:
+                                    y._head = node
+                                node.prev = prev_b
+                        elif len(keys) == 1:
+                            bucket.value = value
+                        else:
+                            fresh = _Bucket(value)
+                            fresh.keys[item] = keys.pop(item)
+                            fresh.prev, fresh.next = bucket, node
+                            bucket.next = fresh
+                            if node is not None:
+                                node.prev = fresh
+                            y_index[item] = fresh
+                    elif size < y_counters:
+                        # a free counter: join or open the value-1 head
+                        size += 1
+                        value = 1
+                        head = y._head
+                        if head is not None and head.value == 1:
+                            head.keys[item] = 0
+                            y_index[item] = head
+                        else:
+                            fresh = _Bucket(1)
+                            fresh.keys[item] = 0
+                            fresh.next = head
+                            if head is not None:
+                                head.prev = fresh
+                            y._head = fresh
+                            y_index[item] = fresh
+                    else:
+                        head = y._head
+                        keys = head.keys
+                        victim = next(iter(keys))
+                        min_value = head.value
+                        value = min_value + 1
+                        node = head.next
+                        del keys[victim]
+                        del y_index[victim]
+                        if node is not None and node.value == value:
+                            node.keys[item] = min_value
+                            y_index[item] = node
+                            if not keys:
+                                y._head = node
+                                node.prev = None
+                        elif not keys:
+                            keys[item] = min_value
+                            head.value = value
+                            y_index[item] = head
+                        else:
+                            fresh = _Bucket(value)
+                            fresh.keys[item] = min_value
+                            fresh.prev, fresh.next = head, node
+                            head.next = fresh
+                            if node is not None:
+                                node.prev = fresh
+                            y_index[item] = fresh
+                    if value % quantum == 0:  # overflow
+                        newest.append(item)
+                        offsets[item] = offsets_get(item, 0) + 1
+                lo = b
+                if b == hi and popped == end:
+                    break
+            s = e
+        # the rotation update resets the countdown to block_size, and each
+        # later update decrements it
+        if rots:
+            self._countdown = block_size - (n - 1 - rots[-1])
+        else:
+            self._countdown -= n
+        y._size = size
+        y._items = fresh_items + len(items) - fresh_lo
+        self._blocks_into_frame = blocks
+        self._newest = newest
+        self._drain = drain
+        self._updates += n
+        self._full_updates += len(items)
 
     # ------------------------------------------------------------------
     # query path (Algorithm 1 lines 22-25)

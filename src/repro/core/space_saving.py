@@ -181,76 +181,6 @@ class SpaceSaving(BatchIngest):
         """Alias of :meth:`add` — the shared streaming-algorithm interface."""
         self.add(key)
 
-    def add_query(self, key: Hashable) -> int:
-        """:meth:`add` one arrival and return the new estimate in one call.
-
-        Memento's full-update loop needs the post-increment count to test
-        for overflow; fusing the pair into one straight-line method (the
-        same fast paths as :meth:`update_many`: successor-absorb,
-        in-place bump, splice) removes the whole per-packet call chain
-        from the batch hot path.  Must stay in lockstep with :meth:`add`
-        — the differential tests compare all three paths.
-        """
-        self._items += 1
-        index = self._index
-        bucket = index.get(key)
-        if bucket is not None:
-            keys = bucket.keys
-            value = bucket.value + 1
-            node = bucket.next
-            if node is not None and node.value == value:
-                node.keys[key] = keys.pop(key)
-                index[key] = node
-                if not keys:
-                    prev_b = bucket.prev
-                    if prev_b is not None:
-                        prev_b.next = node
-                    else:
-                        self._head = node
-                    node.prev = prev_b
-            elif len(keys) == 1:
-                bucket.value = value
-            else:
-                fresh = _Bucket(value)
-                fresh.keys[key] = keys.pop(key)
-                fresh.prev, fresh.next = bucket, node
-                bucket.next = fresh
-                if node is not None:
-                    node.prev = fresh
-                index[key] = fresh
-            return value
-        if self._size < self.counters:
-            self._insert(key, 1, 0, None)
-            self._size += 1
-            return 1
-        head = self._head
-        keys = head.keys
-        victim = next(iter(keys))
-        min_value = head.value
-        value = min_value + 1
-        node = head.next
-        del keys[victim]
-        del index[victim]
-        if node is not None and node.value == value:
-            node.keys[key] = min_value
-            index[key] = node
-            if not keys:
-                self._head = node
-                node.prev = None
-        elif not keys:
-            keys[key] = min_value
-            head.value = value
-            index[key] = head
-        else:
-            fresh = _Bucket(value)
-            fresh.keys[key] = min_value
-            fresh.prev, fresh.next = head, node
-            head.next = fresh
-            if node is not None:
-                node.prev = fresh
-            index[key] = fresh
-        return value
-
     def update_many(self, items) -> None:
         """Process a batch of unit arrivals through one hoisted loop.
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from .prefix import MASKS, generalizes_1d, prefix_str
 
 __all__ = ["Hierarchy", "Hierarchy1D", "Hierarchy2D", "SRC_HIERARCHY", "SRC_DST_HIERARCHY"]
@@ -47,6 +49,14 @@ class Hierarchy:
     def prefix_at(self, packet, pattern_index: int):
         """The single generalization of ``packet`` for one pattern."""
         raise NotImplementedError
+
+    def prefixes_at(self, packets: Sequence, patterns: Sequence[int]) -> List:
+        """``prefix_at`` of each packet with its pattern, as one list."""
+        prefix_at = self.prefix_at
+        return [
+            prefix_at(packet, pattern)
+            for packet, pattern in zip(packets, patterns)
+        ]
 
     def pattern_index(self, prefix) -> int:
         """Index of the pattern that ``prefix`` belongs to."""
@@ -135,6 +145,26 @@ class Hierarchy1D(Hierarchy):
 
     def prefix_at(self, packet: int, pattern_index: int):
         return (packet & self._masks[pattern_index], self._lengths[pattern_index])
+
+    _mask_column = np.array(_masks, dtype=np.int64)
+    _length_column = np.array(_lengths, dtype=np.int64)
+
+    def prefixes_at(self, packets: Sequence, patterns: Sequence[int]) -> List:
+        """Column form of ``prefix_at``: one mask-table lookup and one
+        ``&`` for the whole batch, zipped back into tuples of Python
+        ints (the same keys the scalar path builds).  Batches that are
+        not an ``int64``-compatible integer column take the scalar loop.
+        """
+        column = np.asarray(packets)
+        if column.dtype.kind not in "iu" or column.dtype == np.uint64:
+            return super().prefixes_at(packets, patterns)
+        pattern_column = np.asarray(patterns, dtype=np.intp)
+        return list(
+            zip(
+                (column & self._mask_column[pattern_column]).tolist(),
+                self._length_column[pattern_column].tolist(),
+            )
+        )
 
     def pattern_index(self, prefix) -> int:
         return (32 - prefix[1]) // 8

@@ -8,7 +8,8 @@ types exist:
   (D-Memento) or H-Memento (D-H-Memento) instance configured with the
   transport sampling rate ``tau``.  For every received report it performs a
   Full update per sampled packet and Window updates for the covered-but-
-  unsampled remainder, exactly as Section 4.3 prescribes.
+  unsampled remainder, exactly as Section 4.3 prescribes; a call with many
+  reports compiles them into one sampled plan.
 * :class:`AggregationController` — the idealized merge baseline: it retains
   every reported delta with its arrival time and answers queries by summing
   deltas that arrived within the last ``W`` global packets.  Space is
@@ -21,13 +22,25 @@ types exist:
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Hashable, Iterable, Optional, Set, Tuple
+from typing import Deque, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
+from ..core.kernel import plan_from_positions
 from ..hierarchy.domain import Hierarchy
 from ..hierarchy.hhh_output import compute_hhh
 from .messages import AggregateReport, BatchReport
 
 __all__ = ["SketchController", "AggregationController"]
+
+
+def _checked_gap(report: BatchReport) -> int:
+    """The report's unsampled remainder; a negative one is malformed."""
+    gap = report.covered - len(report.samples)
+    if gap < 0:
+        raise ValueError(
+            f"malformed report: covers {report.covered} packets but "
+            f"carries {len(report.samples)} samples"
+        )
+    return gap
 
 
 class SketchController:
@@ -51,33 +64,49 @@ class SketchController:
     def receive(self, report: BatchReport) -> None:
         """Apply one report: Full updates for samples, Window for the rest.
 
-        The samples ride the sketch's batch ingestion path
-        (``ingest_samples``), so a Batch-method report costs one hoisted
-        block update rather than one call per sample.
+        The per-report reference of :meth:`receive_many`: the samples
+        take the first ``len(samples)`` positions of the report's
+        ``covered`` span and the rest is gap.
         """
         samples = report.samples
-        gap = report.covered - len(samples)
-        if gap < 0:
-            raise ValueError(
-                f"malformed report: covers {report.covered} packets but "
-                f"carries {len(samples)} samples"
-            )
-        algorithm = self.algorithm
-        if len(samples) == 1:
-            algorithm.ingest_sample(samples[0])
-        elif samples:
-            algorithm.ingest_samples(samples)
+        gap = _checked_gap(report)
+        if samples:
+            self.algorithm.ingest_samples(samples)
         if gap > 0:
-            algorithm.ingest_gap(gap)
+            self.algorithm.ingest_gap(gap)
         self.reports_received += 1
         self.samples_ingested += len(samples)
         self.packets_covered += report.covered
 
-    def receive_many(self, reports) -> None:
-        """Apply a sequence of reports in arrival order."""
-        receive = self.receive
+    def receive_many(self, reports: Iterable[BatchReport]) -> None:
+        """Apply a sequence of reports in arrival order, as one plan.
+
+        The reports compile into one positioned sampled plan — each
+        report's samples at the first ``len(samples)`` positions of its
+        ``covered`` span, the rest gap — fed through one
+        ``ingest_plan(plan, sampled=True)`` call, so the state equals
+        :meth:`receive` applied report by report.  Every report is
+        validated before anything is applied: a malformed one raises
+        :meth:`receive`'s ``ValueError`` and leaves the sketch untouched.
+        """
+        samples: List[Hashable] = []
+        positions: List[int] = []
+        total = 0
+        received = 0
         for report in reports:
-            receive(report)
+            _checked_gap(report)
+            batch = report.samples
+            positions.extend(range(total, total + len(batch)))
+            samples.extend(batch)
+            total += report.covered
+            received += 1
+        if total:
+            self.algorithm.ingest_plan(
+                plan_from_positions(samples, positions, total), sampled=True
+            )
+        self.reports_received += received
+        self.samples_ingested += len(samples)
+        self.packets_covered += total
 
     def query(self, key: Hashable) -> float:
         """Network-wide window frequency estimate for ``key``."""

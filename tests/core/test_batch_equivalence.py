@@ -42,6 +42,16 @@ from repro.traffic.synth import BACKBONE, DATACENTER
 WINDOW = 1000
 COUNTERS = 32
 STREAM_LEN = 12_000
+# The tiny inputs: a handful of keys under a window of a few blocks, so a
+# key is often re-sampled while its own expiry is still queued — the case
+# where the overflow table's insertion order (and so the pickled bytes)
+# depends on popping each expiry at its own update.  A tiny keyspace
+# re-inserts every key within a window, so only the last few blocks of a
+# stream show in its final state: the input is many short streams.
+TINY_STREAMS = 40
+TINY_KEYS = 4
+TINY_WINDOW = 24
+TINY_COUNTERS = 6  # block_size = 4, frame = 24
 
 
 def space_saving_state(ss: SpaceSaving):
@@ -70,7 +80,7 @@ def memento_state(m: Memento):
         m._full_updates,
         m._countdown,
         m._blocks_into_frame,
-        dict(m._offsets),
+        list(m._offsets.items()),  # insertion order included
         [list(q) for q in m._queues],
         space_saving_state(m._y),
     )
@@ -104,6 +114,25 @@ def stream():
 @pytest.fixture(scope="module")
 def skewed_stream():
     return generate_trace(DATACENTER, STREAM_LEN, seed=19).packets_1d()
+
+
+@pytest.fixture(scope="module")
+def tiny_streams():
+    """Seeded small-keyspace streams of two to eight windows: /32s under
+    two /24s of one /16."""
+    rng = random.Random(40)
+    keys = [0x0A010000 | (i % 2) << 8 | i for i in range(TINY_KEYS)]
+    return [
+        [rng.choice(keys) for _ in range(rng.randrange(2, 8) * TINY_WINDOW)]
+        for _ in range(TINY_STREAMS)
+    ]
+
+
+def with_tiny(stream, window, counters, tiny_streams):
+    """The trace input and then every tiny input, with their geometry."""
+    return [(stream, window, counters)] + [
+        (packets, TINY_WINDOW, TINY_COUNTERS) for packets in tiny_streams
+    ]
 
 
 class TestSpaceSavingEquivalence:
@@ -563,41 +592,54 @@ class TestEveryPathMatchesScalar:
     @pytest.mark.parametrize("path", sorted(PATHS))
     @pytest.mark.parametrize("sampler", SAMPLERS)
     @pytest.mark.parametrize("tau", [1.0, 0.25, 0.1])
-    def test_memento(self, stream, tau, sampler, path):
-        def build():
-            return Memento(
-                WINDOW,
-                counters=COUNTERS,
-                tau=tau,
-                sampler=make_sampler_object(sampler, tau),
-                seed=11,
-            )
+    def test_memento(self, stream, tiny_streams, tau, sampler, path):
+        for packets, window, counters in with_tiny(
+            stream, WINDOW, COUNTERS, tiny_streams
+        ):
 
-        sketch, twin = build(), build()
-        PATHS[path](sketch, twin, stream)
-        assert memento_state(sketch) == memento_state(twin)
-        assert pickle.dumps(sketch) == pickle.dumps(twin)
+            def build():
+                return Memento(
+                    window,
+                    counters=counters,
+                    tau=tau,
+                    sampler=make_sampler_object(sampler, tau),
+                    seed=11,
+                )
+
+            sketch, twin = build(), build()
+            PATHS[path](sketch, twin, packets)
+            assert memento_state(sketch) == memento_state(twin)
+            assert pickle.dumps(sketch) == pickle.dumps(twin)
 
     @pytest.mark.parametrize("path", sorted(PATHS))
     @pytest.mark.parametrize("sampler", ["table", "geometric", "scalar-only"])
-    def test_hmemento(self, stream, sampler, path):
-        def build():
-            return HMemento(
-                window=3000,
-                hierarchy=SRC_HIERARCHY,
-                counters=160,
-                tau=0.3,
-                sampler=make_sampler_object(sampler, 0.3),
-                seed=6,
-            )
+    def test_hmemento(self, stream, tiny_streams, sampler, path):
+        for packets, window, counters in with_tiny(
+            stream, 3000, 160, tiny_streams
+        ):
 
-        sketch, twin = build(), build()
-        PATHS[path](sketch, twin, stream)
-        assert sketch.updates == twin.updates
-        assert memento_state(sketch._memento) == memento_state(twin._memento)
-        # prefix keys are tuples, which pickle memoizes by identity, so the
-        # random streams are compared byte-for-byte and the sketch by value
-        assert sketch._pattern_pos == twin._pattern_pos
-        assert pickle.dumps(
-            (sketch._sampler, sketch._pattern_rng, sketch._pattern_buf)
-        ) == pickle.dumps((twin._sampler, twin._pattern_rng, twin._pattern_buf))
+            def build():
+                return HMemento(
+                    window=window,
+                    hierarchy=SRC_HIERARCHY,
+                    counters=counters,
+                    tau=0.3,
+                    sampler=make_sampler_object(sampler, 0.3),
+                    seed=6,
+                )
+
+            sketch, twin = build(), build()
+            PATHS[path](sketch, twin, packets)
+            assert sketch.updates == twin.updates
+            assert memento_state(sketch._memento) == memento_state(
+                twin._memento
+            )
+            # prefix keys are tuples, which pickle memoizes by identity, so
+            # the random streams are compared byte-for-byte and the sketch
+            # by value (insertion order included)
+            assert sketch._pattern_pos == twin._pattern_pos
+            assert pickle.dumps(
+                (sketch._sampler, sketch._pattern_rng, sketch._pattern_buf)
+            ) == pickle.dumps(
+                (twin._sampler, twin._pattern_rng, twin._pattern_buf)
+            )

@@ -192,3 +192,21 @@ class TestTwoDimensions:
                 sketch.update((int(rng.integers(0, 2**32)), int(rng.integers(0, 2**32))))
         out = sketch.output(theta=0.25, conservative=False)
         assert any(SRC_DST_HIERARCHY.generalizes(p, (src, 32, dst, 32)) or p == (src, 32, dst, 32) for p in out)
+
+
+class TestPatternColumn:
+    @pytest.mark.parametrize("sizes", [(0, 5, 4091), (4096, 1), (9000, 3, 8193)])
+    def test_draw_patterns_equals_sequential_draws(self, sizes):
+        a = HMemento(window=1000, hierarchy=SRC_HIERARCHY, counters=50, seed=4)
+        b = HMemento(window=1000, hierarchy=SRC_HIERARCHY, counters=50, seed=4)
+        for size in sizes:
+            assert a._draw_patterns(size) == [
+                b._next_pattern() for _ in range(size)
+            ]
+            # same buffer, same position, same RNG consumption
+            assert a._pattern_pos == b._pattern_pos
+            assert a._pattern_buf == b._pattern_buf
+            assert (
+                a._pattern_rng.bit_generator.state
+                == b._pattern_rng.bit_generator.state
+            )

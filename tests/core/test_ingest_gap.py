@@ -5,10 +5,14 @@ docstring promises: ``ingest_gap(n)`` must leave the sketch in exactly
 the state that ``n`` scalar ``window_update()`` calls would, including
 the ``updates`` counter and ``frame_position``, for gaps that land on
 block boundaries, span whole frames, and interleave with pending
-drain-queue work.
+drain-queue work — and, for hostile counts up to 10**18, within a
+deadline.
 """
 
 from __future__ import annotations
+
+import pickle
+import time
 
 import pytest
 
@@ -113,3 +117,52 @@ class TestIngestGapEdgeCases:
             a.full_update(item)
             b.full_update(item)
         assert_gap_equals_loop(a, b, count)
+
+
+def loaded_pair(window: int, counters: int):
+    """A sketch with pending expiries mid-block, and a byte-equal copy."""
+    sketch = Memento(window, counters=counters, tau=0.5, seed=2)
+    sketch.update_many([key % 3 for key in range(5 * window + 1)])
+    assert sketch.overflow_entries > 0
+    return sketch, pickle.loads(pickle.dumps(sketch))
+
+
+class TestHostileGapCounts:
+    """``ingest_gap`` is O(W) whatever its count: gaps past two frames
+    skip whole frames arithmetically, with ``updates`` kept exact."""
+
+    @pytest.mark.parametrize("window,counters", [(12, 3), (24, 6), (40, 8)])
+    def test_every_count_up_to_seven_windows(self, window, counters):
+        base, twin = loaded_pair(window, counters)
+        frozen = pickle.dumps(base)
+        for count in range(7 * base.effective_window + 1):
+            gapped = pickle.loads(frozen)
+            gapped.ingest_gap(count)
+            assert pickle.dumps(gapped) == pickle.dumps(twin), count
+            twin.window_update()
+
+    def test_huge_count_returns_and_counts_exactly(self):
+        sketch, twin = loaded_pair(24, 6)
+        count = 10**18
+        before = sketch.updates
+        started = time.perf_counter()
+        sketch.ingest_gap(count)
+        assert time.perf_counter() - started < 2.0
+        assert sketch.updates == before + count
+        # the same end state as the shortest gap of the same frame phase
+        # that also expires everything
+        frame = twin.effective_window
+        for _ in range(2 * frame + (count - 2 * frame) % frame):
+            twin.window_update()
+        twin._updates = sketch.updates
+        assert pickle.dumps(sketch) == pickle.dumps(twin)
+        assert sketch.overflow_entries == 0
+
+    def test_huge_count_at_netwide_scale(self):
+        sketch = Memento(100_000, counters=12_500, tau=0.03, seed=1)
+        sketch.update_many(list(range(250_000)))
+        started = time.perf_counter()
+        sketch.ingest_gap(10**18)
+        assert time.perf_counter() - started < 2.0
+        assert sketch.updates == 250_000 + 10**18
+        assert sketch.overflow_entries == 0

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import WCSS, ExactWindowCounter, FixedSampler, Memento
+from repro.core.memento import ExpiryQueueError
 
 streams = st.lists(st.integers(min_value=0, max_value=15), min_size=0, max_size=600)
 
@@ -224,6 +225,15 @@ class TestIngestPaths:
         sketch = Memento(window=10, counters=2, tau=1.0)
         with pytest.raises(ValueError):
             sketch.ingest_gap(-1)
+
+    def test_unexpired_queue_at_a_boundary_is_a_named_error(self):
+        # a corrupted drain queue holding more overflows than its block has
+        # updates left must not be retired silently
+        sketch = Memento(window=40, counters=4, tau=1.0)
+        sketch._drain.extend(["x"] * (sketch.block_size + 1))
+        sketch._offsets["x"] = sketch.block_size + 1
+        with pytest.raises(ExpiryQueueError):
+            sketch.ingest_gap(2 * sketch.block_size)
 
     def test_ingest_sample_is_full_update(self):
         sketch = Memento(window=100, counters=8, tau=0.25)

@@ -80,6 +80,34 @@ class TestHierarchy1D:
         assert SRC_HIERARCHY.root() == (0, 0)
         assert SRC_HIERARCHY.depth(SRC_HIERARCHY.root()) == 4
 
+    @given(st.lists(st.tuples(ips, st.integers(0, 4)), max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_prefixes_at_matches_prefix_at(self, pairs):
+        packets = [pkt for pkt, _ in pairs]
+        patterns = [idx for _, idx in pairs]
+        got = SRC_HIERARCHY.prefixes_at(packets, patterns)
+        assert got == [SRC_HIERARCHY.prefix_at(p, i) for p, i in pairs]
+        # plain Python ints, so sketch keys (and pickled state) match the
+        # scalar path's
+        assert all(type(v) is int for prefix in got for v in prefix)
+
+    @pytest.mark.parametrize(
+        "packets",
+        [[-5, 2**40], [2**63 + 7], [True, 3]],
+        ids=["negative-and-wide", "beyond-int64", "bool"],
+    )
+    def test_prefixes_at_edge_integers(self, packets):
+        patterns = list(range(len(packets)))
+        assert SRC_HIERARCHY.prefixes_at(packets, patterns) == [
+            SRC_HIERARCHY.prefix_at(p, i) for p, i in zip(packets, patterns)
+        ]
+
+    def test_prefixes_at_rejects_what_prefix_at_rejects(self):
+        with pytest.raises(TypeError):
+            SRC_HIERARCHY.prefix_at(1.5, 0)
+        with pytest.raises(TypeError):
+            SRC_HIERARCHY.prefixes_at([1.5], [0])
+
 
 class TestHierarchy2D:
     def test_constants(self):
@@ -164,6 +192,15 @@ class TestHierarchy2D:
             SRC_DST_HIERARCHY.format(SRC_DST_HIERARCHY.prefix_at(pkt, idx))
             == "(181.7.20.*, 208.67.*)"
         )
+
+
+class TestPrefixesAt2D:
+    def test_base_loop_matches_prefix_at(self):
+        pkts = [(ip_to_int("1.2.3.4"), ip_to_int("5.6.7.8")), (7, 9)]
+        assert SRC_DST_HIERARCHY.prefixes_at(pkts, [0, 24]) == [
+            SRC_DST_HIERARCHY.prefix_at(pkts[0], 0),
+            SRC_DST_HIERARCHY.prefix_at(pkts[1], 24),
+        ]
 
 
 class TestBestGeneralized:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+import random
+
 import pytest
 
 from repro import (
@@ -11,6 +14,7 @@ from repro import (
     SketchController,
     SRC_HIERARCHY,
 )
+from repro.engine import SketchSpec, build_engine
 from repro.netwide.messages import AggregateReport, BatchReport
 
 
@@ -68,6 +72,110 @@ class TestSketchController:
         controller = SketchController(algorithm)
         controller.receive(batch_report(["k"] * 30, covered=30))
         assert "k" in set(controller.candidates())
+
+
+def report_stream(seed=5, count=300):
+    """Seeded Batch reports over a small keyspace, with the edge shapes:
+    no samples, ``covered == len(samples)``, and single samples."""
+    rng = random.Random(seed)
+    keys = [0x0A000000 | rng.randrange(1 << 12) for _ in range(40)]
+    reports = [
+        batch_report([], covered=17),
+        batch_report([keys[0]] * 5, covered=5),
+        batch_report([keys[1]], covered=1),
+        batch_report([keys[2]], covered=30),
+        batch_report([], covered=0),
+    ]
+    while len(reports) < count:
+        samples = [rng.choice(keys) for _ in range(rng.choice((0, 1, 1, 3, 20)))]
+        covered = len(samples) + rng.choice((0, 0, 1, 7, 60, 250))
+        reports.append(batch_report(samples, covered, point_id=rng.randrange(4)))
+    return reports
+
+
+def call_sizes(reports, seed=6):
+    """Ragged ``receive_many`` calls over ``reports``, empty calls included."""
+    rng = random.Random(seed)
+    calls, start = [[]], 0
+    while start < len(reports):
+        size = rng.choice((0, 1, 2, 9, 40))
+        calls.append(reports[start : start + size])
+        start += size
+    return calls
+
+
+def memento():
+    return Memento(window=400, counters=20, tau=0.25, seed=3)
+
+
+def h_memento():
+    return HMemento(
+        window=400, hierarchy=SRC_HIERARCHY, counters=40, tau=0.25, seed=3
+    )
+
+
+def sharded_h_memento():
+    return build_engine(
+        SketchSpec.from_dict(
+            {
+                "algorithm": {
+                    "family": "h_memento", "window": 400, "counters": 40,
+                    "tau": 0.25, "seed": 3,
+                },
+                "hierarchy": {"kind": "src"},
+                "sharding": {"shards": 2, "executor": "serial"},
+            }
+        )
+    )
+
+
+def state(algorithm) -> bytes:
+    snapshot = getattr(algorithm, "snapshot_state", None)
+    return pickle.dumps(algorithm if snapshot is None else snapshot())
+
+
+HOSTED = {
+    "memento": memento,
+    "h_memento": h_memento,
+    "sharded_h_memento": sharded_h_memento,
+}
+
+
+class TestReceiveMany:
+    """``receive_many`` compiles a call into one sampled plan; the state it
+    leaves must be byte-identical to ``receive`` applied per report."""
+
+    @pytest.mark.parametrize("hosted", sorted(HOSTED))
+    def test_matches_per_report_receive(self, hosted):
+        batched = SketchController(HOSTED[hosted]())
+        reference = SketchController(HOSTED[hosted]())
+        reports = report_stream()
+        for call in call_sizes(reports):
+            batched.receive_many(call)
+            for report in call:
+                reference.receive(report)
+        assert state(batched.algorithm) == state(reference.algorithm)
+        for attr in ("reports_received", "samples_ingested", "packets_covered"):
+            assert getattr(batched, attr) == getattr(reference, attr)
+        assert batched.reports_received == len(reports)
+        batched.close()
+        reference.close()
+
+    @pytest.mark.parametrize("hosted", sorted(HOSTED))
+    def test_malformed_report_applies_nothing(self, hosted):
+        controller = SketchController(HOSTED[hosted]())
+        controller.receive_many(report_stream(count=40))
+        before = state(controller.algorithm)
+        bad = batch_report([1, 2, 3], covered=2)
+        with pytest.raises(ValueError) as per_report:
+            SketchController(HOSTED[hosted]()).receive(bad)
+        good = report_stream(seed=9, count=6)
+        with pytest.raises(ValueError) as batched:
+            controller.receive_many(good[:3] + [bad] + good[3:])
+        assert str(batched.value) == str(per_report.value)
+        assert state(controller.algorithm) == before
+        assert controller.reports_received == 40
+        controller.close()
 
 
 class TestAggregationController:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 import socket
 import struct
+import time
 from array import array
 
 import pytest
@@ -120,9 +121,8 @@ class TestDecoderFuzz:
 
 @pytest.fixture(scope="module")
 def daemon():
-    # the exact family: a hostile gap count costs it O(window), while
-    # Memento's ingest_gap is linear in the count (an open defect, not
-    # a wire one)
+    # the exact family; a hostile gap count costs it O(window), as it
+    # does Memento (TestHostileGapCount below)
     spec = SketchSpec.from_dict(
         {"algorithm": {"family": "exact", "window": WINDOW},
          "service": {"port": 0}}
@@ -155,3 +155,30 @@ class TestLiveDaemonFuzz:
         assert stats["failure"] is None
         # every handler ended through a named error, none escaped it
         assert not [r for r in caplog.records if r.name == "asyncio"]
+
+
+class TestHostileGapCount:
+    def test_huge_gap_does_not_stall_a_memento_daemon(self):
+        # Memento.ingest_gap is O(window) in its count, so one hostile
+        # gap frame cannot stall the engine thread for other clients
+        spec = SketchSpec.from_dict(
+            {"algorithm": {"family": "memento", "window": WINDOW,
+                           "counters": 64, "tau": 0.25, "seed": 1},
+             "service": {"port": 0}}
+        )
+        count = 10**18
+        with ServiceDaemon(spec) as running, ServiceClient.connect(
+            port=running.port, timeout=DEADLINE
+        ) as sender, ServiceClient.connect(
+            port=running.port, timeout=DEADLINE
+        ) as witness:
+            sender.report(list(range(3000)))
+            assert sender.flush() == 3000
+            sender.gap(count)
+            started = time.perf_counter()
+            witness.flush()  # a socket timeout here fails the test
+            assert time.perf_counter() - started < DEADLINE
+            assert sender.flush() == 3000 + count
+            stats = witness.stats()
+        assert stats["failure"] is None
+        assert stats["updates"] == 3000 + count
