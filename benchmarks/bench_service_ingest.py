@@ -11,9 +11,11 @@ service (``repro.service``):
   - ``direct``   — ``build_engine`` in-process, the pipelined front-end
     the service wraps (the ceiling);
   - ``service``  — the same engine behind :class:`ServiceDaemon`: every
-    batch is one fire-and-forget ``report`` frame over TCP loopback,
-    the timed pass ends with a flush-consistent ``top_k`` so the
-    service pays its full ordered-queue drain;
+    batch is one fire-and-forget ``report`` call over TCP loopback (the
+    client coalesces calls into report frames of
+    ``COALESCE_BYTES`` of keys, so a frame carries many batches); the
+    timed pass ends with a flush-consistent ``top_k``, which sends the
+    pending tail and makes the service pay its full ordered-queue drain;
   - ``service-ckpt`` — ``service`` plus periodic atomic checkpoints
     (every ``CKPT_INTERVAL`` packets); each row records the observed
     checkpoint pause p99, the durability cost ROADMAP item 2 tracks.
@@ -60,7 +62,7 @@ TAU = 0.1
 SHARDS = 4
 PIPELINE_BUFFER = 4096
 
-#: report-scale feed: one ``report`` frame per netwide-style batch
+#: report-scale feed: one ``report`` call per netwide-style batch
 REPORT = 32
 N = 40_000
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterable, Iterator, List, Sequence, Union
 
+import numpy as np
+
 __all__ = ["iter_chunks", "as_batch", "BatchIngest", "regroup_by_pattern"]
 
 
@@ -41,10 +43,14 @@ def as_batch(items: Iterable) -> Union[list, tuple]:
 
     Every ``update_many`` fast path starts with this so generators and
     other one-shot iterables are materialized exactly once before the
-    hoisted loop runs over locals.
+    hoisted loop runs over locals.  A numpy column converts with one
+    ``tolist()``, so its keys arrive as Python scalars, never numpy
+    ones: sketch state (and its pickled bytes) equals the list-fed one.
     """
     if isinstance(items, (list, tuple)):
         return items
+    if isinstance(items, np.ndarray):
+        return items.tolist()
     return list(items)
 
 

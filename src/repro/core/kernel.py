@@ -284,8 +284,11 @@ def make_plan(items: Sequence, decisions: Optional[np.ndarray]) -> IngestPlan:
 
     ``decisions`` is the boolean column from ``sampler.decision_array``
     (``None`` means every packet is selected → a dense plan).  The
-    selected positions come from one ``np.flatnonzero``; the item gather
-    stays a list comprehension because packets may be arbitrary hashables.
+    selected positions come from one ``np.flatnonzero``.  A numpy
+    ``items`` column is gathered with one fancy index and ``tolist()``,
+    so only the selected keys are boxed, as Python scalars; any other
+    sequence is gathered with a list comprehension because packets may
+    be arbitrary hashables.  A dense result keeps ``items`` as given.
     """
     n = len(items)
     if decisions is None:
@@ -298,7 +301,10 @@ def make_plan(items: Sequence, decisions: Optional[np.ndarray]) -> IngestPlan:
     positions = np.flatnonzero(decisions)
     if positions.size == n:
         return IngestPlan(n, None, items)
-    selected = [items[i] for i in positions.tolist()]
+    if isinstance(items, np.ndarray):
+        selected = items[positions].tolist()
+    else:
+        selected = [items[i] for i in positions.tolist()]
     return IngestPlan(n, positions, selected)
 
 

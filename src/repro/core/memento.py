@@ -259,8 +259,14 @@ class Memento(BatchIngest):
         :meth:`update` once per item under the same seed: the batch is a
         dense plan, and :meth:`ingest_plan` draws its decision column and
         replays the sampled packets through the sampled kernel.
+
+        A numpy integer column (the service daemon's report feed) stays
+        a column up to the coin draw: only the sampled keys are boxed,
+        as Python ints, so the state equals ``update_many(items.tolist())``.
         """
-        self.ingest_plan(dense_plan(as_batch(items)))
+        if not isinstance(items, np.ndarray):
+            items = as_batch(items)
+        self.ingest_plan(dense_plan(items))
 
     def ingest_sample(self, item: Hashable) -> None:
         """Feed an externally-sampled packet (network-wide controller path).
@@ -289,6 +295,9 @@ class Memento(BatchIngest):
         update would.  With ``sampled=True`` (the decision-column and
         controller feeds) every selected item receives a Full update.
         Either way the sampled plan runs through the one sampled kernel.
+        A plan whose items are still a numpy column (nothing was drawn:
+        ``tau = 1``, or a dense ``sampled=True`` plan) converts them
+        with one ``tolist()`` first, so the kernel sees Python scalars.
         """
         sampler = self._sampler
         if not sampled and len(plan.items) and not (
@@ -309,7 +318,10 @@ class Memento(BatchIngest):
                 plan = IngestPlan(
                     plan.n, plan.positions[kept.positions], kept.items
                 )
-        self._apply_sampled(plan.n, plan.positions, plan.items)
+        items = plan.items
+        if isinstance(items, np.ndarray):
+            items = items.tolist()
+        self._apply_sampled(plan.n, plan.positions, items)
 
     def ingest_gap(self, count: int) -> None:
         """Advance the window for ``count`` unsampled (unreported) packets.

@@ -53,12 +53,13 @@ __all__ = [
     "ProtocolError",
     "decode_payload",
     "decode_report",
+    "encode_column",
     "encode_frame",
     "encode_report",
     "join_columns",
     "read_frame_async",
     "read_frame_sync",
-    "send_frame_sync",
+    "report_column",
     "split_frames",
 ]
 
@@ -118,14 +119,33 @@ def encode_report(items: Sequence[object]) -> bytes:
     Raises :class:`TypeError` for a key that is not an integer and
     :class:`OverflowError` for one outside int64, before any bytes
     exist to send.
+
+    The one-call encoder for tools that write frames to a raw socket
+    (the wire tests and fuzzers); the clients, which coalesce reports,
+    call its halves :func:`report_column` and :func:`encode_column`.
+    """
+    return encode_column(report_column(items))
+
+
+def report_column(items: Sequence[object]) -> array:
+    """The keys of one report as a native-order ``array`` column.
+
+    Typecode ``"I"`` (uint32) when every key fits, ``"q"`` (int64)
+    otherwise; raises the same named errors as :func:`encode_report`.
     """
     try:
-        column = array("I", items)
+        return array("I", items)
     except OverflowError:
-        column = _int64_column(items)
+        return _int64_column(items)
     except TypeError:
         raise _key_type_error(items) from None
+
+
+def encode_column(column: array) -> bytes:
+    """Serialize a :func:`report_column` column to one report frame
+    (``column`` itself is left as it is)."""
     if _SWAP:
+        column = array(column.typecode, column)
         column.byteswap()
     keys = column.tobytes()
     size = _REPORT_HEADER.size + len(keys)
@@ -323,9 +343,3 @@ def read_frame_sync(sock: socket.socket) -> Optional[Dict[str, object]]:
     raw = first + _recv_exactly(sock, _LEN.size - 1)
     length = _check_length(_LEN.unpack(raw)[0])
     return decode_payload(_recv_exactly(sock, length))
-
-
-def send_frame_sync(sock: socket.socket, message: Dict[str, object]) -> None:
-    """Blocking send of one JSON message (the socket's own buffering
-    applies)."""
-    sock.sendall(encode_frame(message))

@@ -16,10 +16,12 @@ exactly as a synchronous caller would have produced.
 **Multi-frame reads**: a client handler reads whatever its socket has
 (up to 64 KiB) and parses every complete frame in one pass; each run of
 consecutive report columns becomes one queued op, and the pump joins
-queued columns again before one engine hop.  The engine thread turns
-the joined column into Python ``int`` keys with one ``tolist()``, so a
-service-fed engine's state (and its pickled checkpoint bytes) equals a
-directly fed engine's.
+queued columns again before one engine hop.  The engine thread hands
+the joined column to ``update_many`` as a zero-copy numpy view:
+Memento boxes only the keys it samples (``column[positions].tolist()``)
+and every other family converts the column with one ``tolist()``, so
+sketch keys stay Python ``int`` and a service-fed engine's state (and
+its pickled checkpoint bytes) equals a directly fed engine's.
 
 **Backpressure** is real, not a growing queue: each run's (or gap
 frame's) wire bytes are charged against ``ServiceSpec.max_inflight_bytes``
@@ -68,6 +70,8 @@ from array import array
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..engine.facade import HeavyHitterEngine, SpecLike, _coerce_spec, build_engine
 from ..engine.spec import SketchSpec
@@ -349,11 +353,10 @@ class IngestServer:
 
     # --- engine-thread bodies -----------------------------------------
     def _engine_report(self, column: array) -> None:
-        # one conversion per joined run: sketch keys stay Python ints,
-        # so pickled state matches a directly fed engine's
-        items = column.tolist()
-        self._engine.update_many(items)
-        self._position += len(items)
+        # a zero-copy view: the engine boxes only the keys it keeps, as
+        # Python ints, so pickled state matches a directly fed engine's
+        self._engine.update_many(np.frombuffer(column, dtype=column.typecode))
+        self._position += len(column)
 
     def _engine_gap(self, count: int) -> None:
         self._engine.ingest_gap(count)

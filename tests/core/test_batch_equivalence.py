@@ -643,3 +643,48 @@ class TestEveryPathMatchesScalar:
             ) == pickle.dumps(
                 (twin._sampler, twin._pattern_rng, twin._pattern_buf)
             )
+
+
+class TestColumnFeed:
+    """A numpy key column fed to ``update_many`` (the service daemon's
+    report feed) leaves Memento byte-identical to the equal list, and
+    the sampled kernel only ever sees Python ints."""
+
+    @staticmethod
+    def build(tau, sampler):
+        if sampler == "fixed":
+            script = random.Random(8).choices([True, False], k=STREAM_LEN)
+            sampler = FixedSampler(script, default=tau >= 1.0)
+        return Memento(WINDOW, counters=COUNTERS, tau=tau, sampler=sampler, seed=4)
+
+    @pytest.mark.parametrize("dtype", [np.uint32, np.int64])
+    @pytest.mark.parametrize("tau", [1.0, 1 / 16])
+    @pytest.mark.parametrize("sampler", ["table", "bernoulli", "fixed"])
+    def test_column_state_equals_list_state(
+        self, stream, monkeypatch, dtype, tau, sampler
+    ):
+        packets = stream if dtype is np.uint32 else [key - 2**40 for key in stream]
+        column = np.asarray(packets, dtype=dtype)
+        listed, columnar = self.build(tau, sampler), self.build(tau, sampler)
+        batch_feed(listed, packets)
+
+        handed = []
+        apply_sampled = Memento._apply_sampled
+
+        def spy(sketch, n, positions, items):
+            handed.append(items)
+            return apply_sampled(sketch, n, positions, items)
+
+        monkeypatch.setattr(Memento, "_apply_sampled", spy)
+        batch_feed(columnar, column)
+        assert handed
+        for items in handed:
+            assert isinstance(items, list)
+            assert all(type(key) is int for key in items)
+        assert pickle.dumps(columnar) == pickle.dumps(listed)
+
+    def test_sampled_plan_gathers_only_selected_keys(self):
+        column = np.arange(10, dtype=np.uint32)
+        plan = make_plan(column, column % 3 == 0)
+        assert plan.items == [0, 3, 6, 9]
+        assert all(type(key) is int for key in plan.items)

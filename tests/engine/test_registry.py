@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.core.api import (
@@ -17,11 +20,13 @@ from repro.engine import (
     registered_algorithms,
     shard_seed,
 )
+from repro.engine import build_engine
 from repro.engine.registry import (
     CAPABILITY_PROTOCOLS,
     KNOWN_CAPABILITIES,
     _REGISTRY,
 )
+from repro.traffic.synth import BACKBONE, generate_trace
 
 EXPECTED_FAMILIES = (
     "exact",
@@ -88,6 +93,61 @@ class TestBuiltins:
     def test_every_capability_known(self):
         for info in (algorithm_info(f) for f in registered_algorithms()):
             assert info.capabilities <= KNOWN_CAPABILITIES
+
+
+def python_scalars(key) -> bool:
+    """Whether ``key`` is built only of Python ints (prefix tuples too)."""
+    if isinstance(key, tuple):
+        return all(python_scalars(part) for part in key)
+    return type(key) is int
+
+
+class TestColumnFeed:
+    """``update_many`` takes a numpy key column (what the service daemon
+    hands its engine) as the equal list: same pickled state, keys back
+    as Python ints, for every registered family."""
+
+    @pytest.fixture(scope="class")
+    def packets(self):
+        return generate_trace(BACKBONE, 6000, seed=3).packets_1d()
+
+    @pytest.mark.parametrize("dtype", [np.uint32, np.int64])
+    @pytest.mark.parametrize("family", registered_algorithms())
+    def test_column_feed_equals_list_feed(self, packets, family, dtype):
+        payload = spec_payload(family)
+        payload["algorithm"].update(seed=5)
+        if family == "memento":
+            payload["algorithm"].update(tau=1 / 16)
+        spec = SketchSpec.from_dict(payload)
+        column = np.asarray(packets, dtype=dtype)
+        with build_engine(spec) as listed, build_engine(spec) as columnar:
+            for lo in range(0, len(packets), 1000):
+                listed.update_many(packets[lo : lo + 1000])
+                columnar.update_many(column[lo : lo + 1000])
+            listed_state = listed.snapshot_state()["state"]
+            columnar_state = columnar.snapshot_state()["state"]
+            if family == "window_baseline":
+                # its tau=1 WCSS instances are built unseeded: the
+                # samplers are never consulted but pickle differently
+                for mine, theirs in zip(
+                    columnar_state._instances, listed_state._instances
+                ):
+                    mine._sampler = theirs._sampler
+                    mine._should_sample = theirs._should_sample
+            assert pickle.dumps(columnar_state) == pickle.dumps(listed_state)
+            heavy = columnar.heavy_hitters(0.01)
+            assert heavy and all(python_scalars(key) for key in heavy)
+            assert all(python_scalars(key) for key, _ in columnar.top_k(5))
+
+    def test_memento_keys_from_a_numpy_batch_are_python_ints(self):
+        spec = SketchSpec.from_dict(
+            {"algorithm": {"family": "memento", "window": 64, "counters": 8}}
+        )
+        with build_engine(spec) as engine:
+            engine.update_many(np.arange(50) % 7)
+            heavy = engine.heavy_hitters(0.01)
+        assert sorted(heavy) == list(range(7))
+        assert all(type(key) is int for key in heavy)
 
 
 class TestShardSeed:

@@ -21,7 +21,6 @@ from repro.service.protocol import (
     encode_report,
     join_columns,
     read_frame_sync,
-    send_frame_sync,
     split_frames,
 )
 
@@ -59,8 +58,8 @@ class TestSyncSocketIO:
     def test_round_trip_over_socketpair(self):
         a, b = self.pair()
         try:
-            send_frame_sync(a, {"op": "gap", "count": 4})
-            send_frame_sync(a, {"op": "flush", "id": 1})
+            a.sendall(encode_frame({"op": "gap", "count": 4}))
+            a.sendall(encode_frame({"op": "flush", "id": 1}))
             assert read_frame_sync(b) == {"op": "gap", "count": 4}
             assert read_frame_sync(b) == {"op": "flush", "id": 1}
         finally:
@@ -102,7 +101,7 @@ class TestSyncSocketIO:
         a, b = self.pair()
         try:
             writer = threading.Thread(
-                target=send_frame_sync, args=(a, message)
+                target=a.sendall, args=(encode_frame(message),)
             )
             writer.start()
             assert read_frame_sync(b) == message

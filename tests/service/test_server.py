@@ -21,7 +21,7 @@ from repro.service import (
     ServiceError,
 )
 from repro.service.cli import _override_service, build_parser
-from repro.service.protocol import encode_report, read_frame_sync, send_frame_sync
+from repro.service.protocol import encode_frame, encode_report, read_frame_sync
 
 #: seconds a live-daemon case may take before it counts as a hang
 DEADLINE = 5.0
@@ -127,7 +127,7 @@ class TestLiveQueries:
         with ServiceDaemon(service_spec()) as daemon:
             sock = socket.create_connection(("127.0.0.1", daemon.port))
             try:
-                send_frame_sync(sock, {"op": "explode", "id": 1})
+                sock.sendall(encode_frame({"op": "explode", "id": 1}))
                 response = read_frame_sync(sock)
             finally:
                 sock.close()
@@ -139,9 +139,9 @@ class TestLiveQueries:
         with ServiceDaemon(service_spec()) as daemon:
             sock = socket.create_connection(("127.0.0.1", daemon.port))
             try:
-                send_frame_sync(sock, {"op": "report", "items": [1, 2]})
+                sock.sendall(encode_frame({"op": "report", "items": [1, 2]}))
                 response = read_frame_sync(sock)
-                send_frame_sync(sock, {"op": "flush", "id": 1})
+                sock.sendall(encode_frame({"op": "flush", "id": 1}))
                 assert read_frame_sync(sock)["position"] == 0
             finally:
                 sock.close()
