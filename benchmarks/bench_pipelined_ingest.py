@@ -1,34 +1,33 @@
-"""Pipelined-ingest benchmark: the front-end vs synchronous sharded feeds.
+"""Coalesced-ingest benchmark: coalesced vs flush-each sharded feeds.
 
 Extends the ``repro-bench/1`` perf trail (``bench_micro_updates.py``,
 ``bench_sharded_ingest.py``, ``bench_vectorized_ingest.py``) to the
-pipelined ingestion front-end (``ShardedSketch(pipeline=...)``):
+write coalescing every :class:`~repro.sharding.ShardedSketch` does
+(writes are partitioned and applied every ``COALESCE_ITEMS`` items):
 
 * ``python benchmarks/bench_pipelined_ingest.py`` — times the
   **report-scale critical path**: the stream arrives in small batches
   (``REPORT`` packets each, the granularity the netwide controller
-  receives per ``BatchReport``), at 1 and 4 shards, synchronous vs
-  pipelined on the persistent executor.  This is the path the front-end
-  exists for — synchronously, every small batch pays one partition pass
-  plus ``S`` pipe messages; pipelined, writes coalesce into
-  buffer-sized dispatches and a background thread overlaps partitioning
-  (and the blocking pipe sends) with the workers' applies.  Timed
-  passes end with a query, so the pipelined numbers pay their full
-  ``flush`` + ``collect`` sync.
+  receives per ``BatchReport``), at 1 and 4 shards on the persistent
+  executor, two ways.  ``flush_each`` calls ``flush()`` after every
+  write, so each small batch pays its own partition pass plus ``S``
+  pipe messages — the uncoalesced path, measured through the public
+  API.  ``coalesced`` just writes: the batches coalesce into
+  ``COALESCE_ITEMS``-item spills.  Timed passes end with a query, so
+  both pay their full ``flush`` + ``collect`` sync.
 * two context rows (ungated): the same comparison under **scalar**
-  ``update`` calls on a resident 4-shard sketch (synchronously
-  ``S`` pipe messages *per packet* — the O(S) path the write buffer
-  removes) and under pre-chunked 4096-packet batches (where the
-  synchronous path is already amortized and the thread can only win
-  the partition/apply overlap).  The executor picks each plan's lane
-  from its size: report-scale plans are pickled into the worker pipes,
-  chunk-scale ones ride the shared-memory rings.
-* the full run gates the front-end's contract: pipelined must reach
-  ≥ ``MIN_PIPE_4SHARD``× the synchronous persistent path at 4 shards
-  and ≥ ``MIN_PIPE_1SHARD``× at 1 shard (the delegation fast path —
-  coalescing must never cost throughput).  ``--smoke`` shrinks the
-  workload for CI and relaxes the gate to a plain ≥ 1.0×
-  no-regression bound at 4 shards.
+  ``update`` calls on a resident 4-shard sketch (flushed each time:
+  ``S`` pipe messages *per packet*, the O(S) path coalescing removes)
+  and under pre-chunked 4096-packet batches (at ``COALESCE_ITEMS`` a
+  batch skips the buffer, so both modes take the same path).  The
+  executor picks each plan's lane from its size: report-scale plans
+  are pickled into the worker pipes, chunk-scale ones ride the
+  shared-memory rings.
+* the full run gates coalescing: it must reach ≥ ``MIN_PIPE_4SHARD``×
+  the flush-each path at 4 shards and ≥ ``MIN_PIPE_1SHARD``× at 1
+  shard (the delegation fast path — coalescing must never cost
+  throughput).  ``--smoke`` shrinks the workload for CI and relaxes
+  the gate to a plain ≥ 1.0× no-regression bound at 4 shards.
 
 Results persist to ``BENCH_pipelined_ingest.json`` at the repo root.
 """
@@ -50,6 +49,7 @@ except ModuleNotFoundError:  # uninstalled checkout: fall back to src/
 from repro import generate_trace
 from repro.bench import BenchResult, repo_root, write_results
 from repro.engine import SketchSpec, build_engine
+from repro.sharding.sharded import COALESCE_ITEMS
 from repro.traffic.synth import BACKBONE
 
 #: shard geometry: heavy per-shard state so worker applies are
@@ -64,8 +64,6 @@ TAU = 0.1
 REPORT = 32
 #: pre-chunked context feed
 CHUNK = 4096
-#: pipeline knobs under test (the ShardedSketch defaults)
-PIPELINE_BUFFER = 4096
 
 N = 40_000
 SCALAR_N = 4_000
@@ -78,10 +76,10 @@ MIN_PIPE_1SHARD = 1.0
 #: smoke-mode no-regression gate (CI noise tolerance is the repeats)
 SMOKE_MIN_PIPE = 1.0
 
-#: timed modes: (row-name suffix, pipelined?)
+#: timed modes: (row-name suffix, flush after every write?)
 MODES = (
-    ("sync", False),
-    ("pipelined", True),
+    ("flush_each", True),
+    ("coalesced", False),
 )
 
 
@@ -89,7 +87,7 @@ def make_stream(n: int = N) -> list:
     return generate_trace(BACKBONE, n, seed=99).packets_1d()
 
 
-def case_spec(shards: int, pipelined: bool) -> SketchSpec:
+def case_spec(shards: int) -> SketchSpec:
     """The declarative spec of one timed deployment.
 
     Every timed construction goes through ``build_engine`` on this, and
@@ -97,7 +95,7 @@ def case_spec(shards: int, pipelined: bool) -> SketchSpec:
     from its spec alone (per-shard seeds derive from the base seed via
     the registry's convention).
     """
-    payload = {
+    return SketchSpec.from_dict({
         "algorithm": {
             "family": "memento",
             "window": WINDOW,
@@ -106,10 +104,26 @@ def case_spec(shards: int, pipelined: bool) -> SketchSpec:
             "seed": 1,
         },
         "sharding": {"shards": shards, "executor": "persistent"},
-    }
-    if pipelined:
-        payload["pipeline"] = {"buffer_size": PIPELINE_BUFFER}
-    return SketchSpec.from_dict(payload)
+    })
+
+
+class FlushEach:
+    """An engine whose every write is applied at once: ``flush()``
+    after each call, so nothing coalesces."""
+
+    def __init__(self, engine) -> None:
+        self._engine = engine
+
+    def update(self, item) -> None:
+        self._engine.update(item)
+        self._engine.flush()
+
+    def update_many(self, items) -> None:
+        self._engine.update_many(items)
+        self._engine.flush()
+
+    def query(self, key) -> float:
+        return self._engine.query(key)
 
 
 def feed_reports(sharded, stream, batch: int = REPORT) -> None:
@@ -120,14 +134,14 @@ def feed_reports(sharded, stream, batch: int = REPORT) -> None:
 
 
 def feed_scalar(sharded, stream) -> None:
-    """Per-packet delivery (the resident O(S)-messages path when sync)."""
+    """Per-packet delivery (O(S) pipe messages per packet when flushed)."""
     update = sharded.update
     for item in stream:
         update(item)
 
 
 def feed_chunks(sharded, stream, chunk: int = CHUNK) -> None:
-    """Pre-chunked delivery: the synchronous path's best case."""
+    """Pre-chunked delivery: the flush-each path's best case."""
     update_many = sharded.update_many
     for start in range(0, len(stream), chunk):
         update_many(stream[start : start + chunk])
@@ -143,23 +157,24 @@ FEEDS = {
 def time_feed(
     feed: str,
     shards: int,
-    pipelined: bool,
+    flush_each: bool,
     stream,
     repeats: int,
 ) -> float:
     """Best wall-seconds for one full feed pass + the query sync point."""
-    sharded = build_engine(case_spec(shards, pipelined))
+    engine = build_engine(case_spec(shards))
+    sharded = FlushEach(engine) if flush_each else engine
     drive = FEEDS[feed]
     probe = stream[0]
     try:
         # prime residency: one batch seeds the persistent workers, so the
         # scalar feed measures the *resident* per-packet path (S pipe
-        # messages per update when synchronous) rather than quietly
-        # staying on the in-process never-seeded path
+        # messages per update when flushed) rather than quietly staying
+        # on the in-process never-seeded path
         if shards > 1:
-            sharded.update_many(stream[:REPORT])
-            sharded.query(probe)
-        # warmup pass spawns workers/pipeline thread and fills caches
+            engine.update_many(stream[:REPORT])
+            engine.query(probe)
+        # warmup pass spawns workers and fills caches
         drive(sharded, stream)
         sharded.query(probe)
         best = float("inf")
@@ -167,10 +182,10 @@ def time_feed(
         for _ in range(repeats):
             t0 = perf_counter()
             drive(sharded, stream)
-            sharded.query(probe)  # drains the pipeline, pays the collect
+            sharded.query(probe)  # applies the buffer, pays the collect
             best = min(best, perf_counter() - t0)
     finally:
-        sharded.close()
+        engine.close()
     return best
 
 
@@ -181,10 +196,10 @@ def run_harness(
     repeats: int = 3,
     with_context: bool = True,
 ) -> Tuple[List[BenchResult], Dict[str, Dict[str, float]]]:
-    """Time sync vs pipelined per (feed, shard count).
+    """Time flush-each vs coalesced per (feed, shard count).
 
-    Returns the results plus a ``{case: {sync, pipelined, speedup}}``
-    summary, keyed ``reports/shards{S}`` for the gated
+    Returns the results plus a ``{case: {flush_each, coalesced,
+    speedup}}`` summary, keyed ``reports/shards{S}`` for the gated
     critical path and ``scalar/shards4`` / ``chunks/shards4`` for the
     context rows.
     """
@@ -201,9 +216,9 @@ def run_harness(
     for feed, shards, case_stream in cases:
         ops = len(case_stream)
         row: Dict[str, float] = {}
-        for mode, pipelined in MODES:
-            spec = case_spec(shards, pipelined)
-            seconds = time_feed(feed, shards, pipelined, case_stream, repeats)
+        spec = case_spec(shards)
+        for mode, flush_each in MODES:
+            seconds = time_feed(feed, shards, flush_each, case_stream, repeats)
             row[mode] = ops / seconds
             results.append(
                 BenchResult(
@@ -220,12 +235,12 @@ def run_harness(
                         "transport": spec.sharding.resolved_transport,
                         "report": REPORT,
                         "chunk": CHUNK,
-                        "pipeline_buffer": PIPELINE_BUFFER,
+                        "coalesce_items": COALESCE_ITEMS,
                         "spec": spec.to_dict(),
                     },
                 )
             )
-        row["speedup"] = row["pipelined"] / row["sync"]
+        row["speedup"] = row["coalesced"] / row["flush_each"]
         summary[f"{feed}/shards{shards}"] = row
     return results, summary
 
@@ -268,7 +283,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "tau": TAU,
                 "report": REPORT,
                 "chunk": CHUNK,
-                "pipeline_buffer": PIPELINE_BUFFER,
+                "coalesce_items": COALESCE_ITEMS,
                 "shard_counts": list(SHARD_COUNTS),
             },
             "summary": summary,
@@ -278,13 +293,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     width = max(len(case) for case in summary)
     print(
-        f"{'case'.ljust(width)}  {'sync ops/s':>13}  "
-        f"{'pipelined ops/s':>15}  speedup"
+        f"{'case'.ljust(width)}  {'flush_each ops/s':>16}  "
+        f"{'coalesced ops/s':>15}  speedup"
     )
     for case, row in summary.items():
         print(
-            f"{case.ljust(width)}  {row['sync']:>13,.0f}  "
-            f"{row['pipelined']:>15,.0f}  {row['speedup']:>6.2f}x"
+            f"{case.ljust(width)}  {row['flush_each']:>16,.0f}  "
+            f"{row['coalesced']:>15,.0f}  {row['speedup']:>6.2f}x"
         )
     print(f"results -> {out}")
 
@@ -294,19 +309,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.smoke:
         if gated < SMOKE_MIN_PIPE:
             failures.append(
-                f"pipelined {gated:.2f}x < {SMOKE_MIN_PIPE}x synchronous on "
+                f"coalesced {gated:.2f}x < {SMOKE_MIN_PIPE}x flush-each on "
                 f"the {GATED_SHARDS}-shard report feed (smoke no-regression)"
             )
     else:
         if gated < MIN_PIPE_4SHARD:
             failures.append(
-                f"pipelined {gated:.2f}x < {MIN_PIPE_4SHARD}x synchronous "
+                f"coalesced {gated:.2f}x < {MIN_PIPE_4SHARD}x flush-each "
                 f"persistent on the {GATED_SHARDS}-shard report-scale "
                 f"critical path"
             )
         if one < MIN_PIPE_1SHARD:
             failures.append(
-                f"pipelined {one:.2f}x < {MIN_PIPE_1SHARD}x synchronous on "
+                f"coalesced {one:.2f}x < {MIN_PIPE_1SHARD}x flush-each on "
                 f"the 1-shard delegation path"
             )
     if failures:

@@ -6,10 +6,10 @@ service (``repro.service``):
 * ``python benchmarks/bench_service_ingest.py`` — times the sustained
   report-scale critical path (``REPORT``-packet batches, the
   granularity the netwide controller receives per ``BatchReport``)
-  three ways on the 4-shard persistent pipelined deployment:
+  three ways on the 4-shard persistent deployment:
 
-  - ``direct``   — ``build_engine`` in-process, the pipelined front-end
-    the service wraps (the ceiling);
+  - ``direct``   — ``build_engine`` in-process, the coalescing sharded
+    engine the service wraps (the ceiling);
   - ``service``  — the same engine behind :class:`ServiceDaemon`: every
     batch is one fire-and-forget ``report`` call over TCP loopback (the
     client coalesces calls into report frames of
@@ -22,10 +22,10 @@ service (``repro.service``):
 
 * a context row (full run only) repeats direct-vs-service on the bare
   single-process Memento engine, isolating pure protocol overhead from
-  the sharded deployment's pipeline interplay.
+  the sharded deployment's coalescing interplay.
 
 * the full run gates the service contract: the daemon must sustain
-  ≥ 1/``MAX_OVERHEAD`` of the direct pipelined throughput on the
+  ≥ 1/``MAX_OVERHEAD`` of the direct sharded throughput on the
   4-shard report feed (service overhead ≤ ``MAX_OVERHEAD``×).
   ``--smoke`` shrinks the workload for CI and gates the same ratio
   against the relaxed ``MAX_OVERHEAD_SMOKE`` bound — still expressed
@@ -52,15 +52,15 @@ except ModuleNotFoundError:  # uninstalled checkout: fall back to src/
 from repro import ServiceClient, ServiceDaemon, generate_trace
 from repro.bench import BenchResult, repo_root, write_results
 from repro.engine import SketchSpec, build_engine
+from repro.sharding.sharded import COALESCE_ITEMS
 from repro.traffic.synth import BACKBONE
 
 #: shard geometry: matches bench_pipelined_ingest.py so the two trails
-#: compose — the ``direct`` rows here correspond to its pipelined rows
+#: compose — the ``direct`` rows here correspond to its coalesced rows
 WINDOW = 131_072
 COUNTERS = 512
 TAU = 0.1
 SHARDS = 4
-PIPELINE_BUFFER = 4096
 
 #: report-scale feed: one ``report`` call per netwide-style batch
 REPORT = 32
@@ -107,7 +107,6 @@ def case_spec(
     }
     if sharded:
         payload["sharding"] = {"shards": SHARDS, "executor": "persistent"}
-        payload["pipeline"] = {"buffer_size": PIPELINE_BUFFER}
     if service:
         section: Dict[str, object] = {"port": 0}
         if checkpoint_dir is not None:
@@ -144,7 +143,7 @@ def time_direct(spec: SketchSpec, stream, repeats: int) -> float:
     """Best wall-seconds for one full in-process feed pass."""
     engine = build_engine(spec)
     try:
-        feed_direct(engine, stream)  # warmup: workers + pipeline thread
+        feed_direct(engine, stream)  # warmup: spawns the workers
         best = float("inf")
         perf_counter = time.perf_counter
         for _ in range(repeats):
@@ -278,7 +277,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "tau": TAU,
                 "report": REPORT,
                 "shards": SHARDS,
-                "pipeline_buffer": PIPELINE_BUFFER,
+                "coalesce_items": COALESCE_ITEMS,
                 "checkpoint_interval": (
                     SMOKE_CKPT_INTERVAL if args.smoke else CKPT_INTERVAL
                 ),
@@ -311,7 +310,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if margin < 1.0:
         failures.append(
             f"service {gated['service']:,.0f} ops/s is "
-            f"{gated['overhead']:.2f}x under the direct pipelined engine "
+            f"{gated['overhead']:.2f}x under the direct sharded engine "
             f"on the {SHARDS}-shard report feed — over the "
             f"{max_overhead}x overhead budget (margin {margin:.2f}x < 1.0x)"
         )

@@ -4,8 +4,8 @@
 Walks the declarative configuration layer:
 
 1. build a sketch from an inline spec dict (`build_engine`);
-2. scale the same algorithm out declaratively (sharding + pipeline
-   sections) without touching any constructor;
+2. scale the same algorithm out declaratively (a sharding section)
+   without touching any constructor;
 3. round-trip the spec through a JSON file and rebuild an identical
    deployment from the file alone;
 4. register a custom algorithm family and drive it through the same
@@ -60,7 +60,6 @@ def main() -> None:
     sharded_spec = SketchSpec.from_dict({
         **spec.to_dict(),
         "sharding": {"shards": 4, "executor": "serial"},
-        "pipeline": {"buffer_size": 4096},
     })
     with build_engine(sharded_spec) as engine:
         engine.update_many(stream)

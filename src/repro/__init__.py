@@ -36,7 +36,7 @@ Quickstart::
         top = engine.top_k(10)
 
 The same spec scales out declaratively — add ``"sharding": {"shards": 8,
-"executor": "persistent"}`` and ``"pipeline": {}`` sections, or load a
+"executor": "persistent"}`` section, or load a
 checked-in deployment with ``build_engine("specs/....json")`` — and new
 algorithm families join via :func:`register_algorithm` without touching
 the spec or the facade.  Direct constructors (``Memento(...)`` etc.)
@@ -80,7 +80,6 @@ from .engine import (
     AlgorithmSpec,
     HeavyHitterEngine,
     HierarchySpec,
-    PipelineSpec,
     ServiceSpec,
     ShardingSpec,
     SketchSpec,
@@ -140,7 +139,6 @@ from .service import (
 )
 from .sharding import (
     PersistentProcessExecutor,
-    PipelineConfig,
     SerialExecutor,
     ShardedSketch,
     make_executor,
@@ -191,7 +189,6 @@ __all__ = [
     "AlgorithmSpec",
     "HierarchySpec",
     "ShardingSpec",
-    "PipelineSpec",
     "ServiceSpec",
     "register_algorithm",
     "registered_algorithms",
@@ -207,7 +204,6 @@ __all__ = [
     "SerialExecutor",
     "PersistentProcessExecutor",
     "make_executor",
-    "PipelineConfig",
     "VolumetricMemento",
     "VolumetricSpaceSaving",
     "ChangeEvent",

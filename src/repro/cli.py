@@ -80,22 +80,14 @@ def build_parser() -> argparse.ArgumentParser:
                 "state resident in long-lived workers (no per-batch "
                 "state round-trip)",
             )
-            p.add_argument(
-                "--pipeline",
-                action="store_true",
-                help="enable the pipelined ingestion front-end on the "
-                "sharded controller: report-scale writes coalesce in a "
-                "bounded buffer and a background thread overlaps "
-                "partitioning with the shard workers' applies",
-            )
         if name in ("fig9", "fig10"):
             p.add_argument(
                 "--spec",
                 metavar="PATH",
                 default=None,
                 help="JSON SketchSpec declaring the controller's "
-                "execution strategy (sharding/executor/pipeline "
-                "sections); overrides --shards/--executor/--pipeline. "
+                "execution strategy (sharding/executor sections); "
+                "overrides --shards/--executor. "
                 "See specs/*.json for checked-in examples",
             )
         if name == "fig10":
@@ -119,7 +111,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             seed=args.seed,
             shards=args.shards,
             executor=args.executor,
-            pipeline=args.pipeline,
             spec=args.spec,
         )
     elif args.figure == "fig1b":

@@ -719,4 +719,8 @@ class WCSS(Memento):
         counters: Optional[int] = None,
         epsilon: Optional[float] = None,
     ) -> None:
-        super().__init__(window, counters=counters, epsilon=epsilon, tau=1.0)
+        # seeded so equal instances pickle to equal bytes (tau = 1
+        # never draws from the sampler)
+        super().__init__(
+            window, counters=counters, epsilon=epsilon, tau=1.0, seed=0
+        )

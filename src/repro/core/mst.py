@@ -186,9 +186,14 @@ class WindowBaseline(BatchIngest):
         epsilon: Optional[float] = None,
     ) -> None:
         self.hierarchy = hierarchy
+        # tau = 1 never draws a coin, but an unseeded sampler still
+        # carries OS entropy into the pickle: seed each instance so equal
+        # baselines pickle (and checkpoint) to equal bytes
         self._instances: List[Memento] = [
-            Memento(window, counters=counters, epsilon=epsilon, tau=1.0)
-            for _ in range(hierarchy.num_patterns)
+            Memento(
+                window, counters=counters, epsilon=epsilon, tau=1.0, seed=index
+            )
+            for index in range(hierarchy.num_patterns)
         ]
         self.window = self._instances[0].window
         self.counters = self._instances[0].k

@@ -4,14 +4,14 @@ The three pieces, bottom-up:
 
 * :mod:`repro.engine.spec` — the frozen, JSON-round-trippable
   :class:`SketchSpec` configuration tree (algorithm + hierarchy +
-  sharding + pipeline + service sections) with parse-time validation.
+  sharding + service sections) with parse-time validation.
 * :mod:`repro.engine.registry` — named algorithm families with declared
   capability sets keyed on the :mod:`repro.core.api` protocols;
   :func:`register_algorithm` adds new families without touching the
   spec or the facade.
 * :mod:`repro.engine.facade` — :func:`build_engine` /
-  :class:`HeavyHitterEngine`: reads a spec, composes bare sketch,
-  sharding, and pipelining internally, and exposes the one stable
+  :class:`HeavyHitterEngine`: reads a spec, composes bare sketch and
+  sharding internally, and exposes the one stable
   surface every deployment scenario shares.
 
 Quickstart::
@@ -34,12 +34,10 @@ from .registry import (
 from .spec import (
     AlgorithmSpec,
     HierarchySpec,
-    PipelineSpec,
     ServiceSpec,
     ShardingSpec,
     SketchSpec,
     hierarchy_spec_for,
-    pipeline_spec_for,
 )
 
 __all__ = [
@@ -47,14 +45,12 @@ __all__ = [
     "AlgorithmSpec",
     "HeavyHitterEngine",
     "HierarchySpec",
-    "PipelineSpec",
     "ServiceSpec",
     "ShardingSpec",
     "SketchSpec",
     "algorithm_info",
     "build_engine",
     "hierarchy_spec_for",
-    "pipeline_spec_for",
     "register_algorithm",
     "registered_algorithms",
     "shard_seed",

@@ -5,9 +5,9 @@ measurement service spanning single-device, hierarchical, and
 network-wide modes) assumes one coherent surface.  ``build_engine(spec)``
 is that surface: it reads a declarative :class:`~repro.engine.spec
 .SketchSpec`, resolves the algorithm family through the registry, and
-composes the bare sketch, :class:`~repro.sharding.ShardedSketch`
-scale-out, and the pipelined front-end internally — callers never thread
-constructor arguments through four layers again.
+composes the bare sketch and :class:`~repro.sharding.ShardedSketch`
+scale-out internally — callers never thread constructor arguments
+through four layers again.
 
 The engine exposes the **unified surface** every deployment scenario
 shares::
@@ -23,7 +23,7 @@ ones) and attribute delegation to the wrapped sketch, so the engine is a
 drop-in replacement wherever a sketch was hosted before.
 
 Construction is **state-identical** to hand-wiring: an engine-built
-``Memento`` / sharded / pipelined deployment is byte-for-byte the same
+``Memento`` / sharded / resident-worker deployment is byte-for-byte the same
 as the equivalent explicit construction under a fixed seed — pinned by
 ``tests/engine/test_engine.py``.
 """
@@ -84,7 +84,7 @@ def build_engine(
 
 
 class HeavyHitterEngine:
-    """One stable surface over bare, sharded, and pipelined deployments.
+    """One stable surface over bare and sharded deployments.
 
     Build through :func:`build_engine` / :meth:`from_spec`; direct
     construction wires a pre-built sketch to its spec and registry entry
@@ -126,14 +126,9 @@ class HeavyHitterEngine:
                 f"or pass build_engine(spec, hierarchy=...)"
             )
         sharding = spec.sharding
-        if sharding is None and spec.pipeline is None:
+        if sharding is None:
             sketch = info.factory(spec.algorithm, hierarchy, None)
             return cls(sketch, spec, info)
-        if sharding is None:
-            # a pipeline with no sharding section runs on one shard
-            from .spec import ShardingSpec
-
-            sharding = ShardingSpec()
         query_mode = sharding.query_mode
         if query_mode is None:
             # prefix queries span routing shards; flat keys route cleanly
@@ -148,9 +143,6 @@ class HeavyHitterEngine:
             executor=sharding.executor,
             query_mode=query_mode,
             merge_counters=sharding.merge_counters,
-            pipeline=(
-                spec.pipeline.to_config() if spec.pipeline is not None else None
-            ),
             windowed=info.windowed,
         )
         return cls(sketch, spec, info)
@@ -196,7 +188,6 @@ class HeavyHitterEngine:
             "capabilities": sorted(self._info.capabilities),
             "sharded": self.sharded,
             "shards": getattr(sketch, "num_shards", 1),
-            "pipelined": bool(getattr(sketch, "pipelined", False)),
         }
         for attr in ("updates", "packets", "processed"):
             seen = getattr(sketch, attr, None)
@@ -303,9 +294,9 @@ class HeavyHitterEngine:
         """Picklable snapshot of the composed sketch stack's state.
 
         Sharded stacks delegate to
-        :meth:`~repro.sharding.ShardedSketch.state_snapshot` (pipeline
-        drained, resident worker state pulled back); bare sketches are
-        snapshotted whole.  The snapshot references live objects — it is
+        :meth:`~repro.sharding.ShardedSketch.state_snapshot` (buffered
+        writes applied, resident worker state pulled back); bare
+        sketches are snapshotted whole.  The snapshot references live objects — it is
         meant to be pickled immediately, which is what
         :mod:`repro.service`'s checkpoint writer does.
         """
@@ -337,14 +328,14 @@ class HeavyHitterEngine:
     # lifecycle
     # ------------------------------------------------------------------
     def flush(self) -> None:
-        """Synchronize any pipelined ingestion (no-op when synchronous)."""
+        """Apply any coalesced writes (no-op for bare sketches)."""
         flush = getattr(self._sketch, "flush", None)
         if flush is not None:
             flush()
 
     def close(self) -> None:
-        """Release executors/pipeline threads (idempotent no-op for bare
-        sketches); queries keep working on the synced state."""
+        """Release executor workers (idempotent no-op for bare sketches);
+        queries keep working on the synced state."""
         close = getattr(self._sketch, "close", None)
         if close is not None:
             close()

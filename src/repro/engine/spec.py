@@ -2,7 +2,7 @@
 
 Four PRs of growth scattered deployment knobs across constructors
 (``Memento(window, counters, tau, seed)``), wrapper arguments
-(``ShardedSketch(factory, shards, executor, pipeline, query_mode, ...)``)
+(``ShardedSketch(factory, shards, executor, query_mode, ...)``)
 and per-figure CLI flags.  This module collapses them into one frozen
 dataclass tree that round-trips through plain dicts / JSON files:
 
@@ -15,13 +15,11 @@ dataclass tree that round-trips through plain dicts / JSON files:
   marks a spec whose hierarchy object must be supplied at build time.
 * :class:`ShardingSpec` — the scale-out section: shard count, executor
   strategy, query discipline, merge budget.
-* :class:`PipelineSpec` — the pipelined ingestion front-end's knobs
-  (mirrors :class:`repro.sharding.pipeline.PipelineConfig`).
 * :class:`ServiceSpec` — the always-on daemon section: listener
   addresses, checkpoint cadence/retention, and the ingest backpressure
   budget consumed by :mod:`repro.service`.
 * :class:`SketchSpec` — the root: algorithm + optional hierarchy /
-  sharding / pipeline / service sections, with ``from_dict`` /
+  sharding / service sections, with ``from_dict`` /
   ``to_dict`` / ``from_json`` / ``to_json`` / ``from_file`` /
   ``to_file``.
 
@@ -47,18 +45,15 @@ from typing import Dict, Optional, Type, TypeVar, Union
 
 from ..hierarchy.domain import SRC_DST_HIERARCHY, SRC_HIERARCHY, Hierarchy
 from ..sharding.executors import _EXECUTORS
-from ..sharding.pipeline import PipelineConfig
-from ..sharding.sharded import QUERY_MODES
+from ..sharding.sharded import COALESCE_ITEMS, QUERY_MODES
 
 __all__ = [
     "AlgorithmSpec",
     "HierarchySpec",
-    "PipelineSpec",
     "ServiceSpec",
     "ShardingSpec",
     "SketchSpec",
     "hierarchy_spec_for",
-    "pipeline_spec_for",
 ]
 
 #: The named hierarchies a :class:`HierarchySpec` can resolve on its own.
@@ -255,44 +250,31 @@ class ShardingSpec:
         return "shm" if self.executor == "persistent" else None
 
 
-@dataclass(frozen=True)
-class PipelineSpec:
-    """The pipelined ingestion front-end's knobs (serializable mirror of
-    :class:`repro.sharding.pipeline.PipelineConfig`)."""
-
-    buffer_size: int = 4096
-    depth: int = 2
-
-    def __post_init__(self) -> None:
-        _check_positive("buffer_size", self.buffer_size, allow_none=False)
-        _check_positive("depth", self.depth, allow_none=False)
-
-    def to_config(self) -> PipelineConfig:
-        """The runtime :class:`PipelineConfig` this spec describes."""
-        return PipelineConfig(buffer_size=self.buffer_size, depth=self.depth)
+#: The removed pipelined front-end's defaults.  Old specs still carry
+#: them as a ``"pipeline"`` section; coalescing writes every
+#: ``COALESCE_ITEMS`` items is what every sharded stack now does, so a
+#: subset of these next to a ``"sharding"`` section parses (and is
+#: dropped), and any other ``"pipeline"`` section is a parse error.
+LEGACY_PIPELINE: Dict[str, int] = {"buffer_size": COALESCE_ITEMS, "depth": 2}
 
 
-def pipeline_spec_for(pipeline: object) -> Optional[PipelineSpec]:
-    """Normalize a legacy ``pipeline=...`` knob into a spec section.
-
-    Accepts the values ``ShardedSketch(pipeline=...)`` historically took:
-    ``None``/``False`` (off), ``True`` (defaults), an ``int`` buffer
-    size, a :class:`PipelineConfig`, or a ready :class:`PipelineSpec`.
-    """
-    if pipeline is None or pipeline is False:
-        return None
-    if pipeline is True:
-        return PipelineSpec()
-    if isinstance(pipeline, PipelineSpec):
-        return pipeline
-    if isinstance(pipeline, PipelineConfig):
-        return PipelineSpec(buffer_size=pipeline.buffer_size, depth=pipeline.depth)
-    if isinstance(pipeline, int):
-        return PipelineSpec(buffer_size=pipeline)
-    raise TypeError(
-        f"pipeline must be None/False, True, a buffer size, a "
-        f"PipelineConfig, or a PipelineSpec, got {pipeline!r}"
-    )
+def _check_legacy_pipeline(section: object, sharding: object) -> None:
+    """Accept a legacy ``pipeline`` section only where it describes the
+    coalescing every sharded stack now runs with."""
+    if (
+        sharding is None
+        or not isinstance(section, dict)
+        or any(
+            key not in LEGACY_PIPELINE or value != LEGACY_PIPELINE[key]
+            for key, value in section.items()
+        )
+    ):
+        raise ValueError(
+            f"the pipeline section was removed: every sharded stack "
+            f"coalesces writes and applies them every {COALESCE_ITEMS} "
+            f"items; drop the section (only a subset of {LEGACY_PIPELINE} "
+            f"next to a sharding section still parses), got {section!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -351,11 +333,12 @@ class ServiceSpec:
 class SketchSpec:
     """The root of the declarative configuration tree.
 
-    ``algorithm`` is mandatory; ``hierarchy``, ``sharding``,
-    ``pipeline`` and ``service`` are optional sections.  A spec with no
-    sharding and no pipeline section builds a bare sketch; either
-    section wraps it in a :class:`repro.sharding.ShardedSketch` (a
-    pipeline with no sharding section runs on one shard).  The service
+    ``algorithm`` is mandatory; ``hierarchy``, ``sharding`` and
+    ``service`` are optional sections.  A spec with no sharding section
+    builds a bare sketch; a sharding section wraps it in a
+    :class:`repro.sharding.ShardedSketch`.  A legacy ``pipeline``
+    section parses only as :data:`LEGACY_PIPELINE` describes, and is
+    not stored.  The service
     section does not change what :func:`~repro.engine.facade
     .build_engine` builds — it describes how :mod:`repro.service` hosts
     the engine as a daemon.
@@ -373,7 +356,6 @@ class SketchSpec:
     algorithm: AlgorithmSpec
     hierarchy: Optional[HierarchySpec] = None
     sharding: Optional[ShardingSpec] = None
-    pipeline: Optional[PipelineSpec] = None
     service: Optional[ServiceSpec] = None
 
     def __post_init__(self) -> None:
@@ -394,8 +376,6 @@ class SketchSpec:
             out["hierarchy"] = dataclasses.asdict(self.hierarchy)
         if self.sharding is not None:
             out["sharding"] = dataclasses.asdict(self.sharding)
-        if self.pipeline is not None:
-            out["pipeline"] = dataclasses.asdict(self.pipeline)
         if self.service is not None:
             out["service"] = dataclasses.asdict(self.service)
         return out
@@ -418,25 +398,24 @@ class SketchSpec:
         if unknown:
             raise ValueError(
                 f"unknown spec section(s) {unknown}; expected a subset of "
-                f"['algorithm', 'hierarchy', 'pipeline', 'service', 'sharding']"
+                f"['algorithm', 'hierarchy', 'service', 'sharding']"
             )
         if "algorithm" not in payload:
             raise ValueError("spec is missing the 'algorithm' section")
         algorithm = _from_section(AlgorithmSpec, payload["algorithm"], "algorithm")
-        hierarchy = sharding = pipeline = service = None
+        hierarchy = sharding = service = None
         if payload.get("hierarchy") is not None:
             hierarchy = _from_section(HierarchySpec, payload["hierarchy"], "hierarchy")
         if payload.get("sharding") is not None:
             sharding = _from_section(ShardingSpec, payload["sharding"], "sharding")
         if payload.get("pipeline") is not None:
-            pipeline = _from_section(PipelineSpec, payload["pipeline"], "pipeline")
+            _check_legacy_pipeline(payload["pipeline"], sharding)
         if payload.get("service") is not None:
             service = _from_section(ServiceSpec, payload["service"], "service")
         return cls(
             algorithm=algorithm,
             hierarchy=hierarchy,
             sharding=sharding,
-            pipeline=pipeline,
             service=service,
         )
 

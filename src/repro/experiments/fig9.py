@@ -24,7 +24,6 @@ from ..engine.spec import (
     HierarchySpec,
     ShardingSpec,
     SketchSpec,
-    pipeline_spec_for,
 )
 from ..hierarchy.domain import SRC_HIERARCHY
 from ..netwide.simulation import NetwideConfig, run_error_experiment
@@ -43,17 +42,16 @@ def controller_spec(
     seed: Optional[int],
     shards: int = 1,
     executor: str = "serial",
-    pipeline: object = False,
 ) -> SketchSpec:
     """The declarative controller spec equivalent to the legacy knobs.
 
     The algorithm section is a template — :class:`NetwideSystem` resolves
     family/tau/per-shard counters from the config and the budget model —
-    while sharding/pipeline sections pass through as given.  Sections are
+    while the sharding section passes through as given.  It is
     synthesized only when ``shards > 1``, exactly mirroring the
     :class:`NetwideConfig` legacy shim (a 1-shard deployment always built
-    the plain sketch, silently ignoring executor/pipeline); declare a
-    1-shard executor/pipeline deployment with an explicit spec.
+    the plain sketch, silently ignoring the executor); declare a 1-shard
+    executor deployment with an explicit spec.
     """
     sharded = shards > 1
     return SketchSpec(
@@ -64,7 +62,6 @@ def controller_spec(
         sharding=(
             ShardingSpec(shards=shards, executor=executor) if sharded else None
         ),
-        pipeline=pipeline_spec_for(pipeline) if sharded else None,
     )
 
 
@@ -80,7 +77,6 @@ def run(
     seed: int = 2018,
     shards: int = 1,
     executor: str = "serial",
-    pipeline: object = False,
     spec: Union[SketchSpec, str, Path, None] = None,
 ) -> List[Dict[str, float]]:
     """One row per (trace, method) with the controller's RMSE.
@@ -90,8 +86,8 @@ def run(
     the method stays functional at reproduction scale — see EXPERIMENTS.md.
     ``spec`` (a :class:`repro.engine.SketchSpec` or a path to a JSON spec
     file) declares the Sample/Batch controllers' execution strategy —
-    sharding, executor, pipelining — in one serializable document; the
-    legacy ``shards``/``executor``/``pipeline`` knobs synthesize the
+    sharding and executor — in one serializable document; the
+    legacy ``shards``/``executor`` knobs synthesize the
     equivalent spec when no explicit one is given (``shards > 1`` runs
     hash-partitioned D-H-Memento shards with the counter budget split and
     merge-on-query combining).  Each non-aggregate result row records the
@@ -102,7 +98,7 @@ def run(
     length = int(window * 3)
     hierarchy = SRC_HIERARCHY
     if spec is None:
-        spec = controller_spec(window, counters, seed, shards, executor, pipeline)
+        spec = controller_spec(window, counters, seed, shards, executor)
     elif isinstance(spec, (str, Path)):
         spec = SketchSpec.from_file(spec)
     elif isinstance(spec, dict):

@@ -142,9 +142,8 @@ class SketchController:
     def close(self) -> None:
         """Release the hosted algorithm's resources (idempotent).
 
-        A sharded algorithm holds executor workers and possibly a
-        pipeline thread; plain sketches have no ``close`` and nothing to
-        release.  The controller owns the sketch it hosts, so system
+        A sharded algorithm may hold executor workers; plain sketches
+        have no ``close`` and nothing to release.  The controller owns the sketch it hosts, so system
         teardown routes through here.
         """
         close = getattr(self.algorithm, "close", None)

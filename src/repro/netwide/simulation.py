@@ -46,8 +46,8 @@ class NetwideConfig:
     the Theorem 5.5 optimizer for the best batch under the byte budget.
     ``hierarchy`` switches the controller from D-Memento to D-H-Memento.
 
-    ``spec`` declares the controller's execution strategy (sharding /
-    executor / pipeline sections of a :class:`repro.engine.SketchSpec`);
+    ``spec`` declares the controller's execution strategy (the sharding
+    section of a :class:`repro.engine.SketchSpec`);
     its algorithm section serves as a template whose family, window,
     counters, tau, seed, and delta are **resolved** by
     :class:`NetwideSystem` from this config and the budget model (the
@@ -193,7 +193,7 @@ class NetwideSystem:
         D-H-Memento), the counter budget is split across shards so total
         controller state matches the single-sketch deployment, and
         ``tau`` is the budget model's transport sampling rate.  The
-        spec's sharding/pipeline sections and the sampler choice pass
+        spec's sharding section and the sampler choice pass
         through untouched.
         """
         spec = config.spec
@@ -297,9 +297,8 @@ class NetwideSystem:
         """Release controller-side resources (idempotent).
 
         A sharded controller may hold resident worker processes (a spec
-        with ``"executor": "persistent"``) and a pipeline
-        thread; without an explicit teardown every simulated point in a
-        fig9 sweep leaks them.  The simulation owns the controller it
+        with ``"executor": "persistent"``); without an explicit teardown
+        every simulated point in a fig9 sweep leaks them.  The simulation owns the controller it
         built, so it owns the ``close()`` — callers that construct a
         :class:`NetwideSystem` directly should use it as a context
         manager or call :meth:`close` when done.
@@ -386,7 +385,7 @@ def run_error_experiment(
         ]
 
     acc = RunningRMSE()
-    # the system owns executor workers/pipeline threads when the
+    # the system owns executor workers when the
     # controller is sharded — tear them down even on a mid-run failure
     with NetwideSystem(config) as system:
         for t, (packet, point) in enumerate(

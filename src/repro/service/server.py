@@ -49,14 +49,14 @@ the items applied.
 
 A malformed frame, or EOF inside a frame, drops that client; what it
 sent before the bad frame stays applied.  A failed engine apply poisons
-the pump exactly like the pipelined dispatcher: later reports are
+the pump exactly like a failed sharded apply: later reports are
 consumed-and-dropped (their budget is still credited back, so no client
 deadlocks) and the first failure surfaces on every subsequent
 synchronous op and in ``stats``.
 
 :class:`ServiceDaemon` wraps the server in a background thread with its
 own event loop for synchronous callers (tests, examples, benchmarks);
-``close()`` unwinds engine → dispatcher → executor → sockets, in that
+``close()`` unwinds engine → executor → sockets, in that
 order, on both classes.
 """
 
@@ -194,8 +194,7 @@ class IngestServer:
         Idempotent, and safe after a partial start.  Remaining queued
         ops are applied, a final checkpoint is written when
         checkpointing is on and the engine is healthy, then the engine
-        closes (releasing its own dispatcher thread and worker
-        processes) and the engine thread exits.
+        closes (releasing its worker processes) and the engine thread exits.
         """
         if self._closed:
             return

@@ -9,9 +9,9 @@ Public surface:
 * Executors — :class:`SerialExecutor` (in-process) and
   :class:`PersistentProcessExecutor` (resident shard workers; state
   never round-trips per batch), and :func:`make_executor`.
-* Pipelined front-end — :class:`PipelineConfig` /
-  ``ShardedSketch(pipeline=...)``: coalesced write buffering plus a
-  background partitioner thread overlapping worker applies.
+* Coalesced ingestion — every write appends to a
+  :class:`~repro.sharding.sharded.WriteBuffer` that is applied on the
+  caller's thread every ``COALESCE_ITEMS`` items and at every query.
 """
 
 from .executors import (
@@ -19,7 +19,6 @@ from .executors import (
     SerialExecutor,
     make_executor,
 )
-from .pipeline import PipelineConfig, make_pipeline_config
 from .sharded import ShardedSketch, shard_index
 
 __all__ = [
@@ -28,6 +27,4 @@ __all__ = [
     "SerialExecutor",
     "PersistentProcessExecutor",
     "make_executor",
-    "PipelineConfig",
-    "make_pipeline_config",
 ]

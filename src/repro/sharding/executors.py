@@ -39,7 +39,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import traceback
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -201,11 +201,13 @@ class PersistentProcessExecutor:
     last seed).  ``close()`` terminates the workers; the sketch re-seeds
     lazily afterwards.
 
-    A collect that runs into its deadline tears the workers down before
-    it raises: their unread replies would otherwise answer the *next*
-    collect with the previous round's state.  Until the next ``seed()``
-    every ``submit``/``broadcast``/``collect`` then raises a
-    ``RuntimeError`` naming the deadline.
+    A collect that runs into its deadline, and a pipe that fails
+    because its worker died (``OSError``/``EOFError`` in ``submit``,
+    ``broadcast`` or ``collect``), tear the workers down before raising
+    a ``RuntimeError`` that names the worker: unread replies would
+    otherwise answer the *next* collect with the previous round's state.
+    Until the next ``seed()`` every ``submit``/``broadcast``/``collect``
+    then raises a ``RuntimeError`` naming that cause.
     """
 
     stateful = True
@@ -275,7 +277,7 @@ class PersistentProcessExecutor:
                     daemon=True,
                 )
                 # under fork, starting a worker while another thread (a
-                # second engine's pipeline, say) sits in a resource-
+                # second engine's caller, say) sits in a resource-
                 # tracker critical section would hand the child that
                 # lock in a locked state — it then deadlocks on its
                 # attach-time tracker registration before ever reading
@@ -305,6 +307,24 @@ class PersistentProcessExecutor:
             )
         return self._conns
 
+    def _tear_down(
+        self, reason: str, cause: Optional[BaseException] = None
+    ) -> NoReturn:
+        """Close the workers, refuse work until re-seeded, and raise."""
+        self.close()
+        self._broken = reason
+        raise RuntimeError(reason) from cause
+
+    def _worker_died(self, index: int, cause: BaseException) -> NoReturn:
+        """Tear down after worker ``index``'s pipe failed under us."""
+        worker = self._workers[index]
+        worker.join(timeout=1.0)  # its end of the pipe is gone: it is exiting
+        self._tear_down(
+            f"persistent shard worker {index} died (exitcode "
+            f"{worker.exitcode}); its pipe raised {type(cause).__name__}",
+            cause,
+        )
+
     def submit(self, fn: Callable, tasks: Sequence[Tuple]) -> None:
         """Send one ``fn(shard, *task)`` application per worker (no wait).
 
@@ -321,26 +341,19 @@ class PersistentProcessExecutor:
             raise RuntimeError(
                 f"{len(tasks)} tasks for {len(conns)} resident workers"
             )
-        for conn, ring, task in zip(conns, self._rings, tasks):
-            items = max(
-                (len(arg) for arg in task if isinstance(arg, (np.ndarray, list))),
-                default=0,
-            )
-            if items >= RING_MIN_ITEMS:
-                split = split_task(task)
-                if split is not None:
-                    columns, recipe = split
-                    written = ring.write(columns)
-                    if written is not None:
-                        slot, layouts = written
-                        conn.send(("apply_cols", fn, slot, layouts, recipe))
-                        continue
-            conn.send(("apply", fn, *task))
+        for index, (conn, ring) in enumerate(zip(conns, self._rings)):
+            try:
+                conn.send(_task_message(ring, fn, tasks[index]))
+            except (OSError, EOFError) as exc:
+                self._worker_died(index, exc)
 
     def broadcast(self, fn: Callable, *args) -> None:
         """Send the same ``fn(shard, *args)`` application to every worker."""
-        for conn in self._live_conns():
-            conn.send(("apply", fn, *args))
+        for index, conn in enumerate(self._live_conns()):
+            try:
+                conn.send(("apply", fn, *args))
+            except (OSError, EOFError) as exc:
+                self._worker_died(index, exc)
 
     def collect(
         self, timeout: Optional[float] = DEFAULT_COLLECT_TIMEOUT
@@ -356,26 +369,30 @@ class PersistentProcessExecutor:
         raised, and the executor refuses further work until re-seeded.
         """
         conns = self._live_conns()
-        for conn in conns:
-            conn.send(("collect",))
+        for index, conn in enumerate(conns):
+            try:
+                conn.send(("collect",))
+            except (OSError, EOFError) as exc:
+                self._worker_died(index, exc)
         states: List = []
         failures: List[str] = []
         for index, conn in enumerate(conns):
-            if timeout is not None and not conn.poll(timeout):
-                worker = self._workers[index]
-                status = (
-                    "alive"
-                    if worker.is_alive()
-                    else f"dead (exitcode {worker.exitcode})"
-                )
-                reason = (
-                    f"persistent shard worker {index} sent no reply for "
-                    f"{timeout}s (worker {status}) — wedged or deadlocked"
-                )
-                self.close()
-                self._broken = reason
-                raise RuntimeError(reason)
-            kind, payload = conn.recv()
+            try:
+                if timeout is not None and not conn.poll(timeout):
+                    worker = self._workers[index]
+                    status = (
+                        "alive"
+                        if worker.is_alive()
+                        else f"dead (exitcode {worker.exitcode})"
+                    )
+                    self._tear_down(
+                        f"persistent shard worker {index} sent no reply "
+                        f"for {timeout}s (worker {status}) — wedged or "
+                        f"deadlocked"
+                    )
+                kind, payload = conn.recv()
+            except (OSError, EOFError) as exc:
+                self._worker_died(index, exc)
             if kind == "error":
                 failures.append(payload)
                 states.append(None)
@@ -421,6 +438,25 @@ class PersistentProcessExecutor:
             self.close()
         except Exception:
             pass
+
+
+def _task_message(ring: PlanRing, fn: Callable, task: Tuple) -> Tuple:
+    """The pipe message for one task: a ring slot descriptor when the
+    task splits into columns, holds at least :data:`RING_MIN_ITEMS`
+    items and fits a slot, else the task pickled whole."""
+    items = max(
+        (len(arg) for arg in task if isinstance(arg, (np.ndarray, list))),
+        default=0,
+    )
+    if items >= RING_MIN_ITEMS:
+        split = split_task(task)
+        if split is not None:
+            columns, recipe = split
+            written = ring.write(columns)
+            if written is not None:
+                slot, layouts = written
+                return ("apply_cols", fn, slot, layouts, recipe)
+    return ("apply", fn, *task)
 
 
 _EXECUTORS = {

@@ -40,21 +40,31 @@ shard resident in its own worker process and ships only the plans, each
 through a shared-memory ring or pickled into the pipe depending on its
 size.
 
-``pipeline=...`` enables the **pipelined ingestion front-end**
-(:mod:`repro.sharding.pipeline`): scalar and report-scale writes
-coalesce in a bounded buffer and a background partitioner thread
-overlaps chunk partitioning (and the blocking pipe sends) with the
-persistent executor's worker applies.  Every query path drains the
-pipeline first (via ``_sync_shards``), so results stay identical to
-synchronous ingestion; :meth:`ShardedSketch.flush` is the explicit sync
-point.
+Every write **coalesces**: scalar updates, report-scale batches and gap
+advances append to a :class:`WriteBuffer`, which is partitioned and
+applied on the caller's thread once :data:`COALESCE_ITEMS` items are
+pending (a batch at least that large skips the buffer).  Queries,
+:meth:`ShardedSketch.flush`, snapshots and ``close`` apply what is
+pending first, so results equal uncoalesced ingestion.  A failed apply
+raises from the call that applied it and sticks: every later write,
+flush and query raises until :meth:`ShardedSketch.close`.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -67,13 +77,24 @@ from ..core.merge import (
     merge_windowed_entry_sets,
 )
 from .executors import make_executor
-from .pipeline import PipelinedDispatcher, WriteBuffer, make_pipeline_config
 
-__all__ = ["ShardedSketch", "shard_index"]
+__all__ = ["ShardedSketch", "shard_index", "WriteBuffer", "COALESCE_ITEMS"]
 
 _MASK64 = (1 << 64) - 1
 
 QUERY_MODES = ("route", "sum")
+
+#: Pending items (gap advances count one each) at which a sharded
+#: sketch partitions and applies its buffered writes.  Report-scale
+#: writes cost one partition and one plan per shard per 4096 items
+#: instead of per report (``BENCH_pipelined_ingest.json``:
+#: ``reports/shards4``, ``scalar/shards4``), and the 4096-item chunks
+#: every bench and the ``extend`` default feed skip the buffer.
+COALESCE_ITEMS = 4096
+
+#: Op-kind tag for window advances (items ops carry their method name).
+GAP = "ingest_gap"
+
 
 def _mix64(value: int) -> int:
     """Finalizing 64-bit mix (murmur3 fmix64): decorrelates low bits so
@@ -113,6 +134,58 @@ def _group_by_owner(owners: np.ndarray, shards: int) -> List[np.ndarray]:
         owners[order], np.arange(1, shards, dtype=owners.dtype)
     )
     return np.split(order, bounds)
+
+
+class WriteBuffer:
+    """Order-preserving coalescing buffer of ``(method, payload)`` ops.
+
+    Payloads are item lists for ingestion methods and a plain count for
+    :data:`GAP` advances.  Consecutive writes of the same kind extend
+    the open op instead of appending a new one, so a scalar-update loop
+    costs one growing list and gap runs collapse into one integer —
+    the same run-length structure the ingest plans encode downstream.
+    """
+
+    __slots__ = ("capacity", "_ops", "_pending")
+
+    def __init__(self, capacity: int) -> None:
+        if capacity <= 0:
+            raise ValueError(f"capacity must be positive, got {capacity}")
+        self.capacity = capacity
+        self._ops: List[Tuple[str, Union[List, int]]] = []
+        self._pending = 0
+
+    @property
+    def pending(self) -> int:
+        """Buffered item count (gap advances count one each)."""
+        return self._pending
+
+    def add_items(self, method: str, items: Sequence) -> bool:
+        """Buffer ``items`` under ``method``; True when a spill is due."""
+        ops = self._ops
+        if ops and ops[-1][0] == method:
+            ops[-1][1].extend(items)
+        else:
+            ops.append((method, list(items)))
+        self._pending += len(items)
+        return self._pending >= self.capacity
+
+    def add_gap(self, count: int) -> bool:
+        """Buffer a window advance; True when a spill is due."""
+        ops = self._ops
+        if ops and ops[-1][0] == GAP:
+            ops[-1] = (GAP, ops[-1][1] + count)
+        else:
+            ops.append((GAP, count))
+            self._pending += 1
+        return self._pending >= self.capacity
+
+    def drain(self) -> List[Tuple[str, Union[List, int]]]:
+        """Pop and return all buffered ops (in write order)."""
+        ops = self._ops
+        self._ops = []
+        self._pending = 0
+        return ops
 
 
 def _apply_shard_plan(shard, positions, items, total, windowed, method):
@@ -199,15 +272,10 @@ class ShardedSketch(BatchIngest):
         historical behaviour; the engine registry passes the declared
         capability explicitly instead.  Declaring ``True`` for shards
         without ``ingest_gap`` fails fast.
-    pipeline:
-        ``None``/``False`` (default) keeps ingestion synchronous.
-        ``True``, a buffer size, or a
-        :class:`~repro.sharding.pipeline.PipelineConfig` enables the
-        pipelined front-end: writes coalesce in a bounded buffer and a
-        background thread partitions/dispatches them, overlapping with
-        the persistent executor's worker applies.  Queries and
-        :meth:`flush` are the sync points; results are identical to
-        synchronous ingestion.
+
+    Writes coalesce up to :data:`COALESCE_ITEMS` pending items before
+    they are partitioned and applied; queries and :meth:`flush` apply
+    what is pending first.
 
     Examples
     --------
@@ -226,12 +294,11 @@ class ShardedSketch(BatchIngest):
         key_fn: Optional[Callable[[Hashable], Hashable]] = None,
         query_mode: str = "route",
         merge_counters: Optional[int] = None,
-        pipeline: object = None,
         windowed: Optional[bool] = None,
     ) -> None:
-        # every knob validates BEFORE the factory runs: a bad executor or
-        # pipeline spec must not first construct (and, for stateful
-        # executors, potentially leak) S shard sketches
+        # every knob validates BEFORE the factory runs: a bad executor
+        # must not first construct (and, for stateful executors,
+        # potentially leak) S shard sketches
         if shards <= 0:
             raise ValueError(f"shards must be positive, got {shards}")
         if query_mode not in QUERY_MODES:
@@ -242,10 +309,6 @@ class ShardedSketch(BatchIngest):
             raise ValueError(
                 f"merge_counters must be positive, got {merge_counters}"
             )
-        #: pipelined front-end (None = synchronous): a coalescing write
-        #: buffer plus a lazily-started background dispatcher thread;
-        #: every query path drains both through ``flush``
-        self._pipeline_config = make_pipeline_config(pipeline)
         self._executor = make_executor(executor)
         self.num_shards = int(shards)
         self.query_mode = query_mode
@@ -271,12 +334,10 @@ class ShardedSketch(BatchIngest):
         #: ingestion ships only plans, and ``_sync_shards`` pulls state
         #: back lazily at the first query after a batch
         self._stateful = bool(getattr(self._executor, "stateful", False))
-        self._buffer = (
-            WriteBuffer(self._pipeline_config.buffer_size)
-            if self._pipeline_config is not None
-            else None
-        )
-        self._dispatcher: Optional[PipelinedDispatcher] = None
+        self._buffer = WriteBuffer(COALESCE_ITEMS)
+        #: the first failed apply; every later write, flush and query
+        #: raises it until ``close``
+        self._failure: Optional[BaseException] = None
         self._resident = False
         self._shards_stale = False
         self._updates = 0
@@ -356,71 +417,30 @@ class ShardedSketch(BatchIngest):
     # ------------------------------------------------------------------
     def update(self, item: Hashable) -> None:
         """Route one packet; windowed non-owners advance their window."""
-        if self._buffer is not None:
-            self._version += 1
-            self._updates += 1
-            self._buffer_write("update_many", (item,))
-            return
-        if self._resident:
-            # shard state lives in the workers: route even scalars through
-            # the plan pipeline so the resident copies stay authoritative
-            self._dispatch([item], "update_many")
-            return
+        # _write inlined for one item: the per-packet hot path
+        if self._failure is not None:
+            self._raise_failure()
         self._version += 1
         self._updates += 1
-        if self.num_shards == 1:
-            self._shards[0].update(item)
-            return
-        owner = self.shard_of(item)
-        if self.windowed:
-            for j, shard in enumerate(self._shards):
-                if j == owner:
-                    shard.update(item)
-                else:
-                    shard.ingest_gap(1)
-        else:
-            self._shards[owner].update(item)
+        if self._buffer.add_items("update_many", (item,)):
+            self._spill()
 
     def update_many(self, items: Sequence) -> None:
         """Batch ingestion: partition once, apply per-shard plans."""
-        self._dispatch(items, "update_many")
+        self._write("update_many", as_batch(items))
 
     def ingest_sample(self, item: Hashable) -> None:
         """Externally-sampled packet: Full update at the owner."""
-        if self._buffer is not None:
-            self._version += 1
-            self._updates += 1
-            self._buffer_write(
-                "ingest_samples" if self.windowed else "update_many", (item,)
-            )
-            return
-        if self._resident:
-            self._dispatch(
-                [item], "ingest_samples" if self.windowed else "update_many"
-            )
-            return
-        self._version += 1
-        self._updates += 1
-        if self.num_shards == 1:
-            shard = self._shards[0]
-            if self.windowed:
-                shard.ingest_sample(item)
-            else:
-                shard.update(item)
-            return
-        owner = self.shard_of(item)
-        if self.windowed:
-            for j, shard in enumerate(self._shards):
-                if j == owner:
-                    shard.ingest_sample(item)
-                else:
-                    shard.ingest_gap(1)
-        else:
-            self._shards[owner].update(item)
+        self._write(self._sample_method, (item,))
 
     def ingest_samples(self, items: Sequence) -> None:
         """Batch of externally-sampled packets (controller path)."""
-        self._dispatch(items, "ingest_samples" if self.windowed else "update_many")
+        self._write(self._sample_method, as_batch(items))
+
+    @property
+    def _sample_method(self) -> str:
+        # interval shards have no sampled path: samples are plain packets
+        return "ingest_samples" if self.windowed else "update_many"
 
     def ingest_gap(self, count: int) -> None:
         """Advance every shard's window for ``count`` unobserved packets."""
@@ -433,16 +453,59 @@ class ShardedSketch(BatchIngest):
             raise ValueError(f"count must be non-negative, got {count}")
         if count == 0:
             return
+        self._raise_failure()
         self._version += 1
         self._updates += count
-        if self._buffer is not None:
-            if self._buffer.add_gap(count):
-                self._spill_buffer()
+        if self._buffer.add_gap(count):
+            self._spill()
+
+    def _write(self, method: str, items: Sequence) -> None:
+        """Coalesce one write; a batch of ``COALESCE_ITEMS`` or more
+        applies at once, after whatever was pending."""
+        if self._failure is not None:
+            self._raise_failure()
+        n = len(items)
+        if n == 0:
             return
-        self._gap_now(count)
+        self._version += 1
+        self._updates += n
+        if n >= self._buffer.capacity:
+            self._spill((method, items))
+        elif self._buffer.add_items(method, items):
+            self._spill()
+
+    def _spill(self, last: Optional[Tuple[str, Sequence]] = None) -> None:
+        """Apply every buffered op, then ``last``, on this thread.
+
+        A failure is stored before it propagates: the shards may hold
+        part of the spill, so nothing may be written or read until
+        :meth:`close`.
+        """
+        ops = self._buffer.drain()
+        if last is not None:
+            ops.append(last)
+        try:
+            for method, payload in ops:
+                if method == GAP:
+                    self._gap_now(payload)
+                else:
+                    self._dispatch_now(payload, method)
+        except BaseException as exc:
+            self._failure = exc
+            raise
+
+    def _raise_failure(self) -> None:
+        """Raise the stored failure, if any (see :meth:`_spill`)."""
+        failure = self._failure
+        if failure is not None:
+            raise RuntimeError(
+                f"sharded ingestion failed earlier "
+                f"({type(failure).__name__}: {failure}); the shards may "
+                f"hold part of a batch, close() resets the sketch"
+            ) from failure
 
     def _gap_now(self, count: int) -> None:
-        """Apply a window advance to every shard (inline or pipelined)."""
+        """Apply a window advance to every shard."""
         if self._resident:
             self._executor.broadcast(_apply_shard_gap, count)
             self._shards_stale = True
@@ -450,20 +513,8 @@ class ShardedSketch(BatchIngest):
         for shard in self._shards:
             shard.ingest_gap(count)
 
-    def _dispatch(self, items: Sequence, method: str) -> None:
-        items = as_batch(items)
-        n = len(items)
-        if n == 0:
-            return
-        self._version += 1
-        self._updates += n
-        if self._buffer is not None:
-            self._buffer_write(method, items)
-            return
-        self._dispatch_now(items, method)
-
     def _dispatch_now(self, items: Sequence, method: str) -> None:
-        """Partition one batch and apply it (inline or pipelined)."""
+        """Partition one batch and apply it."""
         n = len(items)
         if self.num_shards == 1:
             getattr(self._shards[0], method)(items)
@@ -491,55 +542,26 @@ class ShardedSketch(BatchIngest):
         ]
         self._shards = self._executor.map(_apply_shard_plan, tasks)
 
-    # ------------------------------------------------------------------
-    # pipelined front-end plumbing
-    # ------------------------------------------------------------------
-    def _buffer_write(self, method: str, items: Sequence) -> None:
-        """Coalesce a write into the buffer; spill once it fills up."""
-        if self._buffer.add_items(method, items):
-            self._spill_buffer()
-
-    def _spill_buffer(self) -> None:
-        """Hand every buffered op to the background dispatcher."""
-        buffered = self._buffer.drain()
-        if not buffered:
-            return
-        dispatcher = self._dispatcher
-        if dispatcher is None:
-            dispatcher = self._dispatcher = PipelinedDispatcher(
-                self._dispatch_now,
-                self._gap_now,
-                depth=self._pipeline_config.depth,
-            )
-        for method, payload in buffered:
-            dispatcher.submit(method, payload)
-
     def flush(self) -> None:
-        """Synchronize the pipelined front-end (no-op when synchronous).
+        """Apply every buffered write now (idempotent).
 
-        Pushes buffered writes into the dispatch queue and blocks until
-        the background thread has applied every in-flight op, raising if
-        any dispatch failed since the last :meth:`close`.  Every query
-        path routes through here (via ``_sync_shards``), so pipelined
-        results are indistinguishable from synchronous ingestion.
-        Idempotent: a drained pipeline flushes as a no-op.
+        Every query path routes through here (via ``_sync_shards``), so
+        coalesced results are indistinguishable from applying each write
+        as it arrives.  Raises the stored failure of an earlier apply.
         """
-        if self._buffer is None:
-            return
-        self._spill_buffer()
-        if self._dispatcher is not None:
-            self._dispatcher.drain()
-
-    @property
-    def pipelined(self) -> bool:
-        """Whether the pipelined ingestion front-end is enabled."""
-        return self._buffer is not None
+        self._raise_failure()
+        self._spill()
 
     def _sync_shards(self) -> None:
-        """Drain the pipeline, then pull resident state back when stale."""
+        """Apply buffered writes, then pull resident state back when stale
+        (a failed pull sticks like a failed apply)."""
         self.flush()
         if self._shards_stale:
-            self._shards = self._executor.collect()
+            try:
+                self._shards = self._executor.collect()
+            except BaseException as exc:
+                self._failure = exc
+                raise
             self._shards_stale = False
 
     # ------------------------------------------------------------------
@@ -768,7 +790,7 @@ class ShardedSketch(BatchIngest):
     def state_snapshot(self) -> Dict[str, object]:
         """Serializable snapshot of the full ensemble state.
 
-        Drains the pipeline and pulls any resident worker state back
+        Applies buffered writes and pulls any resident worker state back
         into the parent first, so the returned shards reflect every
         write accepted so far.  The shard sketches in the snapshot are
         the live objects, not copies — serialize (pickle) the snapshot
@@ -784,9 +806,9 @@ class ShardedSketch(BatchIngest):
     def restore_state(self, state: Dict[str, object]) -> None:
         """Adopt a :meth:`state_snapshot` as the current ensemble state.
 
-        The pipeline and any resident workers are unwound first (via
-        :meth:`close` — idempotent, so later writes restart/re-seed
-        lazily), then the snapshot's shard sketches replace the current
+        Buffered writes and any resident workers are unwound first (via
+        :meth:`close` — idempotent, so later writes re-seed lazily),
+        then the snapshot's shard sketches replace the current
         ones and the merge cache is invalidated.  The snapshot must come
         from a sketch with the same shard count.
         """
@@ -805,22 +827,19 @@ class ShardedSketch(BatchIngest):
         self._merge_version = -1
 
     def close(self) -> None:
-        """Release the pipeline thread and the executor's workers.
+        """Apply buffered writes and release the executor's workers.
 
-        Safe to call mid-pipeline and idempotent: in-flight buffered
-        writes are drained first, then resident shard state is pulled
-        back into the parent, so queries keep working after close; a
-        later write restarts the pipeline and re-seeds fresh workers
-        lazily.  The thread and the workers are released even when the
-        final drain/sync fails (poisoned pipeline or dead worker) — the
-        failure propagates, but nothing leaks and the parent keeps its
-        last synced state.
+        Idempotent: resident shard state is pulled back into the parent
+        first, so queries keep working after close, and a later write
+        re-seeds fresh workers lazily.  The workers are released and the
+        stored failure is cleared even when the final sync fails (an
+        earlier failed apply or a dead worker) — the failure propagates,
+        but nothing leaks and the parent keeps its last synced state.
         """
         try:
             self._sync_shards()
         finally:
-            if self._dispatcher is not None:
-                self._dispatcher.close()
+            self._failure = None
             self._shards_stale = False
             self._executor.close()
             self._resident = False

@@ -83,9 +83,9 @@ __all__ = [
 #: sections.  Creating/unlinking a ``SharedMemory`` segment registers it
 #: with the process-global ``multiprocessing.resource_tracker``, whose
 #: internal lock is NOT reinitialized across ``fork()``: a worker forked
-#: (by one engine's pipeline thread) at the instant another thread (a
-#: second engine's) holds that lock inherits it locked forever, and the
-#: child then deadlocks on its first tracker call — its attach-time
+#: (by one engine's calling thread — say an in-process daemon's engine
+#: thread) at the instant another thread (a second engine's) holds that
+#: lock inherits it locked forever, and the child then deadlocks on its first tracker call — its attach-time
 #: ``SharedMemory`` registration — before ever reading its pipe, which
 #: in turn wedges the parent's next ``collect()``.  Every parent-side
 #: tracker touchpoint in this package (ring create/unlink) and every

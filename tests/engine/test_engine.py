@@ -2,8 +2,8 @@
 
 The load-bearing contract: an engine-built deployment is **byte-identical**
 in state to the equivalent hand-wired construction under a fixed seed —
-bare sketches, sharded ensembles (including the persistent executor), and
-pipelined front-ends alike.  If these tests fail, a spec no longer
+bare sketches and sharded ensembles (including the persistent executor
+and coalesced report-scale writes) alike.  If these tests fail, a spec no longer
 reproduces the deployment it records.
 """
 
@@ -82,15 +82,18 @@ class TestConstructionIdentity:
         ]
 
     def test_sharded_persistent_pipelined(self, stream):
-        """The acceptance-criterion case: persistent workers + pipeline."""
+        """Persistent workers fed coalesced 64-item reports, from a spec
+        that still carries the legacy pipeline section, equal a
+        hand-wired stack fed the whole stream at once."""
         spec = SketchSpec.from_dict({
             "algorithm": {"family": "memento", "window": WINDOW,
                           "counters": 32, "tau": 1.0, "seed": 3},
             "sharding": {"shards": 4, "executor": "persistent"},
-            "pipeline": {"buffer_size": 512},
+            "pipeline": {"buffer_size": 4096, "depth": 2},
         })
         with build_engine(spec) as engine:
-            engine.update_many(stream)
+            for start in range(0, len(stream), 64):
+                engine.update_many(stream[start : start + 64])
             engine.flush()
             with ShardedSketch(
                 lambda i: Memento(window=WINDOW, counters=32, tau=1.0,
@@ -98,13 +101,23 @@ class TestConstructionIdentity:
                 shards=4,
                 executor="persistent",
                 query_mode="route",
-                pipeline=512,
             ) as hand:
                 hand.update_many(stream)
-                hand.flush()
                 assert [state(s) for s in engine.sketch.shards] == [
                     state(s) for s in hand.shards
                 ]
+
+    def test_window_baseline_pickles_deterministically(self, stream):
+        # equal specs fed equal packets must checkpoint to equal bytes
+        payload = {
+            "algorithm": {"family": "window_baseline", "window": 2048,
+                          "counters": 64},
+            "hierarchy": {"kind": "src"},
+        }
+        a, b = build_engine(payload), build_engine(payload)
+        a.update_many(stream[:3000])
+        b.update_many(stream[:3000])
+        assert state(a.sketch) == state(b.sketch)
 
     def test_spec_file_reproduces_engine(self, tmp_path, stream):
         """build_engine(SketchSpec.from_file(path)) == build_engine(spec)."""
@@ -149,19 +162,6 @@ class TestBuildInputs:
             build_engine(spec)
         engine = build_engine(spec, hierarchy=SRC_HIERARCHY)
         assert isinstance(engine.sketch, RHHH)
-
-    def test_pipeline_without_sharding_wraps_one_shard(self):
-        engine = build_engine({
-            "algorithm": {"family": "memento", "window": 256,
-                          "counters": 16, "seed": 1},
-            "pipeline": {"buffer_size": 32},
-        })
-        with engine:
-            assert engine.sharded
-            assert engine.sketch.num_shards == 1
-            assert engine.sketch.pipelined
-            engine.update_many(list(range(100)))
-            assert engine.query(0) >= 0
 
     def test_query_mode_auto(self):
         flat = build_engine({

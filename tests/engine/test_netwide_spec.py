@@ -59,7 +59,7 @@ class TestDeprecationShims:
         config = NetwideConfig(window=2000, counters=64, seed=5)
         assert config.spec.algorithm.family == "memento"
         assert config.spec.sharding is None
-        assert config.spec.pipeline is None
+        assert "pipeline" not in config.spec.to_dict()
         assert config.shards == 1
 
     def test_mixing_spec_and_legacy_knobs_rejected(self):

@@ -10,17 +10,14 @@ import pytest
 from repro.engine import (
     AlgorithmSpec,
     HierarchySpec,
-    PipelineSpec,
     ServiceSpec,
     ShardingSpec,
     SketchSpec,
     build_engine,
     hierarchy_spec_for,
-    pipeline_spec_for,
     registered_algorithms,
 )
 from repro.hierarchy.domain import SRC_DST_HIERARCHY, SRC_HIERARCHY
-from repro.sharding.pipeline import PipelineConfig
 
 SPECS_DIR = Path(__file__).parent.parent.parent / "specs"
 
@@ -48,7 +45,8 @@ def spec_payload(family: str, sharded: bool = False, pipelined: bool = False):
     if sharded:
         payload["sharding"] = {"shards": 3, "executor": "serial"}
     if pipelined:
-        payload["pipeline"] = {"buffer_size": 256, "depth": 2}
+        # the removed front-end's defaults, as old spec files carry them
+        payload["pipeline"] = {"buffer_size": 4096, "depth": 2}
     return payload
 
 
@@ -57,7 +55,14 @@ class TestRoundTrip:
     @pytest.mark.parametrize("sharded", [False, True])
     @pytest.mark.parametrize("pipelined", [False, True])
     def test_dict_round_trip_registry_matrix(self, family, sharded, pipelined):
-        spec = SketchSpec.from_dict(spec_payload(family, sharded, pipelined))
+        payload = spec_payload(family, sharded, pipelined)
+        if pipelined and not sharded:
+            # a legacy pipeline section parses only next to sharding
+            with pytest.raises(ValueError, match="pipeline section was removed"):
+                SketchSpec.from_dict(payload)
+            return
+        spec = SketchSpec.from_dict(payload)
+        assert "pipeline" not in spec.to_dict()
         assert SketchSpec.from_dict(spec.to_dict()) == spec
 
     @pytest.mark.parametrize("family", sorted(ALGORITHM_SECTIONS))
@@ -227,14 +232,6 @@ class TestHierarchySpec:
         assert hierarchy_spec_for(custom) == HierarchySpec("custom")
 
 
-class TestPipelineSpecHelpers:
-    def test_pipeline_spec_for(self):
-        assert pipeline_spec_for(None) is None
-        assert pipeline_spec_for(False) is None
-        assert pipeline_spec_for(True) == PipelineSpec()
-        assert pipeline_spec_for(512) == PipelineSpec(buffer_size=512)
-
-
 class TestServiceSpec:
     def payload(self, **service):
         out = spec_payload("memento")
@@ -309,30 +306,6 @@ class TestServiceSpec:
             engine.update_many(list(range(64)))
             assert engine.stats()["updates"] == 64
             assert engine.spec.service is not None
-        assert pipeline_spec_for(PipelineConfig(128, 3)) == PipelineSpec(128, 3)
-        spec = PipelineSpec(64, 4)
-        assert pipeline_spec_for(spec) is spec
-        with pytest.raises(TypeError):
-            pipeline_spec_for("fast")
-
-    def test_to_config(self):
-        config = PipelineSpec(buffer_size=128, depth=3).to_config()
-        assert config == PipelineConfig(buffer_size=128, depth=3)
-
-    def test_sharded_sketch_accepts_pipeline_spec(self):
-        # the direct-constructor path and the spec path take the same
-        # vocabulary: make_pipeline_config resolves a PipelineSpec too
-        from repro import ShardedSketch, SpaceSaving
-
-        sharded = ShardedSketch(
-            lambda i: SpaceSaving(8),
-            shards=2,
-            pipeline=PipelineSpec(buffer_size=64),
-        )
-        with sharded:
-            sharded.update_many(["a", "a", "b"])
-            assert sharded.query("a") == 2
-        assert sharded._pipeline_config == PipelineConfig(buffer_size=64)
 
 
 class TestTransportKnob:

@@ -43,7 +43,7 @@ def test_seed_flag_forwarded(monkeypatch):
     assert seen.get("seed") == 99
 
 
-def test_fig9_pipeline_flag_forwarded(monkeypatch):
+def test_fig9_sharding_flags_forwarded(monkeypatch):
     module = cli._FIGURES["fig9"]
     seen = {}
 
@@ -53,12 +53,12 @@ def test_fig9_pipeline_flag_forwarded(monkeypatch):
 
     monkeypatch.setattr(module, "run", fake_run)
     monkeypatch.setattr(module, "format_table", lambda rows: "t")
-    cli.main(["fig9", "--shards", "2", "--executor", "persistent", "--pipeline"])
+    cli.main(["fig9", "--shards", "2", "--executor", "persistent"])
     assert seen.get("shards") == 2
     assert seen.get("executor") == "persistent"
-    assert seen.get("pipeline") is True
-    cli.main(["fig9"])
-    assert seen.get("pipeline") is False
+    assert "pipeline" not in seen
+    with pytest.raises(SystemExit):
+        cli.main(["fig9", "--pipeline"])
 
 
 def test_fig4_worked_bypasses_run(monkeypatch, capsys):

@@ -155,7 +155,6 @@ MEMENTO_ALGO = {
 
 SHARDED_SECTIONS = {
     "sharding": {"shards": 2, "executor": "persistent", "transport": "shm"},
-    "pipeline": {"depth": 2, "buffer_size": 2048},
 }
 
 

@@ -14,7 +14,7 @@ from repro import (
     generate_trace,
     run_error_experiment,
 )
-from repro.engine import AlgorithmSpec, PipelineSpec, ShardingSpec, SketchSpec
+from repro.engine import AlgorithmSpec, ShardingSpec, SketchSpec
 from repro.netwide.simulation import _assignment_iter
 from repro.traffic.synth import DATACENTER
 
@@ -88,13 +88,12 @@ class TestSystemWiring:
         assert system.controller.packets_covered > 3000
 
 
-def sharded_spec(executor="serial", pipeline=None):
+def sharded_spec(executor="serial"):
     """A 2-shard controller spec template (NetwideSystem pins the
     algorithm section from the config)."""
     return SketchSpec(
         algorithm=AlgorithmSpec(family="memento", window=1500, counters=128),
         sharding=ShardingSpec(shards=2, executor=executor),
-        pipeline=pipeline,
     )
 
 
@@ -139,8 +138,9 @@ class TestLifecycle:
         assert mp.active_children() == []
 
     def test_pipelined_sharded_experiment_matches_serial(self, stream):
-        # a pipeline section must not change a single estimate: the whole
-        # experiment (reports, gaps, on-arrival queries) is differential
+        # coalesced reports shipped to resident workers must not change a
+        # single estimate: the whole experiment (reports, gaps, on-arrival
+        # queries) is differential against the in-process executor
         base = dict(
             points=3,
             method="batch",
@@ -153,7 +153,7 @@ class TestLifecycle:
             NetwideConfig(**base, spec=sharded_spec()), stream[:6000], stride=100
         )
         pipelined = run_error_experiment(
-            NetwideConfig(**base, spec=sharded_spec(pipeline=PipelineSpec())),
+            NetwideConfig(**base, spec=sharded_spec("persistent")),
             stream[:6000],
             stride=100,
         )
@@ -162,13 +162,15 @@ class TestLifecycle:
         assert mp.active_children() == []
 
     def test_system_builds_pipelined_controller(self):
-        config = self._persistent_config(
-            spec=sharded_spec("serial", pipeline=PipelineSpec())
-        )
+        # an old spec that still carries the legacy pipeline section
+        # builds the same sharded controller
+        legacy = sharded_spec("serial").to_dict()
+        legacy["pipeline"] = {"buffer_size": 4096, "depth": 2}
+        config = self._persistent_config(spec=SketchSpec.from_dict(legacy))
         with NetwideSystem(config) as system:
             algorithm = system.controller.algorithm
             assert isinstance(algorithm.sketch, ShardedSketch)
-            assert algorithm.pipelined
+            assert algorithm.sketch.num_shards == 2
 
 
 class TestDetectedSubnets:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import multiprocessing as mp
+import os
 import random
+import signal
 import threading
 import time
 
@@ -17,6 +20,8 @@ from repro import (
     SpaceSaving,
     make_executor,
 )
+from repro.sharding.sharded import COALESCE_ITEMS
+from repro.sharding.shm import leaked_segments
 
 WINDOW = 96
 
@@ -344,6 +349,7 @@ class TestPersistentExecutor:
         stream = make_stream(n=400)
         sharded = ShardedSketch(exact_factory, shards=2, executor="persistent")
         sharded.update_many(stream)
+        sharded.flush()  # seeds the workers
         parent_shards = list(sharded._shards)
         executor = sharded._executor
         executor.submit(_stall, [(0.5,), (0.0,)])
@@ -406,18 +412,15 @@ class TestPersistentExecutor:
             executor.close()
 
     def test_concurrent_pipelined_shm_engines(self):
-        # two pipelined shm engines seed, feed, and close concurrently:
-        # each engine's dispatcher thread forks workers while the other
-        # creates tracker-registered rings — the interleaving that
-        # deadlocked workers before fork/tracker serialization
+        # two shm engines seed, feed, and close concurrently, each on its
+        # own thread: one thread forks workers while the other creates
+        # tracker-registered rings — the interleaving that deadlocked
+        # workers before fork/tracker serialization
         stream = make_stream(n=1500)
 
         def run(results, idx):
             with ShardedSketch(
-                memento_factory,
-                shards=2,
-                executor="persistent",
-                pipeline=True,
+                memento_factory, shards=2, executor="persistent"
             ) as sharded:
                 sharded.update_many(stream)
                 results[idx] = [sharded.query(key) for key in range(31)]
@@ -434,6 +437,56 @@ class TestPersistentExecutor:
                 thread.join()
             assert results[0] is not None
             assert results[0] == results[1]
+
+
+class TestDeadWorker:
+    """A SIGKILLed resident worker surfaces as a named error at the next
+    write or query — never as a raw pipe error, a hang, or an answer
+    from the parent's stale shards — and keeps surfacing until close."""
+
+    @pytest.mark.parametrize(
+        "first,after_query",
+        [
+            ("write", False),
+            # the kill follows a query, so the parent's shards are
+            # current until the write: the query after it must not
+            # answer from them
+            ("write", True),
+            # only a query that must pull state touches the workers; a
+            # query with nothing new answers from the parent's shards
+            ("query", False),
+        ],
+    )
+    def test_next_op_raises_named_error(self, first, after_query):
+        deadline = time.monotonic() + 10.0
+        stream = make_stream(n=400)
+        sharded = ShardedSketch(exact_factory, shards=2, executor="persistent")
+        sharded.update_many(stream)
+        sharded.flush()  # seeds the workers and applies the batch
+        if after_query:
+            sharded.query(stream[0])  # parent shards now hold the batch
+        victim = sharded._executor._workers[1]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=5)
+        named = r"shard worker 1 died \(exitcode -9\)"
+        try:
+            with pytest.raises(RuntimeError, match=named):
+                if first == "write":
+                    # a full batch goes straight to the worker pipes
+                    sharded.update_many(make_stream(n=COALESCE_ITEMS))
+                else:
+                    sharded.query(stream[0])
+            for _ in range(2):
+                with pytest.raises(RuntimeError, match=named):
+                    sharded.query(stream[0])
+            with pytest.raises(RuntimeError, match=named):
+                sharded.update(stream[0])
+        finally:
+            with pytest.raises(RuntimeError, match=named):
+                sharded.close()
+        assert time.monotonic() < deadline
+        assert mp.active_children() == []
+        assert leaked_segments() == []
 
 
 def _poison(shard):

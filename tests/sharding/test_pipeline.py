@@ -1,11 +1,15 @@
-"""Pipelined ingestion front-end: equivalence, sync points, lifecycle."""
+"""Coalesced ingestion: equivalence, sync points, lifecycle, failures.
+
+Every :class:`ShardedSketch` write appends to a :class:`WriteBuffer`
+that is partitioned and applied on the caller's thread once
+``COALESCE_ITEMS`` items are pending.  The reference here is the same
+sketch flushed after every write, i.e. each write applied as it comes.
+"""
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import random
-import threading
-import time
 
 import pytest
 
@@ -13,13 +17,13 @@ from repro import (
     ExactWindowCounter,
     HMemento,
     Memento,
-    PipelineConfig,
     SRC_HIERARCHY,
     ShardedSketch,
+    SketchSpec,
     SpaceSaving,
 )
-from repro.sharding import make_pipeline_config
-from repro.sharding.pipeline import GAP, PipelinedDispatcher, WriteBuffer
+from repro.sharding import sharded as sharded_module
+from repro.sharding.sharded import COALESCE_ITEMS, GAP, WriteBuffer
 
 WINDOW = 96
 
@@ -47,30 +51,64 @@ def space_saving_factory(i):
     return SpaceSaving(32)
 
 
+@pytest.fixture
+def spill_at(monkeypatch):
+    """Build sketches that spill at ``items`` pending items, so short
+    streams cross the spill boundary many times."""
+
+    def set_threshold(items):
+        monkeypatch.setattr(sharded_module, "COALESCE_ITEMS", items)
+
+    return set_threshold
+
+
+def memento_payload(**sections):
+    return {
+        "algorithm": {"family": "memento", "window": 1000, "counters": 64},
+        **sections,
+    }
+
+
 class TestConfig:
+    """The removed ``pipeline`` spec section: old specs that carry the
+    removed front-end's defaults still parse, anything else is refused."""
+
     def test_disabled_specs(self):
-        assert make_pipeline_config(None) is None
-        assert make_pipeline_config(False) is None
+        # a null section is no section, with or without sharding
+        assert SketchSpec.from_dict(memento_payload(pipeline=None)).sharding is None
+        spec = SketchSpec.from_dict(
+            memento_payload(sharding={"shards": 2}, pipeline=None)
+        )
+        assert spec.sharding.shards == 2
 
     def test_enabled_specs(self):
-        assert make_pipeline_config(True) == PipelineConfig()
-        assert make_pipeline_config(512) == PipelineConfig(buffer_size=512)
-        config = PipelineConfig(buffer_size=64, depth=3)
-        assert make_pipeline_config(config) is config
+        # the old defaults describe what every sharded stack does now:
+        # they parse next to a sharding section and are not stored
+        plain = SketchSpec.from_dict(memento_payload(sharding={"shards": 2}))
+        for section in (
+            {},
+            {"buffer_size": COALESCE_ITEMS},
+            {"depth": 2},
+            {"buffer_size": COALESCE_ITEMS, "depth": 2},
+        ):
+            spec = SketchSpec.from_dict(
+                memento_payload(sharding={"shards": 2}, pipeline=section)
+            )
+            assert spec == plain
+            assert "pipeline" not in spec.to_dict()
 
     def test_rejects_bad_specs(self):
-        with pytest.raises(TypeError):
-            make_pipeline_config("fast")
-        with pytest.raises(ValueError):
-            PipelineConfig(buffer_size=0)
-        with pytest.raises(ValueError):
-            PipelineConfig(depth=0)
-
-    def test_sketch_exposes_pipelined_flag(self):
-        assert not ShardedSketch(exact_factory, shards=2).pipelined
-        sharded = ShardedSketch(exact_factory, shards=2, pipeline=True)
-        assert sharded.pipelined
-        sharded.close()
+        sharding = {"shards": 2}
+        for payload in (
+            memento_payload(pipeline={}),  # no sharding section
+            memento_payload(pipeline={"buffer_size": COALESCE_ITEMS}),
+            memento_payload(sharding=sharding, pipeline={"buffer_size": 2048}),
+            memento_payload(sharding=sharding, pipeline={"depth": 3}),
+            memento_payload(sharding=sharding, pipeline={"bogus": 1}),
+            memento_payload(sharding=sharding, pipeline=True),
+        ):
+            with pytest.raises(ValueError, match="pipeline section was removed"):
+                SketchSpec.from_dict(payload)
 
 
 class TestWriteBuffer:
@@ -100,22 +138,29 @@ class TestWriteBuffer:
             WriteBuffer(0)
 
 
-def mixed_feed(target, stream):
-    """Interleave batches, scalars, samples, and gaps (windowed targets)."""
-    windowed = target.windowed
-    target.update_many(stream[:700])
+def mixed_feed(target, stream, flush_each=False):
+    """Interleave batches, scalars, samples, and gaps (windowed targets);
+    ``flush_each`` applies every write as it comes (the reference)."""
+
+    def write(method, *args):
+        getattr(target, method)(*args)
+        if flush_each:
+            target.flush()
+
+    write("update_many", stream[:700])
     for item in stream[700:760]:
-        target.update(item)
-    if windowed:
-        target.ingest_gap(13)
-        target.ingest_sample(stream[760])
-        target.ingest_gap(1)
-    target.ingest_samples(stream[761:790])
-    target.update_many(stream[790:])
+        write("update", item)
+    if target.windowed:
+        write("ingest_gap", 13)
+        write("ingest_sample", stream[760])
+        write("ingest_gap", 1)
+    write("ingest_samples", stream[761:790])
+    write("update_many", stream[790:])
 
 
 class TestPipelinedEquivalence:
-    """Pipelined ingestion must be byte-identical to synchronous."""
+    """Coalesced ingestion must be byte-identical to applying each write
+    as it comes."""
 
     @pytest.mark.parametrize(
         "factory,shards",
@@ -126,136 +171,130 @@ class TestPipelinedEquivalence:
         ],
         ids=["memento", "space_saving", "exact"],
     )
-    def test_matches_serial(self, factory, shards):
+    def test_matches_serial(self, factory, shards, spill_at):
+        spill_at(256)
         stream = make_stream(n=1600)
         reference = ShardedSketch(factory, shards=shards)
-        with ShardedSketch(
-            factory, shards=shards, pipeline=PipelineConfig(buffer_size=256)
-        ) as pipelined:
-            for target in (reference, pipelined):
-                mixed_feed(target, stream)
-            assert pipelined.updates == reference.updates
+        with ShardedSketch(factory, shards=shards) as coalesced:
+            mixed_feed(reference, stream, flush_each=True)
+            mixed_feed(coalesced, stream)
+            assert coalesced.updates == reference.updates
             for key in range(31):
-                assert pipelined.query(key) == reference.query(key)
-            assert pipelined.heavy_hitters(0.05) == reference.heavy_hitters(0.05)
+                assert coalesced.query(key) == reference.query(key)
+            assert coalesced.heavy_hitters(0.05) == reference.heavy_hitters(0.05)
 
-    def test_hmemento_sum_mode_matches_serial(self):
+    def test_hmemento_sum_mode_matches_serial(self, spill_at):
         # H-Memento routes packets while answering prefix queries: sum
         # mode, prefix keys, and the window-aware merged enumeration
+        spill_at(256)
         stream = make_stream(n=1400)
         reference = ShardedSketch(hmemento_factory, shards=2, query_mode="sum")
         with ShardedSketch(
-            hmemento_factory,
-            shards=2,
-            query_mode="sum",
-            pipeline=PipelineConfig(buffer_size=256),
-        ) as pipelined:
-            for target in (reference, pipelined):
-                mixed_feed(target, stream)
-            assert pipelined.updates == reference.updates
+            hmemento_factory, shards=2, query_mode="sum"
+        ) as coalesced:
+            mixed_feed(reference, stream, flush_each=True)
+            mixed_feed(coalesced, stream)
+            assert coalesced.updates == reference.updates
             for packet in range(31):
                 for prefix in SRC_HIERARCHY.all_prefixes(packet):
-                    assert pipelined.query(prefix) == reference.query(prefix)
-            assert pipelined.heavy_prefixes(0.05) == reference.heavy_prefixes(
+                    assert coalesced.query(prefix) == reference.query(prefix)
+            assert coalesced.heavy_prefixes(0.05) == reference.heavy_prefixes(
                 0.05
             )
 
     @pytest.mark.parametrize("executor", ["persistent", "serial"])
-    def test_exact_oracle_identity_with_executors(self, executor):
-        # pipelined sharded-over-exact stays result-identical to the
-        # unsharded oracle across every executor strategy
+    def test_exact_oracle_identity_with_executors(self, executor, spill_at):
+        # coalesced sharded-over-exact stays result-identical to the
+        # unsharded oracle on every executor
+        spill_at(300)
         stream = make_stream(n=2400)
         oracle = ExactWindowCounter(WINDOW)
         oracle.update_many(stream)
-        with ShardedSketch(
-            exact_factory, shards=4, executor=executor, pipeline=300
-        ) as sharded:
+        with ShardedSketch(exact_factory, shards=4, executor=executor) as sharded:
             for start in range(0, len(stream), 500):
                 sharded.update_many(stream[start : start + 500])
             for key in range(31):
                 assert sharded.query(key) == oracle.query(key)
             assert sharded.heavy_hitters(0.03) == oracle.heavy_hitters(0.03)
 
-    def test_resident_scalar_feed_coalesces(self):
-        # the O(S)-messages-per-packet resident scalar path rides the
-        # buffer: per-packet updates on persistent workers stay correct
+    def test_resident_scalar_feed_coalesces(self, spill_at):
+        # per-packet updates on resident workers ride the buffer: one
+        # plan per shard per spill, and the answers stay exact
+        spill_at(128)
         stream = make_stream(n=900)
         oracle = ExactWindowCounter(WINDOW)
-        reference = ShardedSketch(exact_factory, shards=3)
-        with ShardedSketch(
-            exact_factory, shards=3, executor="persistent", pipeline=128
-        ) as sharded:
-            sharded.update_many(stream[:100])  # go resident
-            reference.update_many(stream[:100])
+        with ShardedSketch(exact_factory, shards=3, executor="persistent") as sharded:
+            sharded.update_many(stream[:100])
+            sharded.flush()  # go resident
             oracle.update_many(stream[:100])
             for item in stream[100:]:
                 sharded.update(item)
-                reference.update(item)
                 oracle.update(item)
             for key in range(31):
                 assert sharded.query(key) == oracle.query(key)
-                assert reference.query(key) == oracle.query(key)
 
-    def test_queries_interleaved_with_buffered_writes(self):
+    def test_queries_interleaved_with_buffered_writes(self, spill_at):
+        spill_at(512)
         stream = make_stream(n=1200)
         reference = ShardedSketch(memento_factory, shards=3)
-        with ShardedSketch(
-            memento_factory, shards=3, pipeline=PipelineConfig(buffer_size=512)
-        ) as sharded:
+        with ShardedSketch(memento_factory, shards=3) as sharded:
             for start in range(0, len(stream), 90):
                 chunk = stream[start : start + 90]
                 sharded.update_many(chunk)
                 reference.update_many(chunk)
+                reference.flush()
                 # every query is a sync point: it must observe every
-                # write issued before it, buffered or in flight
+                # write issued before it, buffered or not
                 assert sharded.query(chunk[0]) == reference.query(chunk[0])
             assert sharded.updates == reference.updates
 
 
 class TestSyncPoints:
     def test_writes_buffer_until_threshold(self):
-        with ShardedSketch(
-            exact_factory, shards=2, pipeline=PipelineConfig(buffer_size=1000)
-        ) as sharded:
+        with ShardedSketch(exact_factory, shards=2) as sharded:
             for item in range(10):
                 sharded.update(item)
-            # below the threshold nothing was dispatched yet...
+            # below the threshold nothing was applied yet...
             assert sharded._buffer.pending == 10
             assert sharded.updates == 10
-            # ...but a query drains buffer + pipeline before answering
+            # ...but a query applies the buffer before answering
             assert sharded.query(3) == 1.0
             assert sharded._buffer.pending == 0
 
     def test_flush_is_idempotent(self):
-        with ShardedSketch(exact_factory, shards=2, pipeline=64) as sharded:
+        with ShardedSketch(exact_factory, shards=2) as sharded:
             sharded.update_many(make_stream(n=500))
             sharded.flush()
-            sharded.flush()  # drained pipeline: a no-op
+            sharded.flush()  # nothing pending: a no-op
             assert sharded.query(1) >= 0.0
         # flush after close restarts nothing
         sharded.flush()
+        assert mp.active_children() == []
 
     def test_flush_on_synchronous_sketch_is_noop(self):
+        # a batch of COALESCE_ITEMS or more applies at once
+        stream = make_stream(n=COALESCE_ITEMS)
         sharded = ShardedSketch(exact_factory, shards=2)
-        sharded.update_many([1, 2, 3])
+        sharded.update_many(stream)
+        assert sharded._buffer.pending == 0
         sharded.flush()
-        assert sharded.query(1) == 1.0
+        assert sharded.query(stream[-1]) >= 1.0
         sharded.close()
 
 
 class TestLifecycle:
-    def test_close_with_in_flight_batch_then_reuse(self):
+    def test_close_with_in_flight_batch_then_reuse(self, spill_at):
+        spill_at(200)
         stream = make_stream(n=3000)
-        sharded = ShardedSketch(
-            exact_factory, shards=4, executor="persistent", pipeline=200
-        )
+        sharded = ShardedSketch(exact_factory, shards=4, executor="persistent")
         reference = ShardedSketch(exact_factory, shards=4)
-        sharded.update_many(stream)
+        sharded.update_many(stream[:2950])
+        sharded.update_many(stream[2950:])  # stays buffered
         reference.update_many(stream)
-        sharded.close()  # in-flight coalesced batches must drain first
+        sharded.close()  # buffered writes must apply first
         sharded.close()  # idempotent
         assert sharded.query(stream[0]) == reference.query(stream[0])
-        # a later write restarts the pipeline and re-seeds lazily
+        # a later write re-seeds the workers lazily
         sharded.update_many(stream[:150])
         reference.update_many(stream[:150])
         assert sharded.query(stream[0]) == reference.query(stream[0])
@@ -263,9 +302,7 @@ class TestLifecycle:
         assert mp.active_children() == []
 
     def test_no_processes_survive_close(self):
-        with ShardedSketch(
-            exact_factory, shards=3, executor="persistent", pipeline=True
-        ) as sharded:
+        with ShardedSketch(exact_factory, shards=3, executor="persistent") as sharded:
             sharded.update_many(make_stream(n=600))
             sharded.query(1)
         for child in mp.active_children():
@@ -274,7 +311,7 @@ class TestLifecycle:
 
     def test_dispatch_failure_surfaces_at_sync_and_close_releases(self):
         # non-windowed shards receive their owned packets via the plain
-        # batch method, so the poison triggers inside the dispatch thread
+        # batch method, so the failure raises inside the spill
         class Exploding(SpaceSaving):
             armed = False
 
@@ -283,24 +320,26 @@ class TestLifecycle:
                     raise ValueError("boom")
                 super().update_many(items)
 
-        sharded = ShardedSketch(
-            lambda i: Exploding(32), shards=2, pipeline=8
-        )
+        sharded = ShardedSketch(lambda i: Exploding(32), shards=2)
         sharded.update_many([1, 2, 3, 4])
         sharded.flush()
         Exploding.armed = True
         try:
-            sharded.update_many(list(range(32)))
-            with pytest.raises(RuntimeError, match="pipelined ingestion failed"):
+            sharded.update_many(list(range(32)))  # buffered: no apply yet
+            # the call that applies raises the failure itself...
+            with pytest.raises(ValueError, match="boom"):
                 sharded.flush()
-            # the failure sticks at every later sync point...
-            with pytest.raises(RuntimeError, match="boom"):
+            # ...and it sticks at every later write, flush and query
+            with pytest.raises(RuntimeError, match="failed earlier.*boom"):
                 sharded.query(1)
-            # ...and close still releases everything (then it propagates)
-            with pytest.raises(RuntimeError, match="pipelined ingestion failed"):
+            with pytest.raises(RuntimeError, match="boom"):
+                sharded.update(5)
+            with pytest.raises(RuntimeError, match="boom"):
+                sharded.flush()
+            # close still releases everything, then propagates
+            with pytest.raises(RuntimeError, match="boom"):
                 sharded.close()
-            assert sharded._dispatcher is None or not sharded._dispatcher.alive
-            # a closed pipeline is reset: the sketch stays usable
+            # a closed sketch is reset: it stays usable
             Exploding.armed = False
             sharded.update_many([5, 6])
             assert sharded.query(5) == 1.0
@@ -310,67 +349,67 @@ class TestLifecycle:
 
 
 class TestDispatcher:
-    def test_preserves_op_order(self):
+    """The inline spill: write order, the bound on pending items, and
+    what a failed apply does to the ops behind it."""
+
+    @staticmethod
+    def spy(sharded):
         seen = []
-        dispatcher = PipelinedDispatcher(
-            lambda items, method: seen.append((method, list(items))),
-            lambda count: seen.append((GAP, count)),
-            depth=2,
-        )
-        try:
-            dispatcher.submit("update_many", [1, 2])
-            dispatcher.submit(GAP, 7)
-            dispatcher.submit("ingest_samples", [3])
-            dispatcher.drain()
-            assert seen == [
-                ("update_many", [1, 2]),
-                (GAP, 7),
-                ("ingest_samples", [3]),
-            ]
-        finally:
-            dispatcher.close()
-        assert not dispatcher.alive
+        sharded._dispatch_now = lambda items, method: seen.append((method, items))
+        sharded._gap_now = lambda count: seen.append((GAP, count))
+        return seen
 
-    def test_bounded_depth_blocks_producer(self):
-        release = threading.Event()
+    def test_preserves_op_order(self):
+        sharded = ShardedSketch(exact_factory, shards=2)
+        seen = self.spy(sharded)
+        sharded.update_many([1, 2])
+        sharded.ingest_gap(7)
+        sharded.ingest_samples([3])
+        sharded.update(4)
+        assert seen == []
+        big = list(range(COALESCE_ITEMS))
+        sharded.update_many(big)  # pending ops first, then the batch
+        assert seen == [
+            ("update_many", [1, 2]),
+            (GAP, 7),
+            ("ingest_samples", [3]),
+            ("update_many", [4]),
+            ("update_many", big),
+        ]
+        assert seen[-1][1] is big  # large batches are not copied
 
-        def slow_apply(items, method):
-            release.wait(timeout=10)
-
-        dispatcher = PipelinedDispatcher(slow_apply, lambda count: None, depth=1)
-        try:
-            dispatcher.submit("update_many", [1])
-            start = time.perf_counter()
-
-            def delayed_release():
-                time.sleep(0.15)
-                release.set()
-
-            threading.Thread(target=delayed_release).start()
-            # queue full (depth=1 in flight + 1 queued): this put blocks
-            dispatcher.submit("update_many", [2])
-            dispatcher.submit("update_many", [3])
-            assert time.perf_counter() - start > 0.05
-            dispatcher.drain()
-        finally:
-            dispatcher.close()
+    def test_bounded_depth_blocks_producer(self, spill_at):
+        # the write that fills the buffer applies it before returning,
+        # so no more than COALESCE_ITEMS items are ever pending
+        spill_at(4)
+        sharded = ShardedSketch(exact_factory, shards=2)
+        seen = self.spy(sharded)
+        sharded.update_many([1, 2, 3])
+        assert seen == [] and sharded._buffer.pending == 3
+        sharded.ingest_gap(2)
+        assert seen == [("update_many", [1, 2, 3]), (GAP, 2)]
+        assert sharded._buffer.pending == 0
 
     def test_poisoned_pipeline_drops_later_ops(self):
-        seen = []
+        sharded = ShardedSketch(exact_factory, shards=2)
+        seen = self.spy(sharded)
 
         def apply(items, method):
             if items == [0]:
                 raise ValueError("poisoned")
-            seen.append(list(items))
+            seen.append((method, items))
 
-        dispatcher = PipelinedDispatcher(apply, lambda count: None, depth=2)
-        try:
-            dispatcher.submit("update_many", [0])
-            dispatcher.submit("update_many", [1])
-            with pytest.raises(RuntimeError, match="poisoned"):
-                dispatcher.drain()
-            assert dispatcher.failed
-            assert seen == []  # the op after the failure was dropped
-        finally:
-            dispatcher.close()
-        assert not dispatcher.failed  # close resets the poison
+        sharded._dispatch_now = apply
+        sharded.update(0)
+        sharded.ingest_gap(3)
+        with pytest.raises(ValueError, match="poisoned"):
+            sharded.flush()
+        assert seen == []  # the op behind the failure was dropped
+        with pytest.raises(RuntimeError, match="poisoned"):
+            sharded.update(1)
+        assert sharded._buffer.pending == 0  # refused, not buffered
+        with pytest.raises(RuntimeError, match="poisoned"):
+            sharded.close()
+        sharded.update(1)  # close resets the failure
+        sharded.flush()
+        assert seen == [("update_many", [1])]

@@ -3,7 +3,8 @@
 A windowed shard owns a hash slice of the global stream and takes one
 Window update for every packet it does not own.  Whatever lane carries
 the per-shard plans — in process, pickled into a worker pipe, or through
-a worker's shared-memory ring — each shard must end byte-identical
+a worker's shared-memory ring — and however the writes coalesced
+before they were partitioned, each shard must end byte-identical
 (pickle, sampler state included) to a sketch built by the same factory
 and fed that sequence one scalar call at a time — and the in-process
 lane must get there through the fused plan path, not a per-segment
@@ -42,14 +43,25 @@ def stream():
 
 
 def feed(sharded, stream, chunk=CHUNK):
+    """Feed ``stream`` in ``chunk``-item batches, each applied at once.
+
+    ``flush`` after every batch makes the batch the unit that is
+    partitioned, so ``chunk`` sets the per-shard task size (writes
+    below ``COALESCE_ITEMS`` would otherwise coalesce first).
+    """
     for start in range(0, len(stream), chunk):
         sharded.update_many(stream[start : start + chunk])
+        sharded.flush()
 
 
-def scalar_replays(sharded, stream):
-    """Each shard's reference: update its own packets, Window-update the rest."""
+def scalar_replays(sharded, stream, gaps=None):
+    """Each shard's reference: update its own packets, Window-update the
+    rest; ``gaps[i]`` unobserved packets go by before ``stream[i]``."""
     replays = [factory(j) for j in range(SHARDS)]
-    for item in stream:
+    for index, item in enumerate(stream):
+        for _ in range((gaps or {}).get(index, 0)):
+            for replay in replays:
+                replay.window_update()
         owner = sharded.shard_of(item)
         for j, replay in enumerate(replays):
             if j == owner:
@@ -80,11 +92,47 @@ def test_shards_match_their_scalar_replay(stream, executor, chunk):
     assert leaked_segments() == []
 
 
+EXECUTORS = ["serial", "persistent"]
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_coalesced_reports_match_scalar_replay(stream, executor):
+    # 32-item reports (the controller's report scale) coalesce into
+    # COALESCE_ITEMS-item spills; the shards must not see the difference
+    with ShardedSketch(factory, shards=SHARDS, executor=executor) as sharded:
+        for start in range(0, len(stream), 32):
+            sharded.update_many(stream[start : start + 32])
+        shards = sharded.shards
+        replays = scalar_replays(sharded, stream)
+        for shard, replay in zip(shards, replays):
+            assert pickle.dumps(shard) == pickle.dumps(replay)
+    assert leaked_segments() == []
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_coalesced_scalars_and_gaps_match_scalar_replay(stream, executor):
+    # scalar updates interleaved with window advances coalesce into
+    # alternating items/gap ops, in write order
+    gaps = {index: 1 + index % 5 for index in range(0, len(stream), 7)}
+    with ShardedSketch(factory, shards=SHARDS, executor=executor) as sharded:
+        for index, item in enumerate(stream):
+            if index in gaps:
+                sharded.ingest_gap(gaps[index])
+            sharded.update(item)
+        shards = sharded.shards
+        replays = scalar_replays(sharded, stream, gaps)
+        expected = len(stream) + sum(gaps.values())
+        assert [shard.updates for shard in shards] == [expected] * SHARDS
+        for shard, replay in zip(shards, replays):
+            assert pickle.dumps(shard) == pickle.dumps(replay)
+    assert leaked_segments() == []
+
+
 def test_persistent_lane_follows_task_size(stream):
     """Small tasks are pickled into the pipe, large ones ride the ring."""
     kinds = []
     with ShardedSketch(factory, shards=SHARDS, executor="persistent") as sharded:
-        sharded.update_many(stream[:PIPE_CHUNK])  # seeds the workers
+        feed(sharded, stream[:PIPE_CHUNK], PIPE_CHUNK)  # seeds the workers
         for conn in sharded._executor._conns:
             send = conn.send
 

