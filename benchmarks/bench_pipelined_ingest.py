@@ -20,9 +20,12 @@ write coalescing every :class:`~repro.sharding.ShardedSketch` does
   ``S`` pipe messages *per packet*, the O(S) path coalescing removes)
   and under pre-chunked 4096-packet batches (at ``COALESCE_ITEMS`` a
   batch skips the buffer, so both modes take the same path).  The
-  executor picks each plan's lane from its size: report-scale plans
-  are pickled into the worker pipes, chunk-scale ones ride the
-  shared-memory rings.
+  scalar row's timed pass is its 4000 writes plus ``flush()``: the
+  collect that a query adds (four W=131072 shard states pickled back,
+  several times the writes' own cost) is timed on its own and recorded
+  as the row's ``collect_seconds``.  The executor picks each batch's
+  lane from its size: report-scale batches are pickled into the worker
+  pipes, chunk-scale ones ride the shared-memory ring.
 * the full run gates coalescing: it must reach ≥ ``MIN_PIPE_4SHARD``×
   the flush-each path at 4 shards and ≥ ``MIN_PIPE_1SHARD``× at 1
   shard (the delegation fast path — coalescing must never cost
@@ -122,6 +125,9 @@ class FlushEach:
         self._engine.update_many(items)
         self._engine.flush()
 
+    def flush(self) -> None:
+        self._engine.flush()
+
     def query(self, key) -> float:
         return self._engine.query(key)
 
@@ -160,12 +166,20 @@ def time_feed(
     flush_each: bool,
     stream,
     repeats: int,
-) -> float:
-    """Best wall-seconds for one full feed pass + the query sync point."""
+) -> Tuple[float, Optional[float]]:
+    """Best wall-seconds for one full feed pass + its sync point, and
+    for the scalar feed the best separately timed collect.
+
+    The report and chunk feeds end each pass with a query (``flush`` +
+    ``collect``).  The scalar feed ends it with ``flush()`` only; the
+    query that follows is timed on its own, since its collect costs
+    several times the 4000 writes and would otherwise set the row.
+    """
     engine = build_engine(case_spec(shards))
     sharded = FlushEach(engine) if flush_each else engine
     drive = FEEDS[feed]
     probe = stream[0]
+    split_collect = feed == "scalar"
     try:
         # prime residency: one batch seeds the persistent workers, so the
         # scalar feed measures the *resident* per-packet path (S pipe
@@ -178,15 +192,23 @@ def time_feed(
         drive(sharded, stream)
         sharded.query(probe)
         best = float("inf")
+        best_collect = float("inf")
         perf_counter = time.perf_counter
         for _ in range(repeats):
             t0 = perf_counter()
             drive(sharded, stream)
-            sharded.query(probe)  # applies the buffer, pays the collect
-            best = min(best, perf_counter() - t0)
+            if split_collect:
+                sharded.flush()
+                t1 = perf_counter()
+                sharded.query(probe)
+                best_collect = min(best_collect, perf_counter() - t1)
+            else:
+                sharded.query(probe)  # applies the buffer, pays the collect
+                t1 = perf_counter()
+            best = min(best, t1 - t0)
     finally:
         engine.close()
-    return best
+    return best, (best_collect if split_collect else None)
 
 
 def run_harness(
@@ -201,7 +223,8 @@ def run_harness(
     Returns the results plus a ``{case: {flush_each, coalesced,
     speedup}}`` summary, keyed ``reports/shards{S}`` for the gated
     critical path and ``scalar/shards4`` / ``chunks/shards4`` for the
-    context rows.
+    context rows (the scalar row adds each mode's
+    ``<mode>_collect_seconds``).
     """
     stream = make_stream(n)
     scalar_stream = stream[:scalar_n]
@@ -218,8 +241,14 @@ def run_harness(
         row: Dict[str, float] = {}
         spec = case_spec(shards)
         for mode, flush_each in MODES:
-            seconds = time_feed(feed, shards, flush_each, case_stream, repeats)
+            seconds, collect = time_feed(
+                feed, shards, flush_each, case_stream, repeats
+            )
             row[mode] = ops / seconds
+            split: Dict[str, float] = {}
+            if collect is not None:
+                split["collect_seconds"] = collect
+                row[f"{mode}_collect_seconds"] = collect
             results.append(
                 BenchResult(
                     name=f"{feed}/shards{shards}/{mode}",
@@ -236,7 +265,9 @@ def run_harness(
                         "report": REPORT,
                         "chunk": CHUNK,
                         "coalesce_items": COALESCE_ITEMS,
+                        "sync": "query" if collect is None else "flush",
                         "spec": spec.to_dict(),
+                        **split,
                     },
                 )
             )

@@ -17,10 +17,15 @@ persistent shard workers:
   executor-bypassing delegation path, reported for context).  Timed
   passes include the post-batch state sync (a query), so the numbers
   pay their ``collect``.  These rows are context and ungated.
+* the **crossover** rows time the heavy per-item families (H-Memento,
+  RHHH) on the persistent executor at 2 and 4 shards against the same
+  family in one process, and record in the file's ``crossover`` extra
+  the first family and shard count whose sharded engine beats one
+  process on wall-clock time (or ``"none"``).  Ungated.
 * ``--smoke`` shrinks the workload for CI and relaxes the memento gate
   to a plain no-regression bound (vectorized ≥
-  ``SMOKE_MIN_VEC_VS_SCALAR``× scalar); executor scaling runs at 2
-  shards only.
+  ``SMOKE_MIN_VEC_VS_SCALAR``× scalar); executor scaling and the
+  crossover run at 2 shards only.
 
 ``memento_tau0.1`` uses a window geometry with paper-scale blocks
 (``W/k = 256``) — tiny blocks make the boundary bookkeeping, not the
@@ -55,10 +60,11 @@ from repro import (
     ShardedSketch,
     SpaceSaving,
     generate_trace,
+    make_prefix,
 )
 from repro.bench import BenchResult, repo_root, write_results
 from repro.core.kernel import dense_plan
-from repro.engine import SketchSpec
+from repro.engine import SketchSpec, build_engine
 from repro.traffic.synth import BACKBONE
 
 #: micro-case geometry: W/k = 256-packet blocks (paper-scale), the
@@ -74,6 +80,11 @@ EXEC_WINDOW = 131_072
 EXEC_COUNTERS = 512
 EXEC_N = 20_000
 SHARD_COUNTS = (1, 2, 4, 8)
+
+#: micro cases whose family is timed for the sharding crossover, and at
+#: which persistent shard counts
+CROSSOVER_CASES = ("hmemento_tau0.25", "rhhh")
+CROSSOVER_SHARDS = (2, 4)
 
 #: full-run gate on ``memento_tau0.1``
 MIN_VEC_VS_SCALAR = 3.0
@@ -267,6 +278,83 @@ def time_executor(
     return best
 
 
+def run_crossover(
+    stream, shard_counts: Sequence[int], repeats: int
+) -> Tuple[List[BenchResult], Dict[str, object]]:
+    """Heavy families on the persistent executor vs one process.
+
+    Per family, the one-process engine (no sharding layer) and one
+    persistent engine per shard count are built up front and timed in
+    interleaved rounds — one chunked pass plus a query (a sharded engine
+    pays its collect; the hierarchical families are queried for the
+    first packet's /24) per engine per round, best-of over rounds — so
+    host drift biases the comparison as little as possible.  Returns
+    the rows plus the ``crossover`` extra: per-case ops/sec at each
+    shard count (``shards1`` is one process) and ``first`` — the first
+    ``case/shardsS`` that beats its one process, or ``"none"``.
+    """
+    results: List[BenchResult] = []
+    rates: Dict[str, Dict[str, float]] = {}
+    first = "none"
+    n = len(stream)
+    probe = make_prefix(stream[0], 24)
+    perf_counter = time.perf_counter
+    for case in CROSSOVER_CASES:
+        specs: Dict[int, SketchSpec] = {}
+        for shards in (1, *shard_counts):
+            payload = SketchSpec.from_dict(CASE_SPECS[case]).to_dict()
+            if shards > 1:
+                payload["sharding"] = {"shards": shards, "executor": "persistent"}
+            specs[shards] = SketchSpec.from_dict(payload)
+        engines = {shards: build_engine(spec) for shards, spec in specs.items()}
+        timings: Dict[int, List[float]] = {shards: [] for shards in specs}
+        try:
+            for attempt in range(repeats + 1):  # the first round warms up
+                for shards, engine in engines.items():
+                    t0 = perf_counter()
+                    for start in range(0, n, CHUNK):
+                        engine.update_many(stream[start : start + CHUNK])
+                    engine.query(probe)
+                    if attempt:
+                        timings[shards].append(perf_counter() - t0)
+        finally:
+            for engine in engines.values():
+                engine.close()
+        rates[case] = {}
+        for shards, spec in specs.items():
+            seconds = min(timings[shards])
+            rates[case][f"shards{shards}"] = n / seconds
+            results.append(
+                BenchResult(
+                    name=f"crossover_{case}/shards{shards}",
+                    ops=n,
+                    seconds=seconds,
+                    mean_seconds=sum(timings[shards]) / repeats,
+                    repeats=repeats,
+                    metadata={
+                        "path": "sharded" if shards > 1 else "one_process",
+                        "case": case,
+                        "shards": shards,
+                        "chunk": CHUNK,
+                        "interleaved": True,
+                        "spec": spec.to_dict(),
+                        "transport": (
+                            spec.sharding.resolved_transport
+                            if spec.sharding is not None
+                            else None
+                        ),
+                    },
+                )
+            )
+            if (
+                first == "none"
+                and shards > 1
+                and rates[case][f"shards{shards}"] > rates[case]["shards1"]
+            ):
+                first = f"{case}/shards{shards}"
+    return results, {"first": first, "ops_per_sec": rates}
+
+
 def run_harness(
     n: int = N,
     exec_n: int = EXEC_N,
@@ -374,6 +462,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     n = 4_000 if args.smoke else N
     exec_n = 4_000 if args.smoke else EXEC_N
     shard_counts = (2,) if args.smoke else SHARD_COUNTS
+    crossover_shards = (2,) if args.smoke else CROSSOVER_SHARDS
     # best-of keeps the gates stable against scheduler noise
     repeats = 3 if args.smoke else 5
     results, speedups, executor_scaling = run_harness(
@@ -383,6 +472,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         warmup=1,
         repeats=repeats,
     )
+    crossover_rows, crossover = run_crossover(
+        make_stream(exec_n), crossover_shards, repeats
+    )
+    results.extend(crossover_rows)
 
     out = args.out or (repo_root() / "BENCH_vectorized_ingest.json")
     write_results(
@@ -401,6 +494,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             },
             "speedups": speedups,
             "executor_scaling": executor_scaling,
+            "crossover": crossover,
             "smoke": args.smoke,
         },
     )
@@ -424,6 +518,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for shards in shard_counts:
         row = executor_scaling[f"shards{shards}"]
         print(f"{shards:>6}  {row['persistent']:>16,.0f}")
+    print()
+    for case, rates in crossover["ops_per_sec"].items():
+        cells = "  ".join(f"{key} {rate:,.0f}" for key, rate in rates.items())
+        print(f"crossover {case}: {cells}")
+    print(f"first sharded engine to beat one process: {crossover['first']}")
     print(f"results -> {out}")
 
     failures: List[str] = []

@@ -139,9 +139,7 @@ from .service import (
 )
 from .sharding import (
     PersistentProcessExecutor,
-    SerialExecutor,
     ShardedSketch,
-    make_executor,
     shard_index,
 )
 from .traffic.flood import FloodSpec, FloodTrace, inject_flood
@@ -201,9 +199,7 @@ __all__ = [
     # sharding
     "ShardedSketch",
     "shard_index",
-    "SerialExecutor",
     "PersistentProcessExecutor",
-    "make_executor",
     "VolumetricMemento",
     "VolumetricSpaceSaving",
     "ChangeEvent",

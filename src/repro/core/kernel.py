@@ -10,14 +10,16 @@ is compiled into an :class:`IngestPlan`:
 * the **gap run-lengths** between selections (one ``np.diff``), so a
   windowed sketch advances over unselected stretches with O(1) counter
   arithmetic per run instead of touching each packet;
-* **segments** — maximal runs of *consecutive* selected positions, the
-  unit the sharding layer feeds per shard (gap, then a contiguous batch);
-* **runs** — consecutive *equal* selected keys collapsed to
-  ``(key, count)`` pairs, so interval sketches apply one count-weighted
-  update instead of ``count`` identical unit increments.  Only adjacent
-  duplicates collapse: reordering across distinct keys would change
-  eviction decisions, so run-collapsed feeding stays byte-identical to
-  unit feeding (the differential tests pin this).
+* **segments** — maximal runs of *consecutive* selected positions
+  (gap, then a contiguous batch), the unit of the generic
+  :meth:`~repro.core.batching.BatchIngest.ingest_plan` replay.
+
+:func:`collapse_run_arrays` collapses consecutive *equal* keys to
+``(key, count)`` columns, so Space Saving applies one count-weighted
+update instead of ``count`` identical unit increments.  Only adjacent
+duplicates collapse: reordering across distinct keys would change
+eviction decisions, so run-collapsed feeding stays byte-identical to
+unit feeding (the differential tests pin this).
 
 Plans are consumed by ``ingest_plan`` on the sketches (see
 :class:`repro.core.batching.BatchIngest` for the generic fallback):
@@ -28,8 +30,7 @@ slots + blank slides.
 
 from __future__ import annotations
 
-from itertools import groupby
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,70 +39,8 @@ __all__ = [
     "make_plan",
     "dense_plan",
     "plan_from_positions",
-    "collapse_runs",
     "collapse_run_arrays",
-    "encode_items_column",
 ]
-
-
-def encode_items_column(items: Sequence) -> Optional[np.ndarray]:
-    """Losslessly encode a key batch as one fixed-width numpy column.
-
-    The shared-memory plan transport (:mod:`repro.sharding.shm`) ships
-    item payloads as columns; this is the encode side.  Supported key
-    batches — machine-sized ints (``int64``/``uint64``), all-``str``
-    (``<U`` fixed width), all-``bytes`` (``S`` fixed width) — return an
-    array whose ``.tolist()`` is **equal to** ``list(items)``; anything
-    else returns ``None`` and the caller falls back to pickling.
-
-    The type probes mirror :func:`collapse_run_arrays`: only exact
-    ``int``/``str``/``bytes`` elements qualify (a bool or numpy scalar
-    anywhere disqualifies the batch — round-tripping must not change
-    element types), oversized ints are rejected by dtype kind, and
-    strings/bytes with *trailing* NULs are rejected because numpy's
-    fixed-width dtypes strip them on the way back out.
-    """
-    n = len(items)
-    if n == 0:
-        return None
-    first = type(items[0])
-    if first is int:
-        if any(type(item) is not int for item in items):
-            return None
-        try:
-            arr = np.asarray(items)
-        except (ValueError, TypeError, OverflowError):
-            return None
-        if arr.dtype.kind not in "iu":
-            return None
-        return arr
-    if first is str:
-        if any(
-            type(item) is not str or (item and item[-1] == "\x00")
-            for item in items
-        ):
-            return None
-        try:
-            arr = np.asarray(items)
-        except (ValueError, TypeError):  # pragma: no cover - defensive
-            return None
-        if arr.dtype.kind != "U":  # pragma: no cover - defensive
-            return None
-        return arr
-    if first is bytes:
-        if any(
-            type(item) is not bytes or (item and item[-1] == 0)
-            for item in items
-        ):
-            return None
-        try:
-            arr = np.asarray(items)
-        except (ValueError, TypeError):  # pragma: no cover - defensive
-            return None
-        if arr.dtype.kind != "S":  # pragma: no cover - defensive
-            return None
-        return arr
-    return None
 
 
 def collapse_run_arrays(
@@ -111,9 +50,9 @@ def collapse_run_arrays(
 
     Returns ``(keys, counts)`` lists (keys as plain Python ints), or
     ``None`` when ``items`` is empty or not a vectorizable integer
-    batch — callers fall back to ``itertools.groupby`` or to unit
-    feeding.  This is the single home of the collapse arithmetic; both
-    :func:`collapse_runs` and ``SpaceSaving.ingest_plan`` build on it.
+    batch — callers fall back to unit feeding.  This is the single home
+    of the collapse arithmetic; ``SpaceSaving.ingest_plan`` builds on
+    it.
     """
     n = len(items)
     if n == 0 or type(items[0]) is not int:
@@ -134,24 +73,6 @@ def collapse_run_arrays(
     return arr[idx].tolist(), counts.tolist()
 
 
-def collapse_runs(items: Sequence) -> List[Tuple[object, int]]:
-    """Collapse adjacent equal keys into ``(key, count)`` pairs.
-
-    Order-preserving: only *consecutive* duplicates merge, which keeps a
-    count-weighted replay byte-identical to unit replay (a weighted Space
-    Saving ``add(key, c)`` ends in the same state as ``c`` unit adds only
-    when nothing interleaves).  Integer batches collapse vectorized
-    (:func:`collapse_run_arrays`); any other key type falls back to
-    ``itertools.groupby``.
-    """
-    if len(items) == 0:
-        return []
-    pair = collapse_run_arrays(items)
-    if pair is not None:
-        return list(zip(*pair))
-    return [(key, sum(1 for _ in grp)) for key, grp in groupby(items)]
-
-
 class IngestPlan:
     """A compiled chunk: which packets were selected, and the gaps between.
 
@@ -167,11 +88,10 @@ class IngestPlan:
     * :meth:`gaps` / :attr:`tail_gap` — unselected run-length before each
       selected item, and after the last one;
     * :meth:`segments` — ``(gap, items)`` per maximal run of consecutive
-      positions;
-    * :meth:`runs` — adjacent-equal ``(key, count)`` pairs over ``items``.
+      positions.
     """
 
-    __slots__ = ("n", "positions", "items", "_gaps", "_runs", "_segments")
+    __slots__ = ("n", "positions", "items", "_gaps", "_segments")
 
     def __init__(
         self,
@@ -193,7 +113,6 @@ class IngestPlan:
         self.positions = positions
         self.items = items
         self._gaps: Optional[np.ndarray] = None
-        self._runs: Optional[List[Tuple[object, int]]] = None
         self._segments: Optional[List[Tuple[int, list]]] = None
 
     @property
@@ -224,16 +143,10 @@ class IngestPlan:
             return self.n
         return self.n - 1 - int(self.positions[-1])
 
-    def runs(self) -> List[Tuple[object, int]]:
-        """Adjacent-equal ``(key, count)`` pairs over the selected items."""
-        if self._runs is None:
-            self._runs = collapse_runs(self.items)
-        return self._runs
-
     def segments(self) -> List[Tuple[int, list]]:
         """``(lead gap, contiguous items)`` per run of consecutive positions.
 
-        This is the sharding layer's unit of work: advance the window by
+        The generic plan replay's unit of work: advance the window by
         the gap, then feed the contiguous slice through one batched call.
         A dense plan is a single segment with no gap.
         """
@@ -264,10 +177,6 @@ class IngestPlan:
                     prev_end = int(positions[e - 1])
                 self._segments = segments
         return self._segments
-
-    def iter_updates(self) -> Iterator[Tuple[int, object]]:
-        """Iterate ``(lead gap, item)`` pairs in stream order."""
-        return zip(self.gaps().tolist(), self.items)
 
     def __len__(self) -> int:
         return self.n

@@ -270,7 +270,7 @@ class SpaceSaving(BatchIngest):
 
         ``runs`` — any iterable of ``(key, count)`` pairs — is the
         adjacent-duplicate collapse of a unit stream (see
-        :func:`repro.core.kernel.collapse_runs`): the total effect is
+        :func:`repro.core.kernel.collapse_run_arrays`): the total effect is
         byte-identical to feeding the expanded stream through
         :meth:`update_many`, but each run of ``count`` identical keys
         costs one weighted increment instead of ``count`` unit walks.

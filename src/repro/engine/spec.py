@@ -44,8 +44,7 @@ from pathlib import Path
 from typing import Dict, Optional, Type, TypeVar, Union
 
 from ..hierarchy.domain import SRC_DST_HIERARCHY, SRC_HIERARCHY, Hierarchy
-from ..sharding.executors import _EXECUTORS
-from ..sharding.sharded import COALESCE_ITEMS, QUERY_MODES
+from ..sharding.sharded import COALESCE_ITEMS, EXECUTORS, QUERY_MODES
 
 __all__ = [
     "AlgorithmSpec",
@@ -62,10 +61,10 @@ NAMED_HIERARCHIES: Dict[str, Hierarchy] = {
     "src_dst": SRC_DST_HIERARCHY,
 }
 
-#: Executor strategies a spec may name — derived from the executor
-#: registry so the two vocabularies cannot drift (ready executor
-#: *objects* are a programmatic-API affair and not serializable).
-EXECUTOR_NAMES = tuple(sorted(_EXECUTORS))
+#: Executor strategies a spec may name — the names ``ShardedSketch``
+#: accepts, so the two vocabularies cannot drift (an executor
+#: *instance* is a programmatic-API affair and not serializable).
+EXECUTOR_NAMES = tuple(sorted(EXECUTORS))
 
 
 _SectionT = TypeVar("_SectionT")
@@ -193,7 +192,7 @@ class ShardingSpec:
     (resident shard workers).  ``transport`` survives only so specs
     written against the old two-lane persistent executor still parse:
     ``"shm"`` and null both mean the one lane there is now (the executor
-    picks shared memory or pickling per task from its size), and
+    picks shared memory or pickling per batch from its size), and
     ``"pipe"`` fails with a ``ValueError`` that says the knob is gone.
     It is a persistent-executor field — naming it with any other
     executor is a parse error, because silently ignoring it would
@@ -223,7 +222,7 @@ class ShardingSpec:
             if self.transport == "pipe":
                 raise ValueError(
                     "transport 'pipe' was removed: the persistent executor "
-                    "now picks the pickle or shared-memory lane per task "
+                    "now picks the pickle or shared-memory lane per batch "
                     "from its size; drop the transport field"
                 )
             if self.transport != "shm":
@@ -245,7 +244,7 @@ class ShardingSpec:
         ``"shm"`` for the persistent executor (its size-selected lane,
         shared memory with a pickle fallback) and ``None`` otherwise (no
         plan channel exists).  Bench rows record this so a row's
-        metadata says how its plans moved.
+        metadata says how its batches moved.
         """
         return "shm" if self.executor == "persistent" else None
 

@@ -195,6 +195,9 @@ class IngestServer:
         ops are applied, a final checkpoint is written when
         checkpointing is on and the engine is healthy, then the engine
         closes (releasing its worker processes) and the engine thread exits.
+        An engine whose ``close`` raises (a sharded engine holding a
+        failed apply or a dead worker) is still fully unwound before
+        the error propagates.
         """
         if self._closed:
             return
@@ -220,13 +223,16 @@ class IngestServer:
             ):
                 await loop.run_in_executor(self._executor, self._do_checkpoint)
         finally:
-            if self._executor is not None:
-                await loop.run_in_executor(self._executor, self._engine.close)
-                self._executor.shutdown(wait=True)
-            else:
-                self._engine.close()
-            if self._service.unix_socket is not None:
-                Path(self._service.unix_socket).unlink(missing_ok=True)
+            try:
+                if self._executor is not None:
+                    await loop.run_in_executor(self._executor, self._engine.close)
+                else:
+                    self._engine.close()
+            finally:
+                if self._executor is not None:
+                    self._executor.shutdown(wait=True)
+                if self._service.unix_socket is not None:
+                    Path(self._service.unix_socket).unlink(missing_ok=True)
 
     async def __aenter__(self) -> "IngestServer":
         return await self.start()
@@ -502,6 +508,9 @@ class ServiceDaemon:
         self._thread: Optional[threading.Thread] = None
         self._ready = threading.Event()
         self._startup_error: Optional[BaseException] = None
+        #: what the server's stop raised on the loop thread; ``close``
+        #: re-raises it in the caller's thread
+        self._stop_error: Optional[BaseException] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_event: Optional[asyncio.Event] = None
 
@@ -551,10 +560,14 @@ class ServiceDaemon:
             return
         self._ready.set()
         await self._stop_event.wait()
-        await self._server.stop()
+        try:
+            await self._server.stop()
+        except BaseException as exc:
+            self._stop_error = exc
 
     def close(self) -> None:
-        """Stop the server, join the loop thread (idempotent)."""
+        """Stop the server, join the loop thread (idempotent); raises
+        what the server's stop raised (say, a failed engine close)."""
         thread = self._thread
         if thread is None:
             # never started (or already closed): still owns the engine
@@ -564,6 +577,9 @@ class ServiceDaemon:
             self._loop.call_soon_threadsafe(self._stop_event.set)
         thread.join()
         self._thread = None
+        error, self._stop_error = self._stop_error, None
+        if error is not None:
+            raise error
 
     def __enter__(self) -> "ServiceDaemon":
         return self.start()

@@ -1,37 +1,27 @@
-"""Executors for per-shard ingestion work.
+"""Resident shard workers: the ``persistent`` executor.
 
-:class:`repro.sharding.sharded.ShardedSketch` hands each shard's batch
-plan to an executor; the executor decides where the work runs.  Two
-strategies ship, the two that win somewhere on the measured trail:
+:class:`repro.sharding.sharded.ShardedSketch` applies shard work in the
+calling thread (``executor="serial"``) or hands it to a
+:class:`PersistentProcessExecutor` (``executor="persistent"``, or an
+instance of it): one long-lived worker process per shard holding the
+shard sketch **resident**.  The initial state is shipped once
+(``seed``), each batch sends only its keys, and state returns to the
+parent only on demand (``collect``, which :class:`ShardedSketch`
+triggers lazily at the first query after ingestion).
 
-* :class:`SerialExecutor` — run shard plans one after another in the
-  calling thread.  Zero overhead, the default, and the baseline the
-  sharded-ingest bench gates against.
-* :class:`PersistentProcessExecutor` — one long-lived worker process per
-  shard holding the shard sketch **resident**: the initial state is
-  shipped once (``seed``), each batch sends only its per-shard plan
-  (positions + owned items), and state returns to the parent only on
-  demand (``collect``, which :class:`ShardedSketch` triggers lazily at
-  the first query after ingestion).  Marked ``stateful = True`` so the
-  sharding layer switches to the seed/submit/collect protocol instead
-  of ``map``.
-
-  Each plan takes one of two lanes, picked per task from its size.  A
-  task that splits into ring columns, holds at least
-  :data:`RING_MIN_ITEMS` items and fits a slot is written into the
-  worker's :class:`~repro.sharding.shm.PlanRing` shared-memory ring and
-  the pipe carries only a slot descriptor; every other task is pickled
-  into the pipe whole.  Both lanes deliver equal task arguments, pinned
-  against serial ingestion by ``tests/sharding/test_shm_transport.py``
-  and against each shard's scalar replay by
-  ``tests/sharding/test_scalar_replay.py``.
-
-``SerialExecutor`` implements ``map(fn, tasks)`` — apply ``fn(*task)``
-for each task, returning results in task order — and ``close()``.  Any
-object with that surface can be passed wherever an executor name is
-accepted; objects additionally exposing the stateful protocol
-(``stateful``/``seed``/``submit``/``broadcast``/``collect``) get the
-resident-worker treatment.
+Every worker runs the same function the serial loop runs.  An integer
+batch is broadcast: ``submit(fn, tasks, columns)`` hands every worker
+the batch's key and owner columns, and each worker selects its own keys
+from them.  Columns of at least :data:`RING_MIN_ITEMS` items that fit a
+slot are copied **once** into the executor's one
+:class:`~repro.sharding.shm.PlanRing` and every pipe carries only the
+slot descriptor; smaller or oversized columns are pickled into each
+pipe with the task.  Non-integer batches go as one pickled per-shard
+task each (``submit`` without columns), and window advances as one
+pickled ``broadcast``.  Every lane delivers equal arguments, pinned
+against serial ingestion by ``tests/sharding/test_shm_transport.py``
+and against each shard's scalar replay by
+``tests/sharding/test_scalar_replay.py``.
 """
 
 from __future__ import annotations
@@ -41,27 +31,23 @@ import os
 import traceback
 from typing import Callable, List, NoReturn, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .shm import PlanRing, TRACKER_FORK_LOCK, rebuild_task, split_task
+from .shm import PlanRing, TRACKER_FORK_LOCK
 
 __all__ = [
-    "SerialExecutor",
     "PersistentProcessExecutor",
-    "make_executor",
     "RING_MIN_ITEMS",
 ]
 
-#: Smallest task (in items: the longest array or list among its
-#: arguments) that goes through the shared-memory ring; smaller tasks
-#: are pickled into the pipe.  Set at the measured break-even of the two
-#: lanes: one resident worker, 2000 submits of ``(positions, items)``
-#: int64 columns, lane forced, per-task wall time, medians of 5 runs on
-#: a 2-vCPU x86-64 VM under Python 3.11.  Pickle vs ring: 39.0 vs
-#: 45.7 µs at 8 items, 55.3 vs 58.9 at 256, 49.7 vs 52.7 at 384, 56.3 vs
-#: 55.9 at 512, 73.0 vs 69.9 at 1024, 166.9 vs 124.6 at 4096.  The
-#: ring's fixed cost (slot bookkeeping, column layouts, rebuilding the
-#: views) only pays off once the copy it saves is a few KiB.
+#: Smallest column broadcast (in items) that goes through the
+#: shared-memory ring; smaller ones are pickled into the pipes.  Set at
+#: the measured break-even of the two lanes for one worker: 2000 submits
+#: of ``(positions, items)`` int64 columns, lane forced, per-task wall
+#: time, medians of 5 runs on a 2-vCPU x86-64 VM under Python 3.11.
+#: Pickle vs ring: 39.0 vs 45.7 µs at 8 items, 55.3 vs 58.9 at 256, 49.7
+#: vs 52.7 at 384, 56.3 vs 55.9 at 512, 73.0 vs 69.9 at 1024, 166.9 vs
+#: 124.6 at 4096.  The ring's fixed cost (slot bookkeeping, column
+#: layouts, rebuilding the views) only pays off once the copy it saves
+#: is a few KiB; with ``S`` workers a broadcast saves ``S`` copies.
 RING_MIN_ITEMS = 512
 
 #: How long :meth:`PersistentProcessExecutor.collect` waits for a worker
@@ -72,20 +58,9 @@ RING_MIN_ITEMS = 512
 DEFAULT_COLLECT_TIMEOUT = 120.0
 
 
-class SerialExecutor:
-    """Run shard plans sequentially in the calling thread (the default)."""
-
-    def map(self, fn: Callable, tasks: Sequence[Tuple]) -> List:
-        """Apply ``fn(*task)`` per task, in order."""
-        return [fn(*task) for task in tasks]
-
-    def close(self) -> None:
-        """Nothing to release."""
-
-
 def _persistent_worker(
     conn,
-    ring_args: Tuple[str, int, int],
+    ring_args: Tuple[str, int, int, int, int],
     stale_fds: Tuple[int, ...] = (),
 ) -> None:
     """Loop of one resident shard worker (module-level: must pickle).
@@ -93,12 +68,13 @@ def _persistent_worker(
     The worker owns its shard sketch for the lifetime of the process.
     Messages: ``("seed", shard)`` installs state; ``("apply", fn, *args)``
     runs ``fn(shard, *args)`` in place; ``("apply_cols", fn, slot,
-    layouts, recipe)`` rebuilds the args as zero-copy views over the
-    shared-memory ring named by ``ring_args`` and applies them, retiring
-    the slot afterwards **whether or not the apply succeeded** (a
-    poisoned worker that stopped retiring would deadlock the parent's
-    backpressure wait); ``("collect",)`` ships the current state (or the
-    first recorded failure) back; ``("stop",)`` exits.  A failed apply
+    layouts, *args)`` runs ``fn(shard, *columns, *args)`` over zero-copy
+    views of one slot of the shared ring named by ``ring_args`` (this
+    worker's reader index last), retiring the slot afterwards **whether
+    or not the apply succeeded** (a poisoned worker that stopped
+    retiring would deadlock the parent's backpressure wait);
+    ``("collect",)`` ships the current state (or the first recorded
+    failure) back; ``("stop",)`` exits.  A failed apply
     poisons the worker — later applies are skipped and the error
     surfaces at the next collect — so the parent never silently
     continues on half-applied state.
@@ -113,7 +89,7 @@ def _persistent_worker(
     instead of sleeping forever on a socket its own inherited fd keeps
     alive.  The loop additionally polls the pipe and exits when the
     process is re-parented (``getppid`` changed) as a belt-and-braces
-    path; either way the shared resource tracker unlinks any shm rings
+    path; either way the shared resource tracker unlinks the shm ring
     once the last worker is gone.
     """
     for fd in stale_fds:
@@ -145,14 +121,14 @@ def _persistent_worker(
             elif kind == "apply_cols":
                 try:
                     if error is None:
-                        fn, slot, layouts, recipe = msg[1:5]
-                        args = rebuild_task(ring.read(slot, layouts), recipe)
+                        fn, slot, layouts = msg[1:4]
+                        columns = ring.read(slot, layouts)
                         try:
-                            fn(shard, *args)
+                            fn(shard, *columns, *msg[4:])
                         finally:
                             # drop the zero-copy views before the slot
                             # is handed back for reuse
-                            del args
+                            del columns
                 except BaseException:
                     error = traceback.format_exc()
                 finally:
@@ -189,28 +165,28 @@ def _send_state(conn, shard, error: Optional[str]) -> None:
 
 
 class PersistentProcessExecutor:
-    """Resident shard workers: state stays put, only plans cross over.
+    """Resident shard workers: state stays put, only batches cross over.
 
-    One worker process per shard, each with its own shared-memory plan
-    ring.  ``seed(shards)`` ships each shard's initial state once;
-    ``submit(fn, tasks)`` sends one ``fn(shard, *task)`` application per
-    worker **without waiting** (the parent can partition the next batch
-    while workers apply — applies on one worker are strictly ordered by
-    the pipe); ``collect()`` is the synchronization point that returns
-    the current shard states (and raises if any worker failed since the
-    last seed).  ``close()`` terminates the workers; the sketch re-seeds
-    lazily afterwards.
+    One worker process per shard, all reading one shared-memory
+    :class:`~repro.sharding.shm.PlanRing`.  ``seed(shards)`` ships each
+    shard's initial state once; ``submit(fn, tasks, columns)`` sends
+    one ``fn(shard, *columns, *task)`` application per worker **without
+    waiting** (applies on one worker are strictly ordered by its pipe);
+    ``collect()`` is the synchronization point that returns the current
+    shard states (and raises if any worker failed since the last seed).
+    ``close()`` terminates the workers; the sketch re-seeds lazily
+    afterwards.
 
-    A collect that runs into its deadline, and a pipe that fails
-    because its worker died (``OSError``/``EOFError`` in ``submit``,
-    ``broadcast`` or ``collect``), tear the workers down before raising
-    a ``RuntimeError`` that names the worker: unread replies would
-    otherwise answer the *next* collect with the previous round's state.
-    Until the next ``seed()`` every ``submit``/``broadcast``/``collect``
-    then raises a ``RuntimeError`` naming that cause.
+    A collect that runs into its deadline, a pipe that fails because
+    its worker died (``OSError``/``EOFError`` in ``submit``,
+    ``broadcast`` or ``collect``), and a worker found dead by
+    :meth:`check_alive` (which the ring's backpressure wait calls) tear
+    the workers down before raising a ``RuntimeError`` that names the
+    worker: unread replies would otherwise answer the *next* collect
+    with the previous round's state.  Until the next ``seed()`` every
+    ``submit``/``broadcast``/``collect`` then raises a ``RuntimeError``
+    naming that cause.
     """
-
-    stateful = True
 
     def __init__(
         self,
@@ -230,7 +206,7 @@ class PersistentProcessExecutor:
         self.ring_slot_bytes = int(ring_slot_bytes)
         self._workers: List = []
         self._conns: List = []
-        self._rings: List[PlanRing] = []
+        self._ring: Optional[PlanRing] = None
         #: why the workers were torn down under a caller that still
         #: expects them (a collect deadline); cleared by ``seed``
         self._broken: Optional[str] = None
@@ -243,23 +219,25 @@ class PersistentProcessExecutor:
     def seed(self, shards: Sequence) -> None:
         """Spawn one resident worker per shard and ship initial state.
 
-        Workers and their shared-memory rings register before their
+        The shared-memory ring and every worker register before their
         state ships, so a mid-loop failure (an unpicklable shard, a dead
-        pipe) tears every spawned worker and segment down via
+        pipe) tears every spawned worker and the segment down via
         :meth:`close` instead of leaking processes blocked on ``recv``
         or unlinked segments.
         """
         self.close()
         self._broken = None
+        shards = list(shards)
         # under fork, each worker inherits the parent end of its own
         # pipe and of every earlier sibling's; hand those fd numbers to
         # the child so it can close them and restore EOF/EPIPE semantics
         # (meaningless under spawn, where fds are not inherited)
         fork = self._ctx.get_start_method() == "fork"
         try:
-            for shard in shards:
-                ring = PlanRing(self.ring_slots, self.ring_slot_bytes)
-                self._rings.append(ring)
+            ring = self._ring = PlanRing(
+                self.ring_slots, self.ring_slot_bytes, readers=len(shards)
+            )
+            for index, shard in enumerate(shards):
                 parent_conn, child_conn = self._ctx.Pipe()
                 stale_fds = (
                     tuple(c.fileno() for c in self._conns)
@@ -271,7 +249,7 @@ class PersistentProcessExecutor:
                     target=_persistent_worker,
                     args=(
                         child_conn,
-                        (ring.name, ring.slots, ring.slot_bytes),
+                        (ring.name, ring.slots, ring.slot_bytes, len(shards), index),
                         stale_fds,
                     ),
                     daemon=True,
@@ -315,35 +293,57 @@ class PersistentProcessExecutor:
         self._broken = reason
         raise RuntimeError(reason) from cause
 
-    def _worker_died(self, index: int, cause: BaseException) -> NoReturn:
-        """Tear down after worker ``index``'s pipe failed under us."""
+    def _worker_died(
+        self, index: int, cause: Optional[BaseException] = None
+    ) -> NoReturn:
+        """Tear down after worker ``index`` exited or its pipe failed."""
         worker = self._workers[index]
         worker.join(timeout=1.0)  # its end of the pipe is gone: it is exiting
+        how = "" if cause is None else f"; its pipe raised {type(cause).__name__}"
         self._tear_down(
             f"persistent shard worker {index} died (exitcode "
-            f"{worker.exitcode}); its pipe raised {type(cause).__name__}",
+            f"{worker.exitcode}){how}",
             cause,
         )
 
-    def submit(self, fn: Callable, tasks: Sequence[Tuple]) -> None:
-        """Send one ``fn(shard, *task)`` application per worker (no wait).
+    def check_alive(self) -> None:
+        """Raise the named error if a resident worker has exited."""
+        for index, worker in enumerate(self._workers):
+            if not worker.is_alive():
+                self._worker_died(index)
 
-        A task goes through the worker's ring when it splits into
-        columns, holds at least :data:`RING_MIN_ITEMS` items and fits a
-        slot; the pipe then carries only the slot descriptor.  Every
-        other task is pickled into the pipe whole, so submit never fails
-        on payload shape.  The only wait is ring backpressure: with
-        every slot still in flight, the write blocks until the worker
-        retires one.
+    def submit(
+        self,
+        fn: Callable,
+        tasks: Sequence[Tuple],
+        columns: Sequence = (),
+    ) -> None:
+        """Send one ``fn(shard, *columns, *task)`` application per worker
+        (no wait).
+
+        ``columns`` are shared by every worker.  When they hold at least
+        :data:`RING_MIN_ITEMS` items and fit a slot they are copied once
+        into the ring and every pipe carries only the slot descriptor;
+        otherwise they are pickled into every pipe with the task, so
+        submit never fails on payload size.  The only wait is ring
+        backpressure: with every slot still in flight, the write blocks
+        until all workers retire one, and names a worker that died
+        meanwhile.
         """
         conns = self._live_conns()
         if len(tasks) != len(conns):
             raise RuntimeError(
                 f"{len(tasks)} tasks for {len(conns)} resident workers"
             )
-        for index, (conn, ring) in enumerate(zip(conns, self._rings)):
+        head: Tuple = ("apply", fn, *columns)
+        if columns and len(columns[0]) >= RING_MIN_ITEMS:
+            assert self._ring is not None
+            written = self._ring.write(columns, poll=self.check_alive)
+            if written is not None:
+                head = ("apply_cols", fn, *written)
+        for index, conn in enumerate(conns):
             try:
-                conn.send(_task_message(ring, fn, tasks[index]))
+                conn.send(head + tuple(tasks[index]))
             except (OSError, EOFError) as exc:
                 self._worker_died(index, exc)
 
@@ -365,7 +365,7 @@ class PersistentProcessExecutor:
         reply latency — it exists so a wedged or silently-dead worker
         surfaces as a ``RuntimeError`` naming the worker and its state
         instead of deadlocking the parent (and CI) indefinitely.  On a
-        deadline the workers and rings are closed before the error is
+        deadline the workers and the ring are closed before the error is
         raised, and the executor refuses further work until re-seeded.
         """
         conns = self._live_conns()
@@ -407,10 +407,10 @@ class PersistentProcessExecutor:
     def close(self) -> None:
         """Stop all resident workers (idempotent); state in them is lost.
 
-        Shared-memory rings are closed (and unlinked) only after the
+        The shared-memory ring is closed (and unlinked) only after the
         workers joined, so no worker is left applying against an
-        unlinked mapping; a worker that had to be terminated still gets
-        its segment unlinked here — the parent owns every ring.
+        unlinked mapping; when a worker had to be terminated the segment
+        is still unlinked here — the parent owns the ring.
         """
         for conn in self._conns:
             try:
@@ -427,87 +427,14 @@ class PersistentProcessExecutor:
             if worker.is_alive():  # pragma: no cover - defensive
                 worker.terminate()
                 worker.join(timeout=5)
-        for ring in self._rings:
-            ring.close()
+        if self._ring is not None:
+            self._ring.close()
         self._workers = []
         self._conns = []
-        self._rings = []
+        self._ring = None
 
     def __del__(self):  # pragma: no cover - interpreter-teardown best effort
         try:
             self.close()
         except Exception:
             pass
-
-
-def _task_message(ring: PlanRing, fn: Callable, task: Tuple) -> Tuple:
-    """The pipe message for one task: a ring slot descriptor when the
-    task splits into columns, holds at least :data:`RING_MIN_ITEMS`
-    items and fits a slot, else the task pickled whole."""
-    items = max(
-        (len(arg) for arg in task if isinstance(arg, (np.ndarray, list))),
-        default=0,
-    )
-    if items >= RING_MIN_ITEMS:
-        split = split_task(task)
-        if split is not None:
-            columns, recipe = split
-            written = ring.write(columns)
-            if written is not None:
-                slot, layouts = written
-                return ("apply_cols", fn, slot, layouts, recipe)
-    return ("apply", fn, *task)
-
-
-_EXECUTORS = {
-    "serial": SerialExecutor,
-    "persistent": PersistentProcessExecutor,
-}
-
-
-def make_executor(spec: object = "serial"):
-    """Resolve an executor: a name (``serial``/``persistent``) or any
-    ready object exposing one of the protocols.
-
-    The stateful (resident-worker) protocol is checked **first**: an
-    executor declaring ``stateful`` with the full
-    ``seed``/``submit``/``broadcast``/``collect``/``close`` surface gets
-    the resident treatment even when it also exposes a stateless
-    ``map()`` — matching how :class:`ShardedSketch` routes ingestion off
-    the ``stateful`` flag.
-    """
-    if isinstance(spec, str):
-        try:
-            cls = _EXECUTORS[spec]
-        except KeyError:
-            raise ValueError(
-                f"unknown executor {spec!r}; expected one of "
-                f"{sorted(_EXECUTORS)}"
-            ) from None
-        return cls()
-    if getattr(spec, "stateful", False):
-        # a declared stateful executor must carry the complete
-        # resident-worker protocol: ShardedSketch routes ingestion off
-        # the flag, so letting one through on the map()/close() fallback
-        # would defer the failure to a mid-ingestion AttributeError
-        missing = [
-            name
-            for name in ("seed", "submit", "broadcast", "collect", "close")
-            if getattr(spec, name, None) is None
-        ]
-        if missing:
-            raise TypeError(
-                f"executor declares stateful=True but is missing "
-                f"{'/'.join(missing)} of the resident-worker protocol: "
-                f"{spec!r}"
-            )
-        return spec
-    if (
-        getattr(spec, "map", None) is not None
-        and getattr(spec, "close", None) is not None
-    ):
-        return spec
-    raise TypeError(
-        f"executor must be a name, expose map()/close(), or expose the "
-        f"stateful seed/submit/broadcast/collect/close protocol, got {spec!r}"
-    )

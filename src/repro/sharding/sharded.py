@@ -34,20 +34,30 @@ Two query disciplines cover the two ways keys relate to routing:
 Merged snapshots are cached and invalidated by an ingestion version
 counter, so repeated queries between batches merge once.
 
-Shard plans run on one of two executors (:mod:`repro.sharding.executors`):
-``serial`` applies them in the calling thread; ``persistent`` keeps each
-shard resident in its own worker process and ships only the plans, each
-through a shared-memory ring or pickled into the pipe depending on its
-size.
+Shards run on one of two executors: ``serial`` applies them in the
+calling thread; ``persistent`` (:mod:`repro.sharding.executors`) keeps
+each shard resident in its own worker process.  Either way every shard
+runs the same function over the same input.  An integer batch (a list
+of ints, or a numpy integer column, which ``update_many`` dispatches
+as is once it holds :data:`COALESCE_ITEMS` keys) is **broadcast**: the
+parent hashes it once into an owner column, and each shard selects its
+own positions (``flatnonzero(owners == j)``), boxes only its keys and
+applies them as one plan.  On ``persistent`` the two columns are copied
+once into one shared-memory slot that every worker reads (or pickled
+into every pipe, below ``RING_MIN_ITEMS`` keys or above a slot).  Any
+other batch (strings, tuples, floats) goes through the scalar routing
+loop and reaches each shard as its own pickled ``(positions, items)``
+plan.
 
 Every write **coalesces**: scalar updates, report-scale batches and gap
-advances append to a :class:`WriteBuffer`, which is partitioned and
-applied on the caller's thread once :data:`COALESCE_ITEMS` items are
-pending (a batch at least that large skips the buffer).  Queries,
+advances append to a :class:`WriteBuffer`, which is applied on the
+caller's thread once :data:`COALESCE_ITEMS` items are pending (a batch
+at least that large skips the buffer).  Queries,
 :meth:`ShardedSketch.flush`, snapshots and ``close`` apply what is
-pending first, so results equal uncoalesced ingestion.  A failed apply
-raises from the call that applied it and sticks: every later write,
-flush and query raises until :meth:`ShardedSketch.close`.
+pending first, so results equal uncoalesced ingestion.  A failed apply,
+or a resident worker found dead, raises from the call that met it and
+sticks: every later write, flush and query raises until
+:meth:`ShardedSketch.close`.
 """
 
 from __future__ import annotations
@@ -76,7 +86,7 @@ from ..core.merge import (
     merge_entry_sets,
     merge_windowed_entry_sets,
 )
-from .executors import make_executor
+from .executors import PersistentProcessExecutor
 
 __all__ = ["ShardedSketch", "shard_index", "WriteBuffer", "COALESCE_ITEMS"]
 
@@ -84,9 +94,11 @@ _MASK64 = (1 << 64) - 1
 
 QUERY_MODES = ("route", "sum")
 
+EXECUTORS = ("serial", "persistent")
+
 #: Pending items (gap advances count one each) at which a sharded
-#: sketch partitions and applies its buffered writes.  Report-scale
-#: writes cost one partition and one plan per shard per 4096 items
+#: sketch applies its buffered writes.  Report-scale writes cost one
+#: owner hash and one message per shard per 4096 items
 #: instead of per report (``BENCH_pipelined_ingest.json``:
 #: ``reports/shards4``, ``scalar/shards4``), and the 4096-item chunks
 #: every bench and the ``extend`` default feed skip the buffer.
@@ -119,21 +131,38 @@ def shard_index(key: Hashable, shards: int) -> int:
     return _mix64(h) % shards
 
 
-def _group_by_owner(owners: np.ndarray, shards: int) -> List[np.ndarray]:
-    """Per-shard ascending position arrays from an owner column.
+def _integer_column(items: Sequence) -> Optional[np.ndarray]:
+    """``items`` as a numpy integer column, or ``None``.
 
-    One stable argsort plus a ``searchsorted`` over the shard ids
-    replaces the historical ``S`` boolean-mask passes
-    (``index[owners == j]`` per shard): the stable sort keeps equal
-    owners in stream order, so each returned group is exactly the
-    ascending index array the mask pass produced — pinned byte-identical
-    by ``tests/sharding/test_partition.py``.
+    A numpy column passes through (``update_many`` only dispatches
+    integer ones as is).  A list qualifies only when it converts to an
+    integer dtype: a float anywhere makes ``asarray`` produce a float
+    dtype, which would truncate and diverge from the scalar routing.
     """
-    order = np.argsort(owners, kind="stable")
-    bounds = np.searchsorted(
-        owners[order], np.arange(1, shards, dtype=owners.dtype)
-    )
-    return np.split(order, bounds)
+    if isinstance(items, np.ndarray):
+        return items
+    if not len(items) or type(items[0]) is not int:
+        return None
+    try:
+        column = np.asarray(items)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    return column if column.dtype.kind in "iu" else None
+
+
+def _owner_column(keys: np.ndarray, shards: int) -> np.ndarray:
+    """:func:`shard_index` of every key of an integer column at once
+    (the same fmix64, over ``uint64`` two's-complement bits)."""
+    if keys.dtype.kind == "i":
+        mixed = keys.astype(np.int64).view(np.uint64)
+    else:
+        mixed = keys.astype(np.uint64)
+    mixed ^= mixed >> np.uint64(33)
+    mixed *= np.uint64(0xFF51AFD7ED558CCD)
+    mixed ^= mixed >> np.uint64(33)
+    mixed *= np.uint64(0xC4CEB9FE1A85EC53)
+    mixed ^= mixed >> np.uint64(33)
+    return mixed % np.uint64(shards)
 
 
 class WriteBuffer:
@@ -189,51 +218,49 @@ class WriteBuffer:
 
 
 def _apply_shard_plan(shard, positions, items, total, windowed, method):
-    """Apply one shard's slice of a global batch; returns the shard.
+    """Apply one shard's slice of a global batch.
 
     ``positions`` are the global batch indices of the shard's owned
-    ``items`` (ascending; numpy columns for integer batches, lists
-    otherwise — the same plan either way).  Interval shards just receive
-    their owned packets.  Windowed shards get the slice as a kernel
+    ``items`` (ascending).  Interval shards just receive their owned
+    packets.  Windowed shards get the slice as a kernel
     :class:`~repro.core.kernel.IngestPlan` — owned items plus the
     run-length-encoded unowned gaps — through their one plan-fed path,
     ``ingest_plan(plan, sampled=...)``, so every shard's window stays
     aligned with the *global* window whichever executor or lane carried
-    the plan (``sampled=True`` for pre-sampled controller feeds).
+    the batch (``sampled=True`` for pre-sampled controller feeds).
     Module-level (not a closure) so the persistent executor can pickle
     it.
     """
-    if isinstance(items, np.ndarray):
-        # decode to Python objects: sketch state must not depend on the
-        # lane (np.int64 keys would pickle differently)
-        items = items.tolist()
     if not windowed:
         if items:
             getattr(shard, method)(items)
-        return shard
-    plan = plan_from_positions(items, positions, total)
-    ingest_plan = getattr(shard, "ingest_plan", None)
-    if ingest_plan is not None:
-        ingest_plan(plan, sampled=method == "ingest_samples")
-        return shard
-    # custom shard without the kernel surface: replay the plan manually
-    ingest = getattr(shard, method)
-    gap = shard.ingest_gap
-    for lead, segment in plan.segments():
-        if lead:
-            gap(lead)
-        if segment:
-            ingest(segment)
-    tail = plan.tail_gap
-    if tail:
-        gap(tail)
-    return shard
+        return
+    shard.ingest_plan(
+        plan_from_positions(items, positions, total),
+        sampled=method == "ingest_samples",
+    )
+
+
+def _apply_selected(shard, keys, owners, index, windowed, method):
+    """Apply shard ``index``'s part of a broadcast integer batch.
+
+    Every shard receives the whole batch — ``keys`` plus the ``owners``
+    column the parent hashed once — selects its own positions, and
+    boxes only its keys, as Python ints (sketch state must not depend
+    on the lane: ``np.int64`` keys would pickle differently), before
+    :func:`_apply_shard_plan`.  The serial loop runs it over the
+    parent's columns, resident workers over a ring slot's views or the
+    pickled columns.
+    """
+    positions = np.flatnonzero(owners == index)
+    _apply_shard_plan(
+        shard, positions, keys[positions].tolist(), len(keys), windowed, method
+    )
 
 
 def _apply_shard_gap(shard, count):
     """Advance one resident shard's window (persistent-executor message)."""
     shard.ingest_gap(count)
-    return shard
 
 
 class ShardedSketch(BatchIngest):
@@ -250,18 +277,16 @@ class ShardedSketch(BatchIngest):
         and delegates straight to the inner sketch (the no-regression
         fast path the bench gates).
     executor:
-        ``"serial"`` (default), ``"persistent"`` (resident shard
-        workers), or any object with ``map(fn, tasks)``/``close()`` or
-        the stateful seed/submit/broadcast/collect protocol — see
-        :mod:`repro.sharding.executors`.
-    key_fn:
-        Maps an *item* to its routing key (default: the item itself).
-        H-Memento deployments route whole packets while querying
-        prefixes, which is what ``query_mode="sum"`` exists for.
+        ``"serial"`` (default: shards applied in the calling thread),
+        ``"persistent"`` (resident shard workers), or a
+        :class:`~repro.sharding.executors.PersistentProcessExecutor`
+        instance (to size its ring).
     query_mode:
         ``"route"`` — point queries go to the key's owning shard (valid
-        when the query key equals the routing key); ``"sum"`` — sum the
-        per-shard estimates (valid always, required when they differ).
+        when the query key is the packet itself); ``"sum"`` — sum the
+        per-shard estimates (valid always, required when they differ:
+        H-Memento routes whole packets while answering *prefix*
+        queries).
     merge_counters:
         Counter budget of merged snapshots (default: every merged row is
         kept — the union is exact for disjoint shards).
@@ -290,15 +315,13 @@ class ShardedSketch(BatchIngest):
         self,
         factory: Callable[[int], SlidingSketch],
         shards: int = 1,
-        executor: object = "serial",
-        key_fn: Optional[Callable[[Hashable], Hashable]] = None,
+        executor: Union[str, PersistentProcessExecutor] = "serial",
         query_mode: str = "route",
         merge_counters: Optional[int] = None,
         windowed: Optional[bool] = None,
     ) -> None:
         # every knob validates BEFORE the factory runs: a bad executor
-        # must not first construct (and, for stateful executors,
-        # potentially leak) S shard sketches
+        # must not first construct S shard sketches
         if shards <= 0:
             raise ValueError(f"shards must be positive, got {shards}")
         if query_mode not in QUERY_MODES:
@@ -309,11 +332,28 @@ class ShardedSketch(BatchIngest):
             raise ValueError(
                 f"merge_counters must be positive, got {merge_counters}"
             )
-        self._executor = make_executor(executor)
+        if isinstance(executor, str):
+            if executor not in EXECUTORS:
+                raise ValueError(
+                    f"unknown executor {executor!r}; expected one of "
+                    f"{EXECUTORS}"
+                )
+            executor = (
+                PersistentProcessExecutor() if executor == "persistent" else None
+            )
+        elif not isinstance(executor, PersistentProcessExecutor):
+            raise TypeError(
+                f"executor must be 'serial', 'persistent' or a "
+                f"PersistentProcessExecutor, got {executor!r}"
+            )
+        #: resident shard workers, or ``None`` for the in-thread loop;
+        #: with workers, ingestion ships only batches and
+        #: ``_sync_shards`` pulls state back lazily at the first query
+        #: after a batch
+        self._executor: Optional[PersistentProcessExecutor] = executor
         self.num_shards = int(shards)
         self.query_mode = query_mode
         self.merge_counters = merge_counters
-        self._key_fn = key_fn
         self._shards: List = [factory(i) for i in range(self.num_shards)]
         first = self._shards[0]
         #: shards that can advance their window without inserting get the
@@ -330,10 +370,6 @@ class ShardedSketch(BatchIngest):
                     f"has no ingest_gap"
                 )
             self.windowed = bool(windowed)
-        #: a stateful executor keeps shard state resident in its workers:
-        #: ingestion ships only plans, and ``_sync_shards`` pulls state
-        #: back lazily at the first query after a batch
-        self._stateful = bool(getattr(self._executor, "stateful", False))
         self._buffer = WriteBuffer(COALESCE_ITEMS)
         #: the first failed apply; every later write, flush and query
         #: raises it until ``close``
@@ -350,64 +386,17 @@ class ShardedSketch(BatchIngest):
     # routing
     # ------------------------------------------------------------------
     def shard_of(self, item: Hashable) -> int:
-        """The shard index owning ``item`` (after ``key_fn`` routing)."""
-        key = item if self._key_fn is None else self._key_fn(item)
-        return shard_index(key, self.num_shards)
+        """The shard index owning ``item``."""
+        return shard_index(item, self.num_shards)
 
-    def _route_owners(
-        self, items: Sequence
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Vectorized owner column for an integer batch, or ``None``.
-
-        Returns ``(owners, probe)`` — the per-item shard ids and the
-        items as a numpy column — for the common integer-packet streams;
-        only a genuinely integral batch qualifies (a float anywhere
-        makes ``asarray`` produce a float dtype, which would silently
-        truncate and diverge from the scalar hash routing).  ``None``
-        sends the caller to the Python-loop fallback.
-        """
-        if self._key_fn is not None or not len(items) or type(items[0]) is not int:
-            return None
-        try:
-            probe = np.asarray(items)
-        except (ValueError, TypeError, OverflowError):
-            return None
-        if probe.dtype.kind not in "iu":
-            return None
-        if probe.dtype.kind == "i":
-            arr = probe.astype(np.int64).view(np.uint64)
-        else:
-            arr = probe.astype(np.uint64)
-        mixed = arr.copy()
-        mixed ^= mixed >> np.uint64(33)
-        mixed *= np.uint64(0xFF51AFD7ED558CCD)
-        mixed ^= mixed >> np.uint64(33)
-        mixed *= np.uint64(0xC4CEB9FE1A85EC53)
-        mixed ^= mixed >> np.uint64(33)
-        owners = mixed % np.uint64(self.num_shards)
-        return owners, probe
-
-    def _partition(self, items: Sequence) -> List[tuple]:
-        """Split a batch into per-shard ``(positions, items)`` pairs.
-
-        Integer batches route vectorized and come back as numpy columns
-        (ascending int64 positions plus the gathered items); anything
-        else goes through the scalar routing loop and comes back as
-        lists.  :func:`_apply_shard_plan` accepts both, and the
-        persistent executor picks each task's lane from its size.
-        """
+    def _route(self, items: Sequence) -> List[Tuple[List[int], list]]:
+        """Per-shard ``(positions, items)`` lists of a non-integer batch
+        (the scalar routing loop)."""
         shards = self.num_shards
-        routed = self._route_owners(items)
-        if routed is not None:
-            owners, probe = routed
-            groups = _group_by_owner(owners, shards)
-            return [(positions, probe.take(positions)) for positions in groups]
-        key_fn = self._key_fn
-        per_positions: List[list] = [[] for _ in range(shards)]
+        per_positions: List[List[int]] = [[] for _ in range(shards)]
         per_items: List[list] = [[] for _ in range(shards)]
         for idx, item in enumerate(items):
-            key = item if key_fn is None else key_fn(item)
-            j = shard_index(key, shards)
+            j = shard_index(item, shards)
             per_positions[j].append(idx)
             per_items[j].append(item)
         return list(zip(per_positions, per_items))
@@ -426,8 +415,15 @@ class ShardedSketch(BatchIngest):
             self._spill()
 
     def update_many(self, items: Sequence) -> None:
-        """Batch ingestion: partition once, apply per-shard plans."""
-        self._write("update_many", as_batch(items))
+        """Batch ingestion; a numpy integer column of at least
+        :data:`COALESCE_ITEMS` keys is dispatched as is (no ``tolist``)."""
+        if not (
+            isinstance(items, np.ndarray)
+            and items.dtype.kind in "iu"
+            and len(items) >= self._buffer.capacity
+        ):
+            items = as_batch(items)
+        self._write("update_many", items)
 
     def ingest_sample(self, item: Hashable) -> None:
         """Externally-sampled packet: Full update at the owner."""
@@ -514,43 +510,62 @@ class ShardedSketch(BatchIngest):
             shard.ingest_gap(count)
 
     def _dispatch_now(self, items: Sequence, method: str) -> None:
-        """Partition one batch and apply it."""
+        """Apply one batch to every shard.
+
+        An integer batch is hashed once into an owner column and every
+        shard selects its own keys from the two columns
+        (:func:`_apply_selected`); any other batch is routed by the
+        scalar loop into one plan per shard.
+        """
         n = len(items)
         if self.num_shards == 1:
             getattr(self._shards[0], method)(items)
             return
         windowed = self.windowed
-        partition = self._partition(items)
-        if self._stateful:
-            if not self._resident:
-                # ship current parent state once; from here on only the
-                # per-shard plans cross to the workers
-                self._executor.seed(self._shards)
-                self._resident = True
-            self._executor.submit(
-                _apply_shard_plan,
-                [
-                    (positions, owned, n, windowed, method)
-                    for positions, owned in partition
-                ],
-            )
-            self._shards_stale = True
+        keys = _integer_column(items)
+        if keys is not None:
+            fn = _apply_selected
+            columns: tuple = (keys, _owner_column(keys, self.num_shards))
+            tasks = [
+                (index, windowed, method) for index in range(self.num_shards)
+            ]
+        else:
+            fn = _apply_shard_plan
+            columns = ()
+            tasks = [
+                (positions, owned, n, windowed, method)
+                for positions, owned in self._route(items)
+            ]
+        executor = self._executor
+        if executor is None:
+            for shard, task in zip(self._shards, tasks):
+                fn(shard, *columns, *task)
             return
-        tasks = [
-            (shard, positions, owned, n, windowed, method)
-            for shard, (positions, owned) in zip(self._shards, partition)
-        ]
-        self._shards = self._executor.map(_apply_shard_plan, tasks)
+        if not self._resident:
+            # ship current parent state once; from here on only the
+            # batches cross to the workers
+            executor.seed(self._shards)
+            self._resident = True
+        executor.submit(fn, tasks, columns)
+        self._shards_stale = True
 
     def flush(self) -> None:
         """Apply every buffered write now (idempotent).
 
         Every query path routes through here (via ``_sync_shards``), so
         coalesced results are indistinguishable from applying each write
-        as it arrives.  Raises the stored failure of an earlier apply.
+        as it arrives.  Raises the stored failure of an earlier apply,
+        and, with resident workers, names a worker that has died (a
+        failure that sticks like a failed apply).
         """
         self._raise_failure()
         self._spill()
+        if self._resident:
+            try:
+                self._executor.check_alive()
+            except BaseException as exc:
+                self._failure = exc
+                raise
 
     def _sync_shards(self) -> None:
         """Apply buffered writes, then pull resident state back when stale
@@ -570,8 +585,8 @@ class ShardedSketch(BatchIngest):
     def query(self, key: Hashable) -> float:
         """Window/interval frequency estimate for ``key``.
 
-        Route mode asks the owning shard (``key_fn`` applies, exactly as
-        it did at ingestion); sum mode adds the per-shard estimates.
+        Route mode asks the owning shard; sum mode adds the per-shard
+        estimates.
         """
         self._sync_shards()
         if self.query_mode == "route":
@@ -841,7 +856,8 @@ class ShardedSketch(BatchIngest):
         finally:
             self._failure = None
             self._shards_stale = False
-            self._executor.close()
+            if self._executor is not None:
+                self._executor.close()
             self._resident = False
 
     def __enter__(self) -> "ShardedSketch":

@@ -1,37 +1,29 @@
-"""Zero-copy shared-memory plan lane for resident shard workers.
+"""Zero-copy shared-memory batch lane for resident shard workers.
 
-Every :class:`~repro.sharding.executors.PersistentProcessExecutor`
-worker gets one :class:`PlanRing`.  A per-shard plan (positions + owned
-items) that is large enough — at least
-:data:`~repro.sharding.executors.RING_MIN_ITEMS` items — travels through
-it instead of being pickled into the worker pipe, because for columnar
-feeds the payload *is* a couple of numpy columns and serializing them
-per batch is pure overhead:
+A :class:`~repro.sharding.executors.PersistentProcessExecutor` owns one
+:class:`PlanRing`, read by all of its workers.  An integer batch of at
+least :data:`~repro.sharding.executors.RING_MIN_ITEMS` keys travels
+through it as two columns — the keys and their owner shards — instead
+of being pickled into every worker pipe:
 
-* the **parent** writes the plan columns into the next free slot of a
-  per-worker ring inside one ``multiprocessing.shared_memory`` segment
-  and pipes only a tiny descriptor — slot index plus a
-  ``(dtype, length)`` layout per column;
-* the **worker** maps the same segment once at startup and reconstructs
-  each column as a zero-copy ``np.ndarray`` view over the slot, valid
-  for the duration of that one apply;
-* slot reclamation is a single monotonically increasing **retired
-  counter** the worker stores into the segment's control header after
-  every apply (even a poisoned one).  The parent never blocks on an ack
-  message: a slot is free again once ``issued - retired < slots``, and
+* the **parent** copies the columns once into the next free slot of one
+  ``multiprocessing.shared_memory`` segment and pipes the same small
+  descriptor — slot index plus a ``(dtype, length)`` layout per column —
+  to every worker;
+* each **worker** maps the segment once at startup, reads the columns
+  as zero-copy ``np.ndarray`` views valid for that one apply, and
+  selects its own keys from them;
+* the segment's header holds one **retired counter per worker**, which
+  that worker bumps after every apply (even a poisoned one).  The
+  parent never waits for an ack message: a slot is free again once
+  every worker has retired it (``issued - min(retired) < slots``), and
   ``write`` only waits when every slot is still in flight
-  (backpressure-when-full).
+  (backpressure-when-full), calling its ``poll`` hook on every turn of
+  the wait so a dead worker is named instead of waited out.
 
-Small tasks, payloads that don't fit a slot, and tasks with no
-vectorizable column at all go as the pickle-over-pipe message instead,
-so the ring never limits what the executor can carry.
-
-:func:`split_task` / :func:`rebuild_task` translate between executor
-task tuples and ring columns: 1-D numeric/fixed-width-string arrays ride
-as columns, ``list`` payloads of ints/strs/bytes are encoded through
-:func:`repro.core.kernel.encode_items_column` and decoded back to the
-identical lists on the worker (so both lanes deliver *equal* task
-arguments), and anything else stays an inline (pickled) object.
+Batches below ``RING_MIN_ITEMS``, batches that do not fit a slot and
+non-integer batches are pickled into the worker pipes instead, so the
+ring never limits what the executor can carry.
 
 Lifecycle: the creating side owns the segment and ``unlink``\\ s it on
 ``close()``; attaching sides only unmap.  Worker processes are always
@@ -44,13 +36,19 @@ closing.  :func:`leaked_segments` is the test-suite guard's probe.
 Examples
 --------
 >>> import numpy as np
->>> ring = PlanRing(slots=2, slot_bytes=4096)
+>>> ring = PlanRing(slots=2, slot_bytes=4096, readers=2)
 >>> slot, layouts = ring.write([np.arange(4, dtype=np.int64)])
->>> reader = PlanRing.attach(ring.name, slots=2, slot_bytes=4096)
->>> [view.tolist() for view in reader.read(slot, layouts)]
+>>> workers = [PlanRing.attach(ring.name, 2, 4096, 2, reader) for reader in (0, 1)]
+>>> [view.tolist() for view in workers[0].read(slot, layouts)]
 [[0, 1, 2, 3]]
->>> reader.retire()
->>> reader.close()
+>>> workers[0].retire()
+>>> ring.in_flight()  # worker 1 still holds the slot
+1
+>>> workers[1].retire()
+>>> ring.in_flight()
+0
+>>> for worker in workers:
+...     worker.close()
 >>> ring.close()
 >>> leaked_segments()
 []
@@ -63,17 +61,13 @@ import secrets
 import threading
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from multiprocessing import shared_memory
 
-from ..core.kernel import encode_items_column
-
 __all__ = [
     "PlanRing",
-    "split_task",
-    "rebuild_task",
     "leaked_segments",
     "SEGMENT_PREFIX",
     "TRACKER_FORK_LOCK",
@@ -101,15 +95,11 @@ TRACKER_FORK_LOCK = threading.RLock()
 #: pid scopes :func:`leaked_segments` to the creating process.
 SEGMENT_PREFIX = "repro_plan"
 
-#: Control header bytes at the start of the segment (one cache line);
-#: holds the worker-written retired counter (uint64 at offset 0).
-_CTRL_BYTES = 64
-
 #: Column starts are 8-byte aligned inside a slot so every numeric view
 #: is a properly aligned ndarray.
 _ALIGN = 8
 
-#: Default seconds ``write`` waits for a free slot before concluding the
+#: Default seconds ``write`` waits for a free slot before concluding a
 #: worker is stalled.
 DEFAULT_WRITE_TIMEOUT = 60.0
 
@@ -119,55 +109,64 @@ def _aligned(nbytes: int) -> int:
 
 
 class PlanRing:
-    """A single-producer/single-consumer slot ring in shared memory.
+    """A single-producer, multi-reader slot ring in shared memory.
 
-    The parent constructs (owns) the segment; the worker maps it with
-    :meth:`attach`.  ``slots`` bounds the plans in flight; each slot is
-    ``slot_bytes`` of column payload.  Producer-side state is the local
-    ``issued`` counter; consumer progress is the shared retired counter,
-    so no locks are needed: the producer only writes slots the consumer
-    has retired, and the consumer only reads slots the producer pointed
-    it at through the pipe descriptor (the pipe preserves order).
+    The parent constructs (owns) the segment; each of the ``readers``
+    workers maps it with :meth:`attach`, naming its own reader index.
+    ``slots`` bounds the batches in flight; each slot is ``slot_bytes``
+    of column payload.  The segment starts with a header of one uint64
+    retired counter per reader.  Producer-side state is the local
+    ``issued`` counter; each reader only stores its own counter, so no
+    locks are needed: the producer only overwrites a slot every reader
+    has retired, and a reader only reads slots the producer pointed it
+    at through its pipe (the pipe preserves order).
     """
 
-    __slots__ = ("slots", "slot_bytes", "_shm", "_owner", "_retired", "_issued")
+    __slots__ = (
+        "slots", "slot_bytes", "_shm", "_owner", "_retired", "_reader", "_issued"
+    )
 
     slots: int
     slot_bytes: int
     _shm: Optional[shared_memory.SharedMemory]
     _owner: bool
     _retired: Optional[np.ndarray]
+    _reader: int
     _issued: int
 
     def __init__(
         self,
         slots: int = 8,
         slot_bytes: int = 1 << 20,
-        *,
-        name: Optional[str] = None,
+        readers: int = 1,
     ) -> None:
         if slots <= 0:
             raise ValueError(f"slots must be positive, got {slots}")
         if slot_bytes <= 0:
             raise ValueError(f"slot_bytes must be positive, got {slot_bytes}")
+        if readers <= 0:
+            raise ValueError(f"readers must be positive, got {readers}")
         self.slots = int(slots)
         self.slot_bytes = int(slot_bytes)
-        if name is None:
-            name = f"{SEGMENT_PREFIX}_{os.getpid()}_{secrets.token_hex(4)}"
+        name = f"{SEGMENT_PREFIX}_{os.getpid()}_{secrets.token_hex(4)}"
         with TRACKER_FORK_LOCK:  # creation registers with the tracker
             self._shm = shared_memory.SharedMemory(
                 name=name,
                 create=True,
-                size=_CTRL_BYTES + self.slots * self.slot_bytes,
+                size=8 * readers + self.slots * self.slot_bytes,
             )
         self._owner = True
-        self._retired = np.ndarray((1,), dtype=np.uint64, buffer=self._shm.buf)
-        self._retired[0] = 0
+        self._retired = np.ndarray((readers,), dtype=np.uint64, buffer=self._shm.buf)
+        self._retired[:] = 0
+        self._reader = -1
         self._issued = 0
 
     @classmethod
-    def attach(cls, name: str, slots: int, slot_bytes: int) -> "PlanRing":
-        """Map an existing ring (worker side; never unlinks).
+    def attach(
+        cls, name: str, slots: int, slot_bytes: int, readers: int, reader: int
+    ) -> "PlanRing":
+        """Map an existing ring as reader ``reader`` (worker side; never
+        unlinks).
 
         Attaching re-registers the name with the resource tracker, but
         workers are children of the creator and share its tracker
@@ -185,7 +184,8 @@ class PlanRing:
         shm = shared_memory.SharedMemory(name=name)
         ring._shm = shm
         ring._owner = False
-        ring._retired = np.ndarray((1,), dtype=np.uint64, buffer=shm.buf)
+        ring._retired = np.ndarray((readers,), dtype=np.uint64, buffer=shm.buf)
+        ring._reader = int(reader)
         ring._issued = 0
         return ring
 
@@ -195,10 +195,14 @@ class PlanRing:
         assert self._shm is not None, "ring is closed"
         return self._shm.name
 
-    def in_flight(self) -> int:
-        """Slots written but not yet retired by the consumer."""
+    def _base(self, slot: int) -> int:
         assert self._retired is not None, "ring is closed"
-        return self._issued - int(self._retired[0])
+        return int(self._retired.nbytes) + slot * self.slot_bytes
+
+    def in_flight(self) -> int:
+        """Slots written but not yet retired by every reader."""
+        assert self._retired is not None, "ring is closed"
+        return self._issued - int(self._retired.min())
 
     # ------------------------------------------------------------------
     # producer side
@@ -207,16 +211,18 @@ class PlanRing:
         self,
         columns: Sequence[np.ndarray],
         timeout: Optional[float] = DEFAULT_WRITE_TIMEOUT,
+        poll: Optional[Callable[[], None]] = None,
     ) -> Optional[Tuple[int, List[Tuple[str, int]]]]:
         """Copy ``columns`` into the next free slot.
 
         Returns ``(slot, layouts)`` where ``layouts`` is one
-        ``(dtype_str, length)`` pair per column — everything the
-        consumer needs to rebuild the views — or ``None`` when the
-        payload exceeds ``slot_bytes`` (the caller falls back to the
-        pipe).  Blocks while all slots are in flight; raises
-        ``RuntimeError`` after ``timeout`` seconds of no consumer
-        progress (a dead or wedged worker must not hang the parent).
+        ``(dtype_str, length)`` pair per column — everything a reader
+        needs to rebuild the views — or ``None`` when the payload
+        exceeds ``slot_bytes`` (the caller falls back to the pipe).
+        Blocks while all slots are in flight, calling ``poll`` (which
+        may raise, say for a dead reader) on every turn of the wait;
+        raises ``RuntimeError`` after ``timeout`` seconds of no reader
+        progress (a wedged worker must not hang the parent).
         """
         assert self._shm is not None, "ring is closed"
         columns = [np.ascontiguousarray(col) for col in columns]
@@ -227,6 +233,8 @@ class PlanRing:
                 None if timeout is None else time.monotonic() + timeout
             )
             while self.in_flight() >= self.slots:
+                if poll is not None:
+                    poll()
                 if deadline is not None and time.monotonic() > deadline:
                     raise RuntimeError(
                         f"shared-memory plan ring {self.name} full for "
@@ -235,7 +243,7 @@ class PlanRing:
                     )
                 time.sleep(0.0002)
         slot = self._issued % self.slots
-        base = _CTRL_BYTES + slot * self.slot_bytes
+        base = self._base(slot)
         buf = self._shm.buf
         offset = 0
         layouts: List[Tuple[str, int]] = []
@@ -251,7 +259,7 @@ class PlanRing:
         return slot, layouts
 
     # ------------------------------------------------------------------
-    # consumer side
+    # reader side
     # ------------------------------------------------------------------
     def read(
         self, slot: int, layouts: Sequence[Tuple[str, int]]
@@ -259,11 +267,11 @@ class PlanRing:
         """Zero-copy views over one written slot's columns.
 
         The views alias the slot: they are valid until :meth:`retire`
-        frees it for reuse, so consumers must drop them (or copy) before
+        frees it for reuse, so readers must drop them (or copy) before
         retiring.
         """
         assert self._shm is not None, "ring is closed"
-        base = _CTRL_BYTES + slot * self.slot_bytes
+        base = self._base(slot)
         buf = self._shm.buf
         offset = 0
         views: List[np.ndarray] = []
@@ -276,13 +284,13 @@ class PlanRing:
         return views
 
     def retire(self) -> None:
-        """Mark the oldest in-flight slot consumed (frees it for reuse).
+        """Mark this reader done with its oldest slot.
 
-        A single aligned 8-byte store of the incremented counter; the
-        producer polls it, so no message crosses the pipe.
+        A single aligned 8-byte store into this reader's own counter;
+        the producer polls the minimum, so no message crosses the pipe.
         """
         assert self._retired is not None, "ring is closed"
-        self._retired[0] += np.uint64(1)
+        self._retired[self._reader] += np.uint64(1)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -318,69 +326,6 @@ class PlanRing:
             f"PlanRing({state}, slots={self.slots}, "
             f"slot_bytes={self.slot_bytes}, owner={self._owner})"
         )
-
-
-# ----------------------------------------------------------------------
-# task <-> column translation
-# ----------------------------------------------------------------------
-def split_task(task: Sequence) -> Optional[tuple]:
-    """Split an executor task tuple into ring columns plus a recipe.
-
-    Returns ``(columns, recipe)`` — ``columns`` the arrays to ship
-    through the ring, ``recipe`` one entry per task element telling
-    :func:`rebuild_task` how to restore it:
-
-    * ``("arr", i)`` — element was a 1-D numeric/fixed-width array;
-      restored as the zero-copy view of column ``i``;
-    * ``("list", i)`` — element was a list that
-      :func:`~repro.core.kernel.encode_items_column` encoded losslessly;
-      restored as the *equal* list (``column.tolist()``);
-    * ``("obj", value)`` — element rides inline in the pipe descriptor
-      (pickled as usual).
-
-    Returns ``None`` when no element can ride a column — the caller
-    should send the classic pipe message instead.
-    """
-    columns: List[np.ndarray] = []
-    recipe: List[tuple] = []
-    for arg in task:
-        if (
-            isinstance(arg, np.ndarray)
-            and arg.ndim == 1
-            and arg.dtype.kind in "iufSU"
-        ):
-            recipe.append(("arr", len(columns)))
-            columns.append(arg)
-            continue
-        if isinstance(arg, list):
-            encoded = encode_items_column(arg)
-            if encoded is not None:
-                recipe.append(("list", len(columns)))
-                columns.append(encoded)
-                continue
-        recipe.append(("obj", arg))
-    if not columns:
-        return None
-    return columns, recipe
-
-
-def rebuild_task(views: Sequence[np.ndarray], recipe: Sequence[tuple]) -> tuple:
-    """Restore the task tuple :func:`split_task` described (worker side).
-
-    ``("arr", i)`` elements come back as the slot views themselves —
-    valid only until the slot is retired; ``("list", i)`` elements
-    decode to plain Python lists (safe past retirement); ``("obj", v)``
-    elements pass through.
-    """
-    args = []
-    for kind, payload in recipe:
-        if kind == "arr":
-            args.append(views[payload])
-        elif kind == "list":
-            args.append(views[payload].tolist())
-        else:
-            args.append(payload)
-    return tuple(args)
 
 
 def leaked_segments(pid: Optional[int] = None) -> List[str]:

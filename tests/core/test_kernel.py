@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 
 from repro.core.kernel import (
     IngestPlan,
-    collapse_runs,
+    collapse_run_arrays,
     dense_plan,
-    encode_items_column,
     make_plan,
     plan_from_positions,
 )
@@ -75,20 +74,6 @@ class TestDerivedViews:
         assert plan.segments() == []
         assert plan.tail_gap == 4
 
-    def test_runs_adjacent_equal_only(self):
-        decisions = np.array([True, True, False, True, True, True])
-        plan = make_plan(["x", "x", "y", "y", "y", "x"], decisions)
-        # selected items: x, x, y, y, x — only adjacency collapses
-        assert plan.runs() == [("x", 2), ("y", 2), ("x", 1)]
-
-    def test_iter_updates(self):
-        plan = self.make()
-        assert list(plan.iter_updates()) == [
-            (1, "b"),
-            (0, "c"),
-            (2, "f"),
-            (3, "j"),
-        ]
 
 
 class TestPlanFromPositions:
@@ -110,83 +95,30 @@ class TestPlanFromPositions:
 
 
 class TestCollapseRuns:
+    """``collapse_run_arrays``: adjacent-equal integer keys as
+    ``(keys, counts)`` lists; anything else is declined."""
+
     def test_int_vectorized(self):
-        assert collapse_runs([7, 7, 7, 3, 3, 7]) == [(7, 3), (3, 2), (7, 1)]
+        assert collapse_run_arrays([7, 7, 7, 3, 3, 7]) == ([7, 3, 7], [3, 2, 1])
 
     def test_non_int_fallback(self):
-        assert collapse_runs(list("aab")) == [("a", 2), ("b", 1)]
+        # callers feed non-integer batches unit by unit
+        assert collapse_run_arrays(list("aab")) is None
+        assert collapse_run_arrays([1.5, 1.5]) is None
 
     def test_empty(self):
-        assert collapse_runs([]) == []
+        assert collapse_run_arrays([]) is None
 
     def test_keys_are_python_ints(self):
-        (key, count), = collapse_runs([5, 5])
-        assert type(key) is int and count == 2
+        keys, counts = collapse_run_arrays([5, 5])
+        assert keys == [5] and counts == [2]
+        assert type(keys[0]) is int and type(counts[0]) is int
 
-    @given(st.lists(st.integers(0, 5), max_size=120))
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=120))
     @settings(max_examples=60, deadline=None)
     def test_property_matches_groupby(self, items):
+        keys, counts = collapse_run_arrays(items)
         expected = [(k, sum(1 for _ in g)) for k, g in groupby(items)]
-        assert collapse_runs(items) == expected
+        assert list(zip(keys, counts)) == expected
         # expansion reproduces the stream
-        assert [k for k, c in collapse_runs(items) for _ in range(c)] == items
-
-
-class TestEncodeItemsColumn:
-    """Lossless fixed-width item columns for the shm transport.
-
-    The contract is strict: ``encoded.tolist()`` must reproduce the
-    input with *exact* Python types, or the encoder must return ``None``
-    (sending the caller to the pickle channel).  Silent coercion here
-    would make sketch state depend on the transport.
-    """
-
-    def test_int_column_round_trips(self):
-        items = [3, -7, 0, 2**40]
-        encoded = encode_items_column(items)
-        assert encoded is not None and encoded.dtype.kind == "i"
-        decoded = encoded.tolist()
-        assert decoded == items
-        assert all(type(x) is int for x in decoded)
-
-    def test_uint64_column(self):
-        items = [2**64 - 1, 2**63]
-        encoded = encode_items_column(items)
-        assert encoded is not None and encoded.dtype == np.uint64
-        assert encoded.tolist() == items
-
-    def test_mixed_magnitude_ints_rejected(self):
-        # numpy coerces [huge, small] to float64 — lossy, so: pickle lane
-        assert encode_items_column([2**64 - 1, 7]) is None
-
-    def test_str_column_round_trips(self):
-        items = ["alpha", "", "béta", "x" * 40]
-        encoded = encode_items_column(items)
-        assert encoded is not None and encoded.dtype.kind == "U"
-        decoded = encoded.tolist()
-        assert decoded == items
-        assert all(type(x) is str for x in decoded)
-
-    def test_bytes_column_round_trips(self):
-        items = [b"ab", b"", b"\x01\x02\x03"]
-        encoded = encode_items_column(items)
-        assert encoded is not None and encoded.dtype.kind == "S"
-        assert encoded.tolist() == items
-
-    def test_trailing_nul_rejected(self):
-        # numpy fixed-width strings strip trailing NULs — not lossless
-        assert encode_items_column(["ok", "bad\x00"]) is None
-        assert encode_items_column([b"ok", b"bad\x00"]) is None
-
-    def test_exact_type_probe(self):
-        # bool is an int subclass; np scalars compare equal to ints —
-        # both must miss the column (their round-trip changes the type)
-        assert encode_items_column([True, False]) is None
-        assert encode_items_column([1, True]) is None
-        assert encode_items_column([np.int64(1), np.int64(2)]) is None
-
-    def test_heterogeneous_and_empty(self):
-        assert encode_items_column([1, "a"]) is None
-        assert encode_items_column([1.5, 2.5]) is None
-        assert encode_items_column([]) is None
-        assert encode_items_column([("t",)]) is None
+        assert [k for k, c in zip(keys, counts) for _ in range(c)] == items

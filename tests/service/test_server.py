@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import asyncio
+import multiprocessing as mp
+import os
 import pickle
+import signal
 import socket
 import struct
 import time
@@ -22,6 +25,7 @@ from repro.service import (
 )
 from repro.service.cli import _override_service, build_parser
 from repro.service.protocol import encode_frame, encode_report, read_frame_sync
+from repro.sharding.shm import leaked_segments
 
 #: seconds a live-daemon case may take before it counts as a hang
 DEADLINE = 5.0
@@ -422,3 +426,48 @@ class TestCli:
         )
         with pytest.raises(SystemExit, match="no service section"):
             _override_service(spec, args)
+
+
+class TestDeadShardWorker:
+    def test_every_client_flush_names_the_dead_worker(self):
+        # a resident shard worker SIGKILLed under a live daemon: every
+        # connected client's next flush fails with the named error, and
+        # the daemon's teardown leaves no process or segment behind
+        spec = SketchSpec.from_dict(
+            {
+                "algorithm": {
+                    "family": "memento",
+                    "window": 4096,
+                    "counters": 64,
+                    "tau": 0.25,
+                    "seed": 7,
+                },
+                "sharding": {"shards": 2, "executor": "persistent"},
+                "service": {"port": 0},
+            }
+        )
+        named = r"persistent shard worker 1 died \(exitcode -9\)"
+        deadline = time.monotonic() + 10.0
+        daemon = ServiceDaemon(spec).start()
+        try:
+            with ServiceClient.connect(
+                port=daemon.port, timeout=DEADLINE
+            ) as first, ServiceClient.connect(
+                port=daemon.port, timeout=DEADLINE
+            ) as second:
+                first.report(list(range(5000)))
+                assert first.flush() == 5000  # workers seeded and fed
+                victim = daemon.server.engine.sketch._executor._workers[1]
+                os.kill(victim.pid, signal.SIGKILL)
+                victim.join(timeout=5)
+                for client in (first, second):
+                    with pytest.raises(ServiceError, match=named):
+                        client.flush()
+        finally:
+            # the engine's close re-raises the stored failure once the
+            # daemon has unwound everything else
+            with pytest.raises(RuntimeError, match=named):
+                daemon.close()
+        assert time.monotonic() < deadline
+        assert mp.active_children() == []
+        assert leaked_segments() == []

@@ -9,17 +9,17 @@ import signal
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro import (
     ExactWindowCounter,
     Memento,
     PersistentProcessExecutor,
-    SerialExecutor,
     ShardedSketch,
     SpaceSaving,
-    make_executor,
 )
+from repro.sharding.executors import RING_MIN_ITEMS
 from repro.sharding.sharded import COALESCE_ITEMS
 from repro.sharding.shm import leaked_segments
 
@@ -42,31 +42,33 @@ def make_stream(n=2000, seed=23):
 
 
 class TestMakeExecutor:
-    def test_by_name(self):
-        assert isinstance(make_executor("serial"), SerialExecutor)
-        assert isinstance(make_executor("persistent"), PersistentProcessExecutor)
+    """How ShardedSketch resolves its ``executor`` argument: two names
+    or a PersistentProcessExecutor instance, nothing duck-typed."""
 
-    def test_ready_object_passthrough(self):
-        executor = SerialExecutor()
-        assert make_executor(executor) is executor
+    def test_by_name(self):
+        assert ShardedSketch(exact_factory, shards=2)._executor is None
+        with ShardedSketch(
+            exact_factory, shards=2, executor="persistent"
+        ) as sharded:
+            assert isinstance(sharded._executor, PersistentProcessExecutor)
 
     def test_ready_stateful_object_passthrough(self):
         executor = PersistentProcessExecutor()
-        assert make_executor(executor) is executor
         with ShardedSketch(
             exact_factory, shards=2, executor=executor
         ) as sharded:
+            assert sharded._executor is executor
             sharded.update_many(make_stream(n=200))
             assert sum(s.size for s in sharded.shards) > 0
 
     def test_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown executor"):
-            make_executor("quantum")
+            ShardedSketch(exact_factory, shards=2, executor="quantum")
         for removed in ("thread", "process"):
             with pytest.raises(ValueError, match="unknown executor"):
-                make_executor(removed)
+                ShardedSketch(exact_factory, shards=2, executor=removed)
         with pytest.raises(TypeError):
-            make_executor(42)
+            ShardedSketch(exact_factory, shards=2, executor=42)
 
     def test_rejects_bad_workers(self):
         with pytest.raises(ValueError, match="ring_slots"):
@@ -74,54 +76,9 @@ class TestMakeExecutor:
         with pytest.raises(ValueError, match="ring_slot_bytes"):
             PersistentProcessExecutor(ring_slot_bytes=0)
 
-    def test_stateful_with_map_gets_resident_treatment(self):
-        # the docstring promises the stateful protocol wins over a
-        # stateless map() surface on the same object; pin the check
-        # order AND that ShardedSketch actually routes the resident way
-        class Hybrid:
-            stateful = True
-
-            def __init__(self):
-                self.calls = []
-                self._shards = []
-
-            def seed(self, shards):
-                self.calls.append("seed")
-                self._shards = list(shards)
-
-            def submit(self, fn, tasks):
-                self.calls.append("submit")
-                for shard, task in zip(self._shards, tasks):
-                    fn(shard, *task)
-
-            def broadcast(self, fn, *args):
-                self.calls.append("broadcast")
-                for shard in self._shards:
-                    fn(shard, *args)
-
-            def collect(self):
-                self.calls.append("collect")
-                return list(self._shards)
-
-            def map(self, fn, tasks):  # must never be picked
-                self.calls.append("map")
-                return [fn(*task) for task in tasks]
-
-            def close(self):
-                self.calls.append("close")
-
-        executor = Hybrid()
-        assert make_executor(executor) is executor
-        with ShardedSketch(exact_factory, shards=2, executor=executor) as sharded:
-            sharded.update_many(make_stream(n=300))
-            sharded.query(0)
-        assert "seed" in executor.calls and "submit" in executor.calls
-        assert "map" not in executor.calls
-
     def test_stateful_without_broadcast_is_rejected(self):
-        # the resident windowed gap path needs broadcast(); an executor
-        # claiming stateful without the full protocol must fail at
-        # construction, not with an AttributeError mid-ingestion
+        # an object carrying (part of) the resident-worker protocol is
+        # not an executor: it fails at construction, not mid-ingestion
         class Incomplete:
             stateful = True
 
@@ -134,27 +91,26 @@ class TestMakeExecutor:
             def collect(self):  # pragma: no cover - never called
                 return []
 
-            def close(self):
+            def close(self):  # pragma: no cover - never called
                 pass
 
-        with pytest.raises(TypeError, match="broadcast"):
-            make_executor(Incomplete())
+        with pytest.raises(TypeError, match="PersistentProcessExecutor"):
+            ShardedSketch(exact_factory, shards=2, executor=Incomplete())
 
     def test_stateful_flag_with_only_map_surface_is_rejected(self):
-        # stateful=True must not slip through on the map()/close()
-        # fallback: ShardedSketch routes off the flag and would crash
-        # deep inside _dispatch on the first sharded batch
         class MisdeclaredStateless:
             stateful = True
 
             def map(self, fn, tasks):  # pragma: no cover - never called
                 return [fn(*task) for task in tasks]
 
-            def close(self):
+            def close(self):  # pragma: no cover - never called
                 pass
 
-        with pytest.raises(TypeError, match="stateful=True"):
-            make_executor(MisdeclaredStateless())
+        with pytest.raises(TypeError, match="PersistentProcessExecutor"):
+            ShardedSketch(
+                exact_factory, shards=2, executor=MisdeclaredStateless()
+            )
 
 
 class TestExecutorEquivalence:
@@ -488,6 +444,63 @@ class TestDeadWorker:
         assert mp.active_children() == []
         assert leaked_segments() == []
 
+    def test_kill_with_slots_in_flight_names_the_worker(self):
+        # one ring serves every worker: a worker killed while it still
+        # holds slots leaves the ring full, so the next write must name
+        # it from the backpressure wait instead of waiting the ring's
+        # 60 s write timeout out
+        deadline = time.monotonic() + 10.0
+        executor = PersistentProcessExecutor(ring_slots=2)
+        sharded = ShardedSketch(exact_factory, shards=2, executor=executor)
+        sharded.update_many(make_stream(n=400))
+        sharded.flush()  # seeds the workers
+        keys = np.arange(RING_MIN_ITEMS, dtype=np.int64)
+        for _ in range(2):
+            # worker 1 stalls on the first slot, so it retires neither
+            executor.submit(_stall_on_column, [(0.0,), (30.0,)], (keys,))
+        assert executor._ring.in_flight() == 2
+        victim = executor._workers[1]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=5)
+        named = r"shard worker 1 died \(exitcode -9\)"
+        try:
+            with pytest.raises(RuntimeError, match=named) as raised:
+                sharded.update_many(make_stream(n=COALESCE_ITEMS))
+            # named by the liveness check, not by a pipe error
+            assert str(raised.value).endswith("(exitcode -9)")
+            with pytest.raises(RuntimeError, match=named):
+                sharded.flush()
+        finally:
+            with pytest.raises(RuntimeError, match=named):
+                sharded.close()
+        assert time.monotonic() < deadline
+        assert mp.active_children() == []
+        assert leaked_segments() == []
+
+    def test_flush_names_a_worker_that_died_idle(self):
+        # nothing pending: flush touches no pipe, yet it is the sync
+        # point a caller trusts, so it checks the workers are alive
+        sharded = ShardedSketch(exact_factory, shards=2, executor="persistent")
+        sharded.update_many(make_stream(n=400))
+        sharded.flush()
+        victim = sharded._executor._workers[0]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=5)
+        named = r"shard worker 0 died \(exitcode -9\)"
+        try:
+            with pytest.raises(RuntimeError, match=named):
+                sharded.flush()
+            with pytest.raises(RuntimeError, match=named):
+                sharded.flush()
+        finally:
+            with pytest.raises(RuntimeError, match=named):
+                sharded.close()
+        assert mp.active_children() == []
+
+
+def _stall_on_column(shard, keys, seconds):
+    time.sleep(seconds)
+
 
 def _poison(shard):
     raise ValueError("boom")
@@ -495,14 +508,6 @@ def _poison(shard):
 
 def _stall(shard, seconds):
     time.sleep(seconds)
-
-
-def _forty_two():
-    return 42
-
-
-def _arg_count(*args):
-    return len(args)
 
 
 def _stall_then_append(shard, seconds):
@@ -520,20 +525,6 @@ class TestLifecycle:
         sharded.update_many([5, 6])
         assert sharded.updates == 6
         sharded.close()
-
-    def test_map_empty_tasks(self):
-        assert SerialExecutor().map(max, []) == []
-
-    def test_map_zero_arity_tasks_keep_their_results(self):
-        # one result per task is the map() contract, empty tasks included
-        assert SerialExecutor().map(_forty_two, [(), ()]) == [42, 42]
-        assert SerialExecutor().map(_forty_two, [()]) == [42]
-
-    def test_map_ragged_arity_tasks(self):
-        # every task is applied with all of its own arguments
-        assert SerialExecutor().map(
-            _arg_count, [(1,), (1, 2, 3), ()]
-        ) == [1, 3, 0]
 
 
 class TestNonWindowedSharding:

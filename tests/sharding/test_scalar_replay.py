@@ -2,13 +2,13 @@
 
 A windowed shard owns a hash slice of the global stream and takes one
 Window update for every packet it does not own.  Whatever lane carries
-the per-shard plans — in process, pickled into a worker pipe, or through
-a worker's shared-memory ring — and however the writes coalesced
-before they were partitioned, each shard must end byte-identical
-(pickle, sampler state included) to a sketch built by the same factory
-and fed that sequence one scalar call at a time — and the in-process
-lane must get there through the fused plan path, not a per-segment
-replay.
+a batch to the shards — the in-process loop, pickled into the worker
+pipes, or one shared-memory slot that every worker reads — whether it
+arrived as a list or as a numpy column, and however the writes
+coalesced first, each shard must end byte-identical (pickle, sampler
+state included) to a sketch built by the same factory and fed that
+sequence one scalar call at a time — and the in-process lane must get
+there through the fused plan path, not a per-segment replay.
 """
 
 from __future__ import annotations
@@ -16,19 +16,20 @@ from __future__ import annotations
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from repro import Memento, ShardedSketch
 from repro.sharding.executors import RING_MIN_ITEMS
-from repro.sharding.shm import leaked_segments
+from repro.sharding.sharded import COALESCE_ITEMS
+from repro.sharding.shm import PlanRing, leaked_segments
 
 WINDOW = 1000
 SHARDS = 2
 CHUNK = 257
-#: every per-shard task of a batch this size stays below the ring lane
-#: (a task never holds more items than its batch)
+#: a batch this size is pickled into every worker pipe
 PIPE_CHUNK = RING_MIN_ITEMS - 1
-#: each batch this size hands at least one shard RING_MIN_ITEMS items
+#: a batch this size rides the shared-memory ring
 RING_CHUNK = SHARDS * RING_MIN_ITEMS
 
 
@@ -57,7 +58,7 @@ def feed(sharded, stream, chunk=CHUNK):
 def scalar_replays(sharded, stream, gaps=None):
     """Each shard's reference: update its own packets, Window-update the
     rest; ``gaps[i]`` unobserved packets go by before ``stream[i]``."""
-    replays = [factory(j) for j in range(SHARDS)]
+    replays = [factory(j) for j in range(sharded.num_shards)]
     for index, item in enumerate(stream):
         for _ in range((gaps or {}).get(index, 0)):
             for replay in replays:
@@ -128,11 +129,64 @@ def test_coalesced_scalars_and_gaps_match_scalar_replay(stream, executor):
     assert leaked_segments() == []
 
 
-def test_persistent_lane_follows_task_size(stream):
-    """Small tasks are pickled into the pipe, large ones ride the ring."""
+@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("dtype", [np.uint32, np.int64])
+def test_column_feeds_match_scalar_replay(stream, executor, dtype):
+    # numpy columns of COALESCE_ITEMS keys or more are dispatched as is;
+    # the shorter tail coalesces like any small write
+    column = np.asarray(stream, dtype=dtype)
+    with ShardedSketch(factory, shards=SHARDS, executor=executor) as sharded:
+        for start in range(0, len(column), COALESCE_ITEMS):
+            sharded.update_many(column[start : start + COALESCE_ITEMS])
+        shards = sharded.shards
+        replays = scalar_replays(sharded, stream)
+        for shard, replay in zip(shards, replays):
+            assert pickle.dumps(shard) == pickle.dumps(replay)
+    assert leaked_segments() == []
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_columns_mixed_with_small_writes_and_gaps(stream, executor):
+    # whole columns, sub-threshold columns and lists, and window
+    # advances interleave in write order
+    column = np.asarray(stream, dtype=np.int64)
+    cuts = [0, COALESCE_ITEMS + 5, COALESCE_ITEMS + 105, COALESCE_ITEMS + 150]
+    cuts.append(len(stream))
+    gaps = {cut: 3 + cut % 7 for cut in cuts[1:-1]}
+    with ShardedSketch(factory, shards=SHARDS, executor=executor) as sharded:
+        for part, (start, stop) in enumerate(zip(cuts, cuts[1:])):
+            if start in gaps:
+                sharded.ingest_gap(gaps[start])
+            if part == 2:
+                sharded.update_many(stream[start:stop])  # a small list
+            else:
+                sharded.update_many(column[start:stop])
+        shards = sharded.shards
+        replays = scalar_replays(sharded, stream, gaps)
+        expected = len(stream) + sum(gaps.values())
+        assert [shard.updates for shard in shards] == [expected] * SHARDS
+        for shard, replay in zip(shards, replays):
+            assert pickle.dumps(shard) == pickle.dumps(replay)
+    assert leaked_segments() == []
+
+
+def check_persistent_lane(stream, shards, monkeypatch):
+    """A batch of RING_MIN_ITEMS keys or more is written into the one
+    shared ring once, whatever the shard count; smaller ones are
+    pickled into every pipe."""
+    writes = []
+    ring_write = PlanRing.write
+
+    def spy_write(self, columns, *args, **kwargs):
+        writes.append([len(col) for col in columns])
+        return ring_write(self, columns, *args, **kwargs)
+
+    monkeypatch.setattr(PlanRing, "write", spy_write)
     kinds = []
-    with ShardedSketch(factory, shards=SHARDS, executor="persistent") as sharded:
+    with ShardedSketch(factory, shards=shards, executor="persistent") as sharded:
         feed(sharded, stream[:PIPE_CHUNK], PIPE_CHUNK)  # seeds the workers
+        assert writes == []
+        assert len(leaked_segments()) == 1  # one segment per executor
         for conn in sharded._executor._conns:
             send = conn.send
 
@@ -143,12 +197,27 @@ def test_persistent_lane_follows_task_size(stream):
             conn.send = spy
         rest = stream[PIPE_CHUNK:]
         feed(sharded, rest[:RING_CHUNK], RING_CHUNK)
+        # one write of the keys and their owners, one descriptor per worker
+        assert writes == [[RING_CHUNK, RING_CHUNK]]
+        assert kinds == ["apply_cols"] * shards
         feed(sharded, rest[RING_CHUNK:], PIPE_CHUNK)
-        shards = sharded.shards
+        assert len(writes) == 1
+        assert set(kinds[shards:]) == {"apply"}
+        shards_now = sharded.shards
         replays = scalar_replays(sharded, stream)
-        for shard, replay in zip(shards, replays):
+        for shard, replay in zip(shards_now, replays):
             assert pickle.dumps(shard) == pickle.dumps(replay)
-    assert "apply_cols" in kinds and "apply" in kinds
+    assert leaked_segments() == []
+
+
+def test_persistent_lane_follows_task_size(stream, monkeypatch):
+    check_persistent_lane(stream, SHARDS, monkeypatch)
+
+
+def test_persistent_lane_writes_the_ring_once_for_three_shards(
+    stream, monkeypatch
+):
+    check_persistent_lane(stream, 3, monkeypatch)
 
 
 def test_serial_lane_takes_the_fused_plan_path(stream, monkeypatch):

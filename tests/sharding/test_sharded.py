@@ -87,25 +87,6 @@ class TestRouting:
         owners = {shard_index(k, 4) for k in range(1000)}
         assert owners == {0, 1, 2, 3}
 
-    def test_key_fn_routing(self):
-        # route by the first tuple element only
-        sharded = ShardedSketch(
-            lambda i: SpaceSaving(16), shards=4, key_fn=lambda item: item[0]
-        )
-        sharded.update_many([("x", i) for i in range(10)])
-        owner = sharded.shard_of(("x", 0))
-        assert all(sharded.shard_of(("x", i)) == owner for i in range(10))
-
-    def test_key_fn_queries_route_through_key_fn(self):
-        # queries must land on the shard the ingestion routed to
-        sharded = ShardedSketch(
-            lambda i: SpaceSaving(16), shards=4, key_fn=lambda item: item[0]
-        )
-        sharded.update_many([("x", 1)] * 5 + [("y", 2)] * 3)
-        assert sharded.query(("x", 1)) == 5
-        assert sharded.query(("y", 2)) == 3
-        assert sharded.query_lower(("x", 1)) == 5
-
     def test_float_batch_routes_like_scalar(self):
         # a float in an int-led batch must not take the vectorized
         # integer routing path (truncation would diverge from hash())

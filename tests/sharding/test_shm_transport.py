@@ -1,13 +1,14 @@
-"""Shared-memory plan lane: ring mechanics and lanes ≡ serial.
+"""Shared-memory batch lane: ring mechanics and lanes ≡ serial.
 
-The ring tests pin the SPSC slot protocol (wraparound, backpressure,
-oversize fallback, teardown).  The differential tests are the lane
-contract: a sharded sketch on the persistent executor — whose small
-tasks are pickled into the worker pipes and whose large ones ride the
-shared-memory rings — must finish with **identical state** (complete
+The ring tests pin the one-writer, many-reader slot protocol
+(wraparound, per-reader retirement, backpressure, oversize fallback,
+teardown).  The differential tests are the lane contract: a sharded
+sketch on the persistent executor — whose small batches are pickled
+into the worker pipes and whose large integer ones ride the one
+shared-memory ring — must finish with **identical state** (complete
 structural digest per shard, including sampler RNG state) to
-synchronous serial ingestion: results must never depend on how the plan
-travelled.
+synchronous serial ingestion: results must never depend on how the
+batch travelled.
 """
 
 from __future__ import annotations
@@ -28,12 +29,7 @@ from repro import (
     SpaceSaving,
 )
 from repro.sharding.executors import RING_MIN_ITEMS
-from repro.sharding.shm import (
-    PlanRing,
-    leaked_segments,
-    rebuild_task,
-    split_task,
-)
+from repro.sharding.shm import PlanRing, leaked_segments
 
 WINDOW = 96
 
@@ -48,11 +44,10 @@ def exact_factory(i):
     return ExactWindowCounter(WINDOW)
 
 
-#: a batch this size hands each of 3 shards about 2·RING_MIN_ITEMS
-#: items, so every one of its tasks rides the ring
+#: a batch this size rides the ring (its two columns fill 48 KiB)
 RING_CHUNK = 6 * RING_MIN_ITEMS
-#: alternating batch sizes: ~86-item tasks (pickled into the pipe) and
-#: ring-sized ones, so every differential run crosses both lanes
+#: alternating batch sizes: pickled into the pipes, and ring-sized, so
+#: every differential run crosses both lanes
 MIXED_CHUNKS = (257, RING_CHUNK)
 
 
@@ -65,7 +60,7 @@ def feed(sharded, stream, samples=(), chunks=MIXED_CHUNKS, flush_each=True):
     """Chunked batches + a few scalars + a pre-sampled batch.
 
     ``flush_each`` applies every batch as it comes, so each chunk is
-    the unit that is partitioned and the chunk sizes pick the lanes;
+    the unit that is dispatched and the chunk sizes pick the lanes;
     without it the batches coalesce first.
     """
     start = 0
@@ -159,7 +154,7 @@ class TestPlanRing:
 
     def test_attach_sees_writes_and_retires(self):
         ring = PlanRing(slots=2, slot_bytes=1024)
-        reader = PlanRing.attach(ring.name, slots=2, slot_bytes=1024)
+        reader = PlanRing.attach(ring.name, 2, 1024, readers=1, reader=0)
         try:
             slot, layouts = ring.write([np.arange(5, dtype=np.uint64)])
             (view,) = reader.read(slot, layouts)
@@ -217,55 +212,54 @@ class TestPlanRing:
         ring.close()
         assert name not in leaked_segments()
         with pytest.raises(FileNotFoundError):
-            PlanRing.attach(name, slots=1, slot_bytes=256)
+            PlanRing.attach(name, 1, 256, readers=1, reader=0)
+
+    def test_slot_frees_once_every_reader_retired(self):
+        ring = PlanRing(slots=1, slot_bytes=1024, readers=3)
+        readers = [
+            PlanRing.attach(ring.name, 1, 1024, readers=3, reader=i)
+            for i in range(3)
+        ]
+        try:
+            ring.write([np.arange(3)])
+            for reader in readers[:2]:
+                reader.retire()
+                assert ring.in_flight() == 1
+            with pytest.raises(RuntimeError, match="full"):
+                ring.write([np.arange(3)], timeout=0.05)
+            readers[2].retire()
+            assert ring.in_flight() == 0
+            slot, _ = ring.write([np.arange(3)], timeout=0.05)
+            assert slot == 0
+        finally:
+            for reader in readers:
+                reader.close()
+            ring.close()
+
+    def test_backpressure_wait_polls(self):
+        ring = PlanRing(slots=1, slot_bytes=1024)
+        polls = []
+
+        def poll():
+            polls.append(1)
+            if len(polls) == 3:
+                raise RuntimeError("worker gone")
+
+        try:
+            ring.write([np.arange(3)])
+            with pytest.raises(RuntimeError, match="worker gone"):
+                ring.write([np.arange(3)], timeout=5.0, poll=poll)
+            assert len(polls) == 3
+        finally:
+            ring.close()
 
     def test_validation(self):
         with pytest.raises(ValueError, match="slots"):
             PlanRing(slots=0)
         with pytest.raises(ValueError, match="slot_bytes"):
             PlanRing(slots=1, slot_bytes=0)
-
-
-class TestSplitRebuild:
-    def roundtrip(self, task):
-        split = split_task(task)
-        assert split is not None
-        columns, recipe = split
-        ring = PlanRing(slots=1, slot_bytes=1 << 16)
-        try:
-            slot, layouts = ring.write(columns)
-            rebuilt = rebuild_task(ring.read(slot, layouts), recipe)
-            # materialize list/obj elements before the slot dies
-            return tuple(
-                arg.copy() if isinstance(arg, np.ndarray) else arg
-                for arg in rebuilt
-            )
-        finally:
-            ring.close()
-
-    def test_array_and_list_task(self):
-        positions = np.array([0, 3, 9], dtype=np.int64)
-        items = [5, -2, 2**40]
-        rebuilt = self.roundtrip((positions, items, 12))
-        assert np.array_equal(rebuilt[0], positions)
-        assert rebuilt[1] == items
-        assert all(type(x) is int for x in rebuilt[1])
-        assert rebuilt[2] == 12
-
-    def test_str_list_task(self):
-        rebuilt = self.roundtrip((["alpha", "b", ""],))
-        assert rebuilt == (["alpha", "b", ""],)
-        assert all(type(x) is str for x in rebuilt[0])
-
-    def test_unencodable_list_rides_inline(self):
-        mixed = [1, "x", None]
-        rebuilt = self.roundtrip((np.arange(2), mixed))
-        assert rebuilt[1] == mixed
-
-    def test_no_columns_returns_none(self):
-        assert split_task(("update_many", 7)) is None
-        assert split_task(()) is None
-        assert split_task(([1, "x"],)) is None  # unencodable list only
+        with pytest.raises(ValueError, match="readers"):
+            PlanRing(slots=1, readers=0)
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +279,7 @@ class TestExecutorTransportKnob:
     def test_close_unlinks_rings(self):
         executor = PersistentProcessExecutor()
         executor.seed([SpaceSaving(8), SpaceSaving(8)])
-        assert len(leaked_segments()) == 2
+        assert len(leaked_segments()) == 1  # one ring for every worker
         executor.close()
         assert leaked_segments() == []
 
@@ -295,15 +289,15 @@ class TestExecutorTransportKnob:
         executor = PersistentProcessExecutor(
             ring_slots=2, ring_slot_bytes=1 << 16
         )
-        ring_task = (list(range(RING_MIN_ITEMS)),)
+        column = np.arange(RING_MIN_ITEMS, dtype=np.int64)
         try:
-            executor.seed([SpaceSaving(8)])
+            executor.seed([SpaceSaving(8), SpaceSaving(8)])
             for _ in range(5):  # > ring_slots: needs the poisoned retires
-                executor.submit(_boom, [ring_task])
+                executor.submit(_boom, [(), ()], (column,))
             with pytest.raises(RuntimeError, match="failed"):
                 executor.collect()
             # every submit took the ring lane
-            assert executor._rings[0]._issued == 5
+            assert executor._ring._issued == 5
         finally:
             executor.close()
         assert leaked_segments() == []
@@ -337,7 +331,7 @@ class TestTransportDifferential:
         with ShardedSketch(
             exact_factory, shards=2, executor="persistent"
         ) as sharded:
-            sharded.update_many(stream)  # ~1000-item tasks: the ring lane
+            sharded.update_many(stream)  # a 2000-key batch: the ring lane
             for key in set(stream):
                 assert sharded.query(key) == oracle.query(key)
 
@@ -353,9 +347,9 @@ class TestTransportDifferential:
             assert sharded.heavy_hitters(0.05) == sync_hh
             assert shard_states(sharded) == sync_states
 
-    def test_str_keys_ride_the_list_column(self):
-        # strings can't vectorize the partition, but the executor still
-        # encodes each large shard item list as a fixed-width ring column
+    def test_str_keys_take_the_pickle_lane(self):
+        # strings are routed by the scalar loop and each shard's plan is
+        # pickled into its pipe
         rng = random.Random(31)
         stream = [f"flow-{rng.randint(0, 30)}" for _ in range(4000)]
         expect_states, expect_hh = self.run_stack(memento_factory, stream)
@@ -380,8 +374,8 @@ class TestTransportDifferential:
         assert got == expect
 
     def test_oversize_slot_falls_back_to_pipe(self):
-        # slots too small for any ring-sized task: every task takes the
-        # pickle lane, results still identical
+        # slots too small for any ring-sized batch: every batch is
+        # pickled into the pipes, results still identical
         stream = make_stream(n=1500, seed=53)
         expect = self.run_stack(memento_factory, stream, shards=2)
         got = self.run_stack(

@@ -143,7 +143,6 @@ EXPECTED_EXPORTS = (
     "SRC_DST_HIERARCHY",
     "SRC_HIERARCHY",
     "SamplingPoint",
-    "SerialExecutor",
     "ServiceClient",
     "ServiceDaemon",
     "ServiceSpec",
@@ -176,7 +175,6 @@ EXPECTED_EXPORTS = (
     "inject_flood",
     "int_to_ip",
     "ip_to_int",
-    "make_executor",
     "make_prefix",
     "make_sampler",
     "memento_min_tau",
