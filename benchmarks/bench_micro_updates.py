@@ -28,6 +28,15 @@ selected) against the reference scan of Algorithms 2-3 that recomputes
 ``G(p|P)`` from the whole selected set for each candidate.  Both must
 return the same set, and the standalone run requires the scan to be at
 least 10× faster than the reference.
+
+The ``memento_query/heavy_hitters`` and ``hhh_query/output`` rows time
+the threshold queries a network-wide controller polls every tick, at
+its geometry (W = 100k, k = 12,500, 8-packet blocks, overflow quantum
+1): ``Memento.heavy_hitters(0.005)`` and the 1-D H-Memento
+``output(0.15)``, each as shipped (``threshold``: only rows that can
+clear the bar are visited) and as a full scan of every candidate
+(``full_scan``).  Both paths must give equal answers, and the
+standalone run requires the shipped path to be at least 2× faster.
 """
 
 from __future__ import annotations
@@ -59,7 +68,7 @@ from repro import (
 from repro.bench import BenchResult, bench, repo_root, write_results
 from repro.core.kernel import make_plan
 from repro.engine import SketchSpec
-from repro.hierarchy.hhh_output import calc_pred_1d, group_by_depth
+from repro.hierarchy.hhh_output import calc_pred_1d, compute_hhh, group_by_depth
 from repro.traffic.synth import BACKBONE
 
 WINDOW = 8192
@@ -193,6 +202,13 @@ HHH_TAU = 0.125
 HHH_THETA = 0.1
 MIN_SCAN_SPEEDUP = 10.0
 
+#: the threshold-query rows share the hhh_output row's geometry (W/8
+#: counters at tau = 1/8: 8-packet blocks, overflow quantum 1); the
+#: output bar 0.15·W is above the correction, so few rows can pass
+QUERY_THETA_HH = 0.005
+QUERY_THETA_HHH = 0.15
+MIN_QUERY_SPEEDUP = 2.0
+
 
 def make_stream(n: int = N) -> list:
     return generate_trace(BACKBONE, n, seed=99).packets_1d()
@@ -284,14 +300,24 @@ def reference_output(sketch: HMemento, theta: float) -> set:
     return selected
 
 
-def run_hhh_output(
-    window: int, warmup: int, repeats: int
-) -> Tuple[BenchResult, BenchResult]:
-    """Time ``output(HHH_THETA)`` against :func:`reference_output`.
+def controller_spec(family: str, window: int) -> Dict[str, object]:
+    """The spec of a ``family`` sketch at the controller's geometry."""
+    payload: Dict[str, object] = {
+        "algorithm": {
+            "family": family,
+            "window": window,
+            "counters": window // 8,
+            "tau": HHH_TAU,
+            "seed": 1,
+        }
+    }
+    if family == "h_memento":
+        payload["hierarchy"] = {"kind": "src"}
+    return SketchSpec.from_dict(payload).to_dict()
 
-    ``ops`` is the number of candidates one call scans.  The reference
-    is quadratic in that number, so it runs once, untimed warmup aside.
-    """
+
+def hhh_sketch(window: int) -> HMemento:
+    """H-Memento at the controller's geometry, fed two windows."""
     sketch = HMemento(
         window=window,
         hierarchy=SRC_HIERARCHY,
@@ -300,22 +326,22 @@ def run_hhh_output(
         seed=1,
     )
     sketch.update_many(make_stream(2 * window))
+    return sketch
+
+
+def run_hhh_output(
+    sketch: HMemento, warmup: int, repeats: int
+) -> Tuple[BenchResult, BenchResult]:
+    """Time ``output(HHH_THETA)`` against :func:`reference_output`.
+
+    ``ops`` is the number of candidates one call scans.  The reference
+    is quadratic in that number, so it runs once, untimed warmup aside.
+    """
     candidates = len(list(sketch.candidates()))
     selected = sketch.output(HHH_THETA)
     if selected != reference_output(sketch, HHH_THETA):
         raise AssertionError("hhh_output: scan and reference select different sets")
-    spec = SketchSpec.from_dict(
-        {
-            "algorithm": {
-                "family": "h_memento",
-                "window": window,
-                "counters": window // 8,
-                "tau": HHH_TAU,
-                "seed": 1,
-            },
-            "hierarchy": {"kind": "src"},
-        }
-    ).to_dict()
+    spec = controller_spec("h_memento", sketch.window)
     scan = bench(
         lambda: sketch.output(HHH_THETA),
         name="hhh_output/scan",
@@ -347,6 +373,91 @@ def run_hhh_output(
         },
     )
     return scan, reference
+
+
+def full_scan_heavy(sketch: Memento, theta: float) -> dict:
+    """``heavy_hitters`` as a filter over every candidate's estimate."""
+    bar = theta * sketch.window
+    return {key: est for key, est in sketch.estimates().items() if est > bar}
+
+
+def full_scan_output(sketch: HMemento, theta: float) -> set:
+    """``output`` as ``compute_hhh`` over every candidate."""
+    estimates = sketch._memento.estimates()
+    return compute_hhh(
+        sketch.hierarchy,
+        list(estimates),
+        upper=estimates.__getitem__,
+        lower=sketch.query_lower,
+        threshold_count=theta * sketch.window,
+        correction=sketch.sampling_correction(),
+    )
+
+
+def run_threshold_queries(
+    sketch: HMemento, warmup: int, repeats: int
+) -> Tuple[List[BenchResult], Dict[str, float]]:
+    """Time the shipped threshold queries against their full scans.
+
+    ``memento_query`` runs on a bare Memento of the same geometry as
+    ``sketch``; ``hhh_query`` on ``sketch`` itself.  ``ops`` is the
+    number of candidates a full scan visits, so each pair's ops/s ratio
+    is its speedup.
+    """
+    window = sketch.window
+    memento = Memento(window=window, counters=window // 8, tau=HHH_TAU, seed=1)
+    memento.update_many(make_stream(2 * window))
+    cases = (
+        (
+            "memento_query",
+            "heavy_hitters",
+            QUERY_THETA_HH,
+            controller_spec("memento", window),
+            len(list(memento.candidates())),
+            lambda: memento.heavy_hitters(QUERY_THETA_HH),
+            lambda: full_scan_heavy(memento, QUERY_THETA_HH),
+        ),
+        (
+            "hhh_query",
+            "output",
+            QUERY_THETA_HHH,
+            controller_spec("h_memento", window),
+            len(list(sketch.candidates())),
+            lambda: sketch.output(QUERY_THETA_HHH),
+            lambda: full_scan_output(sketch, QUERY_THETA_HHH),
+        ),
+    )
+    results: List[BenchResult] = []
+    speedups: Dict[str, float] = {}
+    for case, query, theta, spec, candidates, shipped, full_scan in cases:
+        answer, expected = shipped(), full_scan()
+        same = answer == expected
+        if isinstance(answer, dict):  # heavy_hitters: the order must match too
+            same = same and list(answer) == list(expected)
+        if not same:
+            raise AssertionError(f"{case}: threshold and full-scan answers differ")
+        timed = {}
+        for path, fn in (("threshold", shipped), ("full_scan", full_scan)):
+            timed[path] = bench(
+                fn,
+                name=f"{case}/{query}/{path}",
+                ops=candidates,
+                warmup=warmup,
+                repeats=repeats,
+                metadata={
+                    "path": path,
+                    "case": case,
+                    "theta": theta,
+                    "answers": len(answer),
+                    "spec": spec,
+                    "transport": None,
+                },
+            )
+        results.extend(timed.values())
+        speedups[case] = (
+            timed["threshold"].ops_per_sec / timed["full_scan"].ops_per_sec
+        )
+    return results, speedups
 
 
 # ----------------------------------------------------------------------
@@ -413,11 +524,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         n=n, warmup=0 if args.smoke else 1, repeats=repeats
     )
     hhh_window = HHH_WINDOW // 10 if args.smoke else HHH_WINDOW
+    sketch = hhh_sketch(hhh_window)
     scan, reference = run_hhh_output(
-        hhh_window, warmup=0 if args.smoke else 1, repeats=repeats
+        sketch, warmup=0 if args.smoke else 1, repeats=repeats
     )
     results.extend((scan, reference))
     speedups["hhh_output"] = scan.ops_per_sec / reference.ops_per_sec
+    query_rows, query_speedups = run_threshold_queries(
+        sketch, warmup=0 if args.smoke else 1, repeats=repeats
+    )
+    results.extend(query_rows)
+    speedups.update(query_speedups)
 
     out = args.out or (repo_root() / "BENCH_micro_updates.json")
     write_results(
@@ -456,6 +573,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"{scan.ops_per_sec:>14,.0f}  {speedups['hhh_output']:>6.2f}x"
         f"  (reference vs scan, candidates/s)"
     )
+    for case, query in (("memento_query", "heavy_hitters"), ("hhh_query", "output")):
+        full = by_name[f"{case}/{query}/full_scan"]
+        shipped = by_name[f"{case}/{query}/threshold"]
+        print(
+            f"{case.ljust(width)}  {full.ops_per_sec:>14,.0f}  "
+            f"{shipped.ops_per_sec:>14,.0f}  {speedups[case]:>6.2f}x"
+            f"  (full scan vs threshold, candidates/s)"
+        )
     print(f"results -> {out}")
 
     if not args.smoke:
@@ -469,6 +594,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if speedups["hhh_output"] < MIN_SCAN_SPEEDUP:
             print(
                 f"FAIL: hhh_output scan below {MIN_SCAN_SPEEDUP}x the reference",
+                file=sys.stderr,
+            )
+            return 1
+        slow = [
+            case
+            for case in ("memento_query", "hhh_query")
+            if speedups[case] < MIN_QUERY_SPEEDUP
+        ]
+        if slow:
+            print(
+                f"FAIL: threshold query below {MIN_QUERY_SPEEDUP}x its full "
+                f"scan on: {', '.join(slow)}",
                 file=sys.stderr,
             )
             return 1

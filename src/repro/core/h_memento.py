@@ -292,10 +292,28 @@ class HMemento(BatchIngest):
         so undersized windows relative to ``theta`` admit many of them.
         ``conservative=False`` drops the correction and reports the point-
         estimate HHH set (smaller, not coverage-guaranteed).
+
+        In one dimension only the candidates whose estimate can pass
+        reach :func:`compute_hhh`: those with ``upper + correction >=
+        theta·W`` in floats.  The answer is the full scan's, because
+        Algorithm 3's ``calcPred = −Σ f̂−`` is never positive (every
+        lower bound is ``>= 0``), so by monotone rounding a candidate's
+        conditioned frequency ``(upper + pred) + correction`` is at most
+        ``upper + correction``; and a candidate that is never selected
+        never enters another candidate's ``G(a|P)``.  Two-dimensional
+        hierarchies scan every candidate: Algorithm 4 adds back glb
+        upper bounds, so ``pred`` can be positive there.
         """
         if not 0.0 < theta < 1.0:
             raise ValueError(f"theta must be in (0, 1), got {theta}")
-        estimates = self._memento.estimates()
+        threshold = theta * self.window
+        correction = self.sampling_correction() if conservative else 0.0
+        if self.hierarchy.dimensions == 1:
+            estimates = self._memento.estimates_over(
+                threshold, slack=correction, inclusive=True
+            )
+        else:
+            estimates = self._memento.estimates()
         query = self.query
 
         def upper(prefix: Hashable) -> float:
@@ -308,8 +326,8 @@ class HMemento(BatchIngest):
             list(estimates),
             upper=upper,
             lower=self.query_lower,
-            threshold_count=theta * self.window,
-            correction=self.sampling_correction() if conservative else 0.0,
+            threshold_count=threshold,
+            correction=correction,
         )
 
     def candidates(self) -> Iterable:

@@ -47,11 +47,24 @@ update), positioned (Full updates at given offsets, Window updates
 between) or a pure gap.  It walks block boundaries rather than packets
 and pops each expiry at its own update, so its state is byte-identical to
 the scalar twins ``update``, ``full_update`` and ``window_update``.
+
+Threshold queries have one enumerator, ``estimates_over``: the
+``estimates`` rows whose estimate clears a bar, found without visiting
+the rows that cannot.  ``heavy_hitters`` (and through it H-Memento's
+``heavy_prefixes``) and the 1-D H-Memento ``output`` use it.  It reads
+``B`` as one numpy column and computes a row's exact estimate only when
+the row's largest reachable raw value ``blk * (B[x] + 3) - 1`` clears
+the bar; flows known only to ``y`` are found by walking ``y``'s value
+buckets, not its keys, and reading only the buckets that pass.  Float
+rounding is monotone, so the prefilter never drops a passing row, and
+the answer equals a filter over ``estimates()`` — keys, float values
+and dict order.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from typing import Deque, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
@@ -175,7 +188,6 @@ class Memento(BatchIngest):
             self._sampler = make_sampler(self.tau, method=sampler, seed=sampler_seed)
         else:
             self._sampler = sampler
-        self._should_sample = self._sampler.should_sample
 
         self._y = SpaceSaving(self.k)
         self._offsets: Dict[Hashable, int] = {}  # overflow table B
@@ -247,7 +259,7 @@ class Memento(BatchIngest):
 
     def update(self, item: Hashable) -> None:
         """Process one packet: Full update w.p. ``tau``, else Window update."""
-        if self._should_sample():
+        if self._sampler.should_sample():
             self.full_update(item)
         else:
             self.window_update()
@@ -617,20 +629,75 @@ class Memento(BatchIngest):
         inv_tau = self._inv_tau
         return {key: inv_tau * raw for key, raw in self.raw_estimates()}
 
+    def estimates_over(
+        self, bar: float, *, slack: float = 0.0, inclusive: bool = False
+    ) -> Dict[Hashable, float]:
+        """The :meth:`estimates` entries whose estimate clears ``bar``.
+
+        An estimate ``e`` clears the bar when ``e + slack > bar`` (``>=``
+        with ``inclusive=True``), computed in floats exactly as a caller
+        filtering :meth:`estimates` would.  The answer equals that filter
+        down to the dict order, but only rows that can pass are visited:
+
+        * ``B`` is read as one numpy column, and a row's exact estimate
+          is computed only when its largest reachable raw value
+          ``blk * (B[x] + 3) - 1`` clears the bar — the in-frame
+          remainder is below ``blk``, and float rounding is monotone, so
+          a row whose ceiling fails cannot pass;
+        * flows monitored only in ``y`` have raw value ``2 * blk + v``,
+          monotone in their counter ``v``, so ``y``'s value buckets are
+          walked (not its keys), and only the buckets from the smallest
+          passing counter up are read; ``y``'s keys are scanned, for
+          their order, only when more than one y-only flow passes.
+        """
+        blk = self.sample_block
+        inv_tau = self._inv_tau
+        clears = operator.ge if inclusive else operator.gt
+        y = self._y
+        index = y._index
+        offsets = self._offsets
+        out: Dict[Hashable, float] = {}
+        if offsets:
+            column = np.fromiter(offsets.values(), np.int64, len(offsets))
+            ceiling = inv_tau * (blk * (column + 3) - 1) + slack
+            reachable = np.flatnonzero(clears(ceiling, bar)).tolist()
+            keys = list(offsets)
+            floor = y.min_value
+            index_get = index.get
+            for row in reachable:
+                key = keys[row]
+                overflows = offsets[key]
+                bucket = index_get(key)
+                count = floor if bucket is None else bucket.value
+                est = inv_tau * (blk * (overflows + 2) + count % blk)
+                if clears(est + slack, bar):
+                    out[key] = est
+        bucket = y._head
+        while bucket is not None and not clears(
+            inv_tau * (2 * blk + bucket.value) + slack, bar
+        ):
+            bucket = bucket.next
+        fresh: Dict[Hashable, float] = {}  # passing y-only flows
+        while bucket is not None:
+            est = inv_tau * (2 * blk + bucket.value)
+            for key in bucket.keys:
+                if key not in offsets:
+                    fresh[key] = est
+            bucket = bucket.next
+        if len(fresh) > 1:  # y's key order, not its bucket order
+            fresh = {key: fresh[key] for key in index if key in fresh}
+        out.update(fresh)
+        return out
+
     def heavy_hitters(self, theta: float) -> Dict[Hashable, float]:
         """Window heavy hitters: flows whose estimate exceeds ``theta * W``.
 
         Candidates are the flows with an overflow entry (every heavy hitter
         must overflow within the window — Section 4.1) plus the flows
-        currently monitored in the in-frame Space Saving instance.
+        currently monitored in the in-frame Space Saving instance; only
+        the rows that can pass are visited (:meth:`estimates_over`).
         """
-        bar = theta * self.window
-        inv_tau = self._inv_tau
-        return {
-            key: est
-            for key, raw in self.raw_estimates()
-            if (est := inv_tau * raw) > bar
-        }
+        return self.estimates_over(theta * self.window)
 
     def candidates(self) -> Iterator[Hashable]:
         """All flows the sketch currently knows about (B ∪ y), deduplicated."""

@@ -108,6 +108,17 @@ def compute_hhh(
     candidate (and, in 2-D, for the glbs Algorithm 4 adds back) and
     ``lower`` once per selected prefix.
 
+    In one dimension a caller whose ``lower`` is never negative may pass
+    only the candidates with ``upper(p) + correction >= threshold_count``
+    (in floats) and get the same set.  Algorithm 3's ``calcPred`` is
+    ``−Σ lower ≤ 0``, so by monotone rounding a candidate's conditioned
+    frequency ``(upper + pred) + correction`` never exceeds ``upper +
+    correction``: a dropped candidate could not have been selected, and
+    a candidate that is never selected never enters another's
+    ``G(a|P)``.  ``HMemento.output`` prunes this way.  In two dimensions
+    Algorithm 4 adds glb upper bounds back, ``pred`` can be positive,
+    and every candidate must be scanned.
+
     Parameters
     ----------
     hierarchy:

@@ -20,14 +20,18 @@ Durability discipline: envelopes are written via
 :func:`atomic_write_bytes` (tmp file + fsync + ``os.replace``), so a
 crash mid-write leaves either the previous file or a ``.tmp`` orphan —
 never a half-written checkpoint under the final name.  Reads verify
-magic, header, length, and CRC; :class:`CheckpointStore` walks
-checkpoints newest-first and falls back past torn/corrupt files to the
-previous good one.
+magic, the header's shape, length, and CRC, and the state is unpickled
+by a loader that resolves only the globals engine snapshots reference
+(:data:`STATE_GLOBALS`), so a crafted file cannot name ``os.system``;
+every failure is a :class:`CheckpointError`.  :class:`CheckpointStore`
+walks checkpoints newest-first and falls back past torn/corrupt files to
+the previous good one.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import os
 import pickle
@@ -41,6 +45,7 @@ from ..engine.spec import SketchSpec
 
 __all__ = [
     "MAGIC",
+    "STATE_GLOBALS",
     "Checkpoint",
     "CheckpointError",
     "CheckpointStore",
@@ -54,8 +59,61 @@ MAGIC = b"repro-ckpt/1\n"
 _HLEN = struct.Struct(">I")
 
 
+#: every global an engine snapshot's pickle references, as
+#: ``(module, name)``: the sketch classes of the registered families,
+#: their samplers and hierarchies, and the numpy reconstructors of their
+#: RNGs and arrays.  ``tests/service/test_checkpoint.py`` derives the set
+#: from bare and sharded snapshots of every family and checks it against
+#: this one.
+STATE_GLOBALS = frozenset(
+    {
+        ("collections", "deque"),
+        ("numpy", "dtype"),
+        ("numpy._core.numeric", "_frombuffer"),
+        ("numpy.core.numeric", "_frombuffer"),  # the numpy 1.x spelling
+        ("numpy.random._pcg64", "PCG64"),
+        ("numpy.random._pickle", "__bit_generator_ctor"),
+        ("numpy.random._pickle", "__generator_ctor"),
+        ("numpy.random.bit_generator", "SeedSequence"),
+        ("numpy.random.bit_generator", "__pyx_unpickle_SeedSequence"),
+        ("repro.core.exact", "ExactWindowCounter"),
+        ("repro.core.h_memento", "HMemento"),
+        ("repro.core.memento", "Memento"),
+        ("repro.core.mst", "MST"),
+        ("repro.core.mst", "WindowBaseline"),
+        ("repro.core.rhhh", "RHHH"),
+        ("repro.core.sampling", "BernoulliSampler"),
+        ("repro.core.sampling", "GeometricSampler"),
+        ("repro.core.sampling", "TableSampler"),
+        ("repro.core.space_saving", "SpaceSaving"),
+        ("repro.hierarchy.domain", "Hierarchy1D"),
+        ("repro.hierarchy.domain", "Hierarchy2D"),
+    }
+)
+
+#: header fields past ``schema`` and the JSON types each must have
+_HEADER_FIELDS = (
+    ("spec", dict, "an object"),
+    ("position", int, "an integer"),
+    ("state_len", int, "an integer"),
+    ("state_crc", int, "an integer"),
+    ("created_unix", (int, float), "a number"),
+)
+
+
 class CheckpointError(RuntimeError):
     """A missing, torn, or corrupt checkpoint file."""
+
+
+class _StateUnpickler(pickle.Unpickler):
+    """Unpickles a snapshot, resolving only :data:`STATE_GLOBALS`."""
+
+    def find_class(self, module: str, name: str) -> object:
+        if (module, name) not in STATE_GLOBALS:
+            raise CheckpointError(
+                f"state references the disallowed global {module}.{name}"
+            )
+        return super().find_class(module, name)
 
 
 def atomic_write_bytes(path: Union[str, Path], data: bytes) -> Path:
@@ -124,7 +182,8 @@ def write_checkpoint(
 
 def read_checkpoint(path: Union[str, Path]) -> Checkpoint:
     """Decode and verify one envelope; raises :class:`CheckpointError`
-    on any truncation, magic/schema mismatch, or CRC failure."""
+    on any truncation, magic/schema mismatch, malformed header, CRC
+    failure, or state that does not unpickle under :data:`STATE_GLOBALS`."""
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -144,10 +203,21 @@ def read_checkpoint(path: Union[str, Path]) -> Checkpoint:
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"{path}: header is not valid JSON: {exc}") from None
     offset += header_len
+    if not isinstance(header, dict):
+        raise CheckpointError(
+            f"{path}: header is a JSON {type(header).__name__}, not an object"
+        )
     if header.get("schema") != "repro-ckpt/1":
         raise CheckpointError(
             f"{path}: unsupported schema {header.get('schema')!r}"
         )
+    for field, kind, described in _HEADER_FIELDS:
+        value = header.get(field)
+        # JSON true/false decode to bool, which is an int subclass
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise CheckpointError(
+                f"{path}: header field {field!r} is missing or not {described}"
+            )
     blob = raw[offset:]
     if len(blob) != header["state_len"]:
         raise CheckpointError(
@@ -158,12 +228,17 @@ def read_checkpoint(path: Union[str, Path]) -> Checkpoint:
         raise CheckpointError(f"{path}: state CRC mismatch")
     try:
         spec = SketchSpec.from_dict(header["spec"])
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:  # TypeError: a mistyped field
         raise CheckpointError(f"{path}: embedded spec is invalid: {exc}") from None
     try:
-        state = pickle.loads(blob)
-    except Exception as exc:
-        raise CheckpointError(f"{path}: cannot unpickle state: {exc}") from None
+        state = _StateUnpickler(io.BytesIO(blob)).load()
+    except KeyboardInterrupt:
+        raise  # the operator's, not the file's
+    except BaseException as exc:
+        # a crafted state can raise anything, SystemExit included
+        raise CheckpointError(
+            f"{path}: cannot unpickle state: {exc!r}"
+        ) from None
     return Checkpoint(
         spec=spec,
         position=int(header["position"]),

@@ -133,7 +133,6 @@ class TestColumnFeed:
                     columnar_state._instances, listed_state._instances
                 ):
                     mine._sampler = theirs._sampler
-                    mine._should_sample = theirs._should_sample
             assert pickle.dumps(columnar_state) == pickle.dumps(listed_state)
             heavy = columnar.heavy_hitters(0.01)
             assert heavy and all(python_scalars(key) for key in heavy)

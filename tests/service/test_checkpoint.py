@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+import json
+import os
+import pickle
+import pickletools
+import struct
+import sys
+import zlib
+
 import pytest
 
 from repro.engine import SketchSpec, build_engine
+from repro.engine.registry import algorithm_info, registered_algorithms
+from repro.service import checkpoint as checkpoint_module
 from repro.service.checkpoint import (
     MAGIC,
+    STATE_GLOBALS,
     CheckpointError,
     CheckpointStore,
     atomic_write_bytes,
@@ -154,3 +165,246 @@ class TestStore:
     def test_retain_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError, match="retain"):
             CheckpointStore(tmp_path, retain=0)
+
+
+def dumps(state):
+    """Pickle ``state`` the way ``write_checkpoint`` does."""
+    return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def write_envelope(path, header, blob=b""):
+    """Write an envelope with an arbitrary (JSON-encodable) header."""
+    encoded = json.dumps(header).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack(">I", len(encoded)) + encoded + blob)
+    return path
+
+
+def good_header(blob):
+    return {
+        "schema": "repro-ckpt/1",
+        "spec": SPEC.to_dict(),
+        "position": 7,
+        "state_len": len(blob),
+        "state_crc": zlib.crc32(blob),
+        "created_unix": 1.5,
+    }
+
+
+def header_without(field):
+    def build(blob):
+        header = good_header(blob)
+        del header[field]
+        return header
+
+    return build
+
+
+def header_with(field, value):
+    def build(blob):
+        return {**good_header(blob), field: value}
+
+    return build
+
+
+#: (case id, header builder, expected message) — every malformed header
+#: shape must end in CheckpointError, never a raw KeyError/AttributeError
+BAD_HEADERS = [
+    ("list", lambda blob: [], "not an object"),
+    ("string", lambda blob: "repro-ckpt/1", "not an object"),
+    ("null", lambda blob: None, "not an object"),
+    ("number", lambda blob: 3, "not an object"),
+    *(
+        (f"missing-{field}", header_without(field), f"'{field}' is missing")
+        for field in ("spec", "position", "state_len", "state_crc", "created_unix")
+    ),
+    ("spec-list", header_with("spec", []), "'spec' is missing or not"),
+    ("position-string", header_with("position", "7"), "'position'"),
+    ("position-bool", header_with("position", True), "'position'"),
+    ("state_len-float", header_with("state_len", 3.0), "'state_len'"),
+    ("state_crc-null", header_with("state_crc", None), "'state_crc'"),
+    ("created-string", header_with("created_unix", "now"), "'created_unix'"),
+    (
+        "spec-mistyped-field",
+        header_with(
+            "spec",
+            {"algorithm": {"family": "memento", "window": "x", "counters": 4}},
+        ),
+        "embedded spec is invalid",
+    ),
+]
+
+
+class TestHeaderShape:
+    @pytest.mark.parametrize(
+        "build, message",
+        [case[1:] for case in BAD_HEADERS],
+        ids=[case[0] for case in BAD_HEADERS],
+    )
+    def test_malformed_header_is_a_checkpoint_error(self, tmp_path, build, message):
+        blob = dumps(engine_state(10))
+        path = write_envelope(tmp_path / "c.bin", build(blob), blob)
+        with pytest.raises(CheckpointError, match=message):
+            read_checkpoint(path)
+
+    def test_well_formed_header_reads(self, tmp_path):
+        blob = dumps(engine_state(10))
+        path = write_envelope(tmp_path / "c.bin", good_header(blob), blob)
+        assert read_checkpoint(path).position == 7
+
+    @pytest.mark.parametrize(
+        "build",
+        [case[1] for case in BAD_HEADERS],
+        ids=[case[0] for case in BAD_HEADERS],
+    )
+    def test_store_falls_back_past_a_malformed_header(self, tmp_path, build):
+        store = CheckpointStore(tmp_path, retain=3)
+        store.save(SPEC, 100, engine_state(10))
+        blob = dumps(engine_state(20))
+        write_envelope(store.path_for(200), build(blob), blob)
+        assert store.load_latest().position == 100
+        engine, position = store.restore()
+        engine.close()
+        assert position == 100
+
+
+def referenced_globals(blob):
+    """Every ``(module, name)`` a pickle's GLOBAL / STACK_GLOBAL opcodes
+    name, found by walking its opcodes (strings reach STACK_GLOBAL
+    directly or through the memo)."""
+    found = set()
+    memo = {}
+    strings = []  # string pushes, in order
+    last = None  # the value the previous opcode pushed, if a string
+    for opcode, arg, _ in pickletools.genops(blob):
+        name = opcode.name
+        if name in ("SHORT_BINUNICODE", "BINUNICODE", "BINUNICODE8", "UNICODE"):
+            last = arg
+            strings.append(arg)
+        elif name == "MEMOIZE":
+            memo[len(memo)] = last
+        elif name in ("PUT", "BINPUT", "LONG_BINPUT"):
+            memo[arg] = last
+        elif name in ("GET", "BINGET", "LONG_BINGET"):
+            last = memo.get(arg)
+            strings.append(last)
+        elif name == "GLOBAL":
+            found.add(tuple(arg.split(" ", 1)))
+            last = None
+        elif name == "STACK_GLOBAL":
+            found.add((strings[-2], strings[-1]))
+            last = None
+        else:
+            last = None
+    return found
+
+
+def family_specs():
+    """A small spec per registered family (and per named hierarchy for
+    the hierarchical ones), bare and sharded."""
+    for family in registered_algorithms():
+        info = algorithm_info(family)
+        algorithm = {"family": family, "seed": 3}
+        if info.needs_window:
+            algorithm["window"] = 512
+        if info.counter_mode != "none":
+            algorithm["counters"] = 64
+        for hierarchy in ("src", "src_dst") if info.hierarchical else (None,):
+            for shards in (None, 2):
+                payload = {"algorithm": algorithm}
+                if hierarchy is not None:
+                    payload["hierarchy"] = {"kind": hierarchy}
+                if shards is not None:
+                    payload["sharding"] = {"shards": shards}
+                name = "-".join(
+                    str(part) for part in (family, hierarchy, shards) if part
+                )
+                yield name, SketchSpec.from_dict(payload)
+
+
+def family_stream(spec, n=3000):
+    keys = [(i * 2654435761) % 2**32 for i in range(n)]
+    if spec.hierarchy is not None and spec.hierarchy.kind == "src_dst":
+        return list(zip(keys, reversed(keys)))
+    return keys
+
+
+FAMILY_SPECS = list(family_specs())
+
+
+class Crafted:
+    """Pickles as a call of ``target(arg)`` — a hostile state blob."""
+
+    def __init__(self, target, arg=0):
+        self.call = (target, (arg,))
+
+    def __reduce__(self):
+        return self.call
+
+
+class TestRestrictedUnpickling:
+    @pytest.fixture(scope="class")
+    def snapshots(self):
+        blobs = {}
+        for name, spec in FAMILY_SPECS:
+            with build_engine(spec) as engine:
+                engine.update_many(family_stream(spec))
+                blobs[name] = (spec, dumps(engine.snapshot_state()))
+        return blobs
+
+    def test_allow_list_covers_every_family_snapshot(self, snapshots):
+        referenced = set()
+        for spec, blob in snapshots.values():
+            referenced |= referenced_globals(blob)
+        assert referenced <= STATE_GLOBALS, sorted(referenced - STATE_GLOBALS)
+        # no stale entry: every project class allowed is one a snapshot uses
+        ours = {entry for entry in STATE_GLOBALS if entry[0].startswith("repro.")}
+        assert ours <= referenced, sorted(ours - referenced)
+
+    @pytest.mark.parametrize("name", [name for name, _ in FAMILY_SPECS])
+    def test_every_family_snapshot_restores(self, tmp_path, snapshots, name):
+        spec, blob = snapshots[name]
+        store = CheckpointStore(tmp_path)
+        store.save(spec, 3000, pickle.loads(blob))
+        engine, position = store.restore()
+        try:
+            assert position == 3000
+            with build_engine(spec) as reference:
+                reference.update_many(family_stream(spec))
+                # dict equality: a restored Space Saving rebuilds its key
+                # index in bucket order, so tie order may differ
+                assert engine.heavy_hitters(0.01) == reference.heavy_hitters(0.01)
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize(
+        "blob, qualified",
+        [
+            # protocol-0 GLOBAL opcodes naming the module as written
+            (b"cos\nsystem\n(I0\ntR.", "os.system"),
+            (b"csys\nexit\n(I0\ntR.", "sys.exit"),
+            # a protocol-5 STACK_GLOBAL, as pickle.dumps spells os.system
+            (dumps(Crafted(os.system)), f"{os.system.__module__}.system"),
+        ],
+        ids=["os.system", "sys.exit", "stack-global"],
+    )
+    def test_crafted_state_naming_a_foreign_global_is_refused(
+        self, tmp_path, blob, qualified
+    ):
+        # the argument 0 keeps even an unrestricted loader from running
+        # anything but a TypeError (os.system) or SystemExit (sys.exit)
+        path = write_envelope(tmp_path / "c.bin", good_header(blob), blob)
+        with pytest.raises(CheckpointError, match=f"disallowed global {qualified}"):
+            read_checkpoint(path)
+
+    def test_base_exception_from_load_is_a_checkpoint_error(
+        self, tmp_path, monkeypatch
+    ):
+        # widen the allow-list so the crafted state reaches sys.exit
+        monkeypatch.setattr(
+            checkpoint_module, "STATE_GLOBALS", STATE_GLOBALS | {("sys", "exit")}
+        )
+
+        blob = dumps(Crafted(sys.exit, 3))
+        path = write_envelope(tmp_path / "c.bin", good_header(blob), blob)
+        with pytest.raises(CheckpointError, match="SystemExit"):
+            read_checkpoint(path)
