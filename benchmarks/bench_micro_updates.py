@@ -12,7 +12,10 @@ Two entry points share one workload:
 
 The standalone run enforces the batch engine's contract: ``update_many``
 must reach at least 2× the scalar ops/sec on ``Memento(tau=0.1)`` and on
-``SpaceSaving`` (exit status 1 otherwise).
+``SpaceSaving`` (exit status 1 otherwise).  In a full run the
+``memento_tau0.1`` pair is timed on a longer stream (``GATED_PACKETS``)
+so that each timed batch pass lasts over 100 ms and one scheduler
+hiccup cannot swing the ratio.
 
 The ``memento_sampled/{dense,positioned,gap}`` rows time Memento's one
 sampled kernel on the three plan shapes it applies — every packet a
@@ -37,11 +40,20 @@ its geometry (W = 100k, k = 12,500, 8-packet blocks, overflow quantum
 clear the bar are visited) and as a full scan of every candidate
 (``full_scan``).  Both paths must give equal answers, and the
 standalone run requires the shipped path to be at least 2× faster.
+
+The ``memento_state/{build,dump,load}/<geometry>`` rows time building an
+empty Memento, ``pickle.dumps`` of a filled one and ``pickle.loads`` of
+that blob — what a service checkpoint and a resident shard's
+``collect()`` pay — at the controller geometry (W = 100k, k = 12,500,
+tau = 1/8) and at the flat workloads' (W = 1M, k = 1024, tau = 1/16).
+Each checks that the loaded sketch re-pickles to the same bytes and
+answers the same estimates.  They are not gated.
 """
 
 from __future__ import annotations
 
 import argparse
+import pickle
 import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -101,6 +113,10 @@ CASES: List[Tuple[str, Callable[[], object]]] = [
 #: cases whose batch path must show >= MIN_SPEEDUP in the standalone run
 GATED_CASES = ("memento_tau0.1", "space_saving")
 MIN_SPEEDUP = 2.0
+#: a full run times this case on GATED_PACKETS packets, so that each
+#: timed batch pass lasts over 100 ms
+LONG_PASS_CASE = "memento_tau0.1"
+GATED_PACKETS = 1_000_000
 
 #: declarative spec of each case, recorded in every persisted row so a
 #: row reproduces from the JSON alone (registry-validated at import).
@@ -208,6 +224,15 @@ MIN_SCAN_SPEEDUP = 10.0
 QUERY_THETA_HH = 0.005
 QUERY_THETA_HHH = 0.15
 MIN_QUERY_SPEEDUP = 2.0
+
+
+#: the memento_state rows: (label, window, counters, tau, packets fed
+#: before the dump); builds are timed BUILDS to a pass
+STATE_GEOMETRIES = (
+    ("w100k_k12500", 100_000, 12_500, 1 / 8, 200_000),
+    ("w1m_k1024", 1_000_000, 1024, 1 / 16, 1_500_000),
+)
+BUILDS = 50
 
 
 def make_stream(n: int = N) -> list:
@@ -460,21 +485,92 @@ def run_threshold_queries(
     return results, speedups
 
 
+def run_state_rows(
+    warmup: int, repeats: int, packets: Optional[int] = None
+) -> List[BenchResult]:
+    """Time building, pickling and unpickling a Memento per geometry.
+
+    ``packets`` overrides each geometry's fill (the smoke run's short
+    feed).  ``ops`` is sketches built (``BUILDS`` per pass), dumped or
+    loaded.
+    """
+    results: List[BenchResult] = []
+    for label, window, counters, tau, fill in STATE_GEOMETRIES:
+        spec = SketchSpec.from_dict(
+            {
+                "algorithm": {
+                    "family": "memento",
+                    "window": window,
+                    "counters": counters,
+                    "tau": tau,
+                    "seed": 1,
+                }
+            }
+        ).to_dict()
+
+        def build():
+            for _ in range(BUILDS):
+                Memento(window=window, counters=counters, tau=tau, seed=1)
+
+        sketch = Memento(window=window, counters=counters, tau=tau, seed=1)
+        sketch.update_many(make_stream(packets or fill))
+        blob = pickle.dumps(sketch, pickle.HIGHEST_PROTOCOL)
+        loaded = pickle.loads(blob)
+        if pickle.dumps(loaded, pickle.HIGHEST_PROTOCOL) != blob or list(
+            loaded.estimates().items()
+        ) != list(sketch.estimates().items()):
+            raise AssertionError(f"memento_state/{label}: loaded state differs")
+        meta = {
+            "case": "memento_state",
+            "geometry": label,
+            "packets": packets or fill,
+            "pickle_bytes": len(blob),
+            "overflow_records": sum(sketch._offsets.values()),
+            "spec": spec,
+            "transport": None,
+        }
+        for op, fn, ops in (
+            ("build", build, BUILDS),
+            ("dump", lambda: pickle.dumps(sketch, pickle.HIGHEST_PROTOCOL), 1),
+            ("load", lambda: pickle.loads(blob), 1),
+        ):
+            results.append(
+                bench(
+                    fn,
+                    name=f"memento_state/{op}/{label}",
+                    ops=ops,
+                    warmup=warmup,
+                    repeats=repeats,
+                    metadata={"path": op, **meta},
+                )
+            )
+    return results
+
+
 # ----------------------------------------------------------------------
 # standalone harness run (BENCH_micro_updates.json)
 # ----------------------------------------------------------------------
 def run_harness(
-    n: int = N, warmup: int = 1, repeats: int = 3
+    n: int = N,
+    warmup: int = 1,
+    repeats: int = 3,
+    long_n: Optional[int] = None,
 ) -> Tuple[List[BenchResult], Dict[str, float]]:
-    """Time every (case, path) pair; return results and per-case speedups."""
+    """Time every (case, path) pair; return results and per-case speedups.
+
+    ``long_n`` (if given) is the stream length of ``LONG_PASS_CASE``;
+    every other case runs on ``n`` packets.
+    """
     stream = make_stream(n)
+    long_stream = make_stream(long_n) if long_n else stream
     results: List[BenchResult] = []
     speedups: Dict[str, float] = {}
     for name, factory in CASES:
+        case_stream = long_stream if name == LONG_PASS_CASE else stream
         scalar = bench(
-            lambda: drive_scalar(factory(), stream),
+            lambda: drive_scalar(factory(), case_stream),
             name=f"{name}/scalar",
-            ops=n,
+            ops=len(case_stream),
             warmup=warmup,
             repeats=repeats,
             metadata={
@@ -485,9 +581,9 @@ def run_harness(
             },
         )
         batch = bench(
-            lambda: drive_batch(factory(), stream),
+            lambda: drive_batch(factory(), case_stream),
             name=f"{name}/batch",
-            ops=n,
+            ops=len(case_stream),
             warmup=warmup,
             repeats=repeats,
             metadata={
@@ -521,7 +617,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # best-of-5 keeps the gate stable against scheduler noise
     repeats = 1 if args.smoke else 5
     results, speedups = run_harness(
-        n=n, warmup=0 if args.smoke else 1, repeats=repeats
+        n=n,
+        warmup=0 if args.smoke else 1,
+        repeats=repeats,
+        long_n=None if args.smoke else GATED_PACKETS,
     )
     hhh_window = HHH_WINDOW // 10 if args.smoke else HHH_WINDOW
     sketch = hhh_sketch(hhh_window)
@@ -535,6 +634,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     results.extend(query_rows)
     speedups.update(query_speedups)
+    results.extend(
+        run_state_rows(
+            warmup=0 if args.smoke else 1,
+            repeats=repeats,
+            packets=n if args.smoke else None,
+        )
+    )
 
     out = args.out or (repo_root() / "BENCH_micro_updates.json")
     write_results(
@@ -546,6 +652,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "window": WINDOW,
                 "chunk": CHUNK,
                 "hhh_window": hhh_window,
+                "gated_packets": n if args.smoke else GATED_PACKETS,
             },
             "speedups": speedups,
             "smoke": args.smoke,
@@ -581,6 +688,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"{shipped.ops_per_sec:>14,.0f}  {speedups[case]:>6.2f}x"
             f"  (full scan vs threshold, candidates/s)"
         )
+    for label, *_ in STATE_GEOMETRIES:
+        rows = [by_name[f"memento_state/{op}/{label}"] for op in ("build", "dump", "load")]
+        times = "  ".join(
+            f"{row.metadata['path']} {row.seconds / row.ops * 1e3:.3f} ms" for row in rows
+        )
+        print(f"{('state/' + label).ljust(width)}  {times}  (per sketch)")
     print(f"results -> {out}")
 
     if not args.smoke:

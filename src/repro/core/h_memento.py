@@ -352,6 +352,11 @@ class HMemento(BatchIngest):
 
         This is the plain frequency view used by the accuracy experiments
         (Figure 8); :meth:`output` is the HHH set with coverage semantics.
+        It is the shared Memento's ``heavy_hitters``, with its detection
+        floor: every prefix with ``f > theta * W`` is guaranteed to be
+        listed only for ``theta >= epsilon = 4/counters`` (up to the
+        sampling error).  Below about two blocks a prefix can be in
+        neither the overflow table nor the in-frame Space Saving.
         """
         return self._memento.heavy_hitters(theta)
 

@@ -27,10 +27,17 @@ Structure (Algorithm 1):
 * a Space Saving instance ``y`` (k counters) counts within the current frame
   and is flushed at frame boundaries;
 * each time an item's in-frame count crosses a multiple of the block size,
-  an *overflow* is appended to the newest of ``k + 1`` block queues, and the
-  overflow table ``B`` is incremented;
-* every update drains at most one item from the oldest block queue,
-  de-amortizing expiry so the worst-case update time is O(1).
+  an *overflow* record is appended to one FIFO of overflow records and
+  counted against the newest block, and the overflow table ``B`` is
+  incremented;
+* every update expires at most one record of the oldest of the ``k + 1``
+  blocks still in the window from the head of the FIFO, de-amortizing
+  expiry so the worst-case update time is O(1).
+
+Algorithm 1's ``k + 1`` block queues are therefore one ``deque`` of records
+in append order plus a ring of ``k + 1`` per-block record counts (oldest
+block first): the queues, laid end to end, are the FIFO.  A sketch is built
+without allocating a container per block and pickles as two flat sequences.
 
 A query combines the overflow count with the in-frame remainder::
 
@@ -65,8 +72,10 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections import deque
-from typing import Deque, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Any, Deque, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -95,12 +104,18 @@ _NO_POSITIONS = np.empty(0, dtype=np.int64)
 
 
 class ExpiryQueueError(RuntimeError):
-    """A block queue reached retirement with overflows still unexpired.
+    """A block reached retirement with overflow records still unexpired.
 
-    The drain queue empties within its block by construction; one that
-    does not means the sketch state was corrupted, and its entries are
-    never dropped silently.
+    The oldest block's records expire within its block by construction;
+    a block that still counts records when it retires means the sketch
+    state was corrupted, and its records are never dropped silently.
     """
+
+
+def _unexpired(count: int) -> ExpiryQueueError:
+    return ExpiryQueueError(
+        f"block retired with {count} unexpired overflow record(s)"
+    )
 
 
 class Memento(BatchIngest):
@@ -191,12 +206,11 @@ class Memento(BatchIngest):
 
         self._y = SpaceSaving(self.k)
         self._offsets: Dict[Hashable, int] = {}  # overflow table B
-        # k + 1 block queues; index 0 = oldest (being drained), -1 = newest
-        self._queues: Deque[Deque[Hashable]] = deque(
-            deque() for _ in range(self.k + 1)
-        )
-        self._drain: Deque[Hashable] = self._queues[0]
-        self._newest: Deque[Hashable] = self._queues[-1]
+        # the overflow records of the k + 1 blocks in the window, in append
+        # order, and how many of them each block holds: index 0 = oldest
+        # (being expired from the FIFO's head), -1 = newest
+        self._fifo: Deque[Hashable] = deque()
+        self._counts: Deque[int] = deque([0] * (self.k + 1))
         # packets remaining in the current block / blocks into the frame —
         # countdown form of Algorithm 1's ``M mod W/k`` and ``M mod W``
         self._countdown = self.block_size
@@ -210,26 +224,24 @@ class Memento(BatchIngest):
     def window_update(self) -> None:
         """Slide the window by one packet without inserting anything."""
         self._updates += 1
+        counts = self._counts
         countdown = self._countdown - 1
         if countdown == 0:
-            # new block: retire the oldest queue, open a fresh one
+            # new block: retire the oldest block, open a fresh one
+            if counts[0]:
+                raise _unexpired(counts[0])
             blocks = self._blocks_into_frame + 1
             if blocks == self.k:
                 blocks = 0
                 self._y.flush()  # new frame
             self._blocks_into_frame = blocks
-            queues = self._queues
-            queues.popleft()
-            fresh: Deque[Hashable] = deque()
-            queues.append(fresh)
-            self._newest = fresh
-            self._drain = queues[0]
+            counts.rotate(-1)  # the retired zero opens the newest block
             countdown = self.block_size
         self._countdown = countdown
-        drain = self._drain
-        if drain:
-            # de-amortized expiry: drain one overflow from the oldest block
-            old_id = drain.popleft()
+        if counts[0]:
+            # de-amortized expiry: one record of the oldest block
+            counts[0] -= 1
+            old_id = self._fifo.popleft()
             offsets = self._offsets
             remaining = offsets[old_id] - 1
             if remaining:
@@ -244,7 +256,8 @@ class Memento(BatchIngest):
         y = self._y
         y.add(item)
         if y.query(item) % self.sample_block == 0:  # overflow
-            self._newest.append(item)
+            self._fifo.append(item)
+            self._counts[-1] += 1
             offsets = self._offsets
             offsets[item] = offsets.get(item, 0) + 1
 
@@ -370,16 +383,21 @@ class Memento(BatchIngest):
         The loop walks **block spans**, not packets: the rotation offsets
         follow from the countdown, the samples are split across spans
         with one ``np.searchsorted``, and each span after the first opens
-        with its boundary bookkeeping.  The retired drain queue is always
-        empty there (a queue takes at most ``block_size`` overflows while
-        newest and later drains one per update for a whole block), so it
-        is rotated round to become the newest queue.  While expiries are
-        pending, each sample first pops up to its own update, the scalar
-        order.  Once the drain queue is empty the rest of the span runs
-        through a tight slice loop whose body is the inlined Space Saving
-        unit increment (the steps of ``SpaceSaving.update_many``, with the
+        with its boundary bookkeeping.  The retiring block's count is
+        always zero there (a block takes at most ``block_size`` records
+        while newest and later expires one per update for a whole
+        block), so the count ring turns by one and the retired zero
+        opens the newest block.  A span with no sample and no record to
+        expire ends there.  Otherwise the FIFO's head is popped once per
+        update while the oldest block's records last — a number known up
+        front, so it is settled against the oldest count at once — and
+        each sample first pops up to its own update, the scalar order.
+        Once the records are gone the rest of the span runs through a
+        tight slice loop whose body is the inlined Space Saving unit
+        increment (the steps of ``SpaceSaving.update_many``, with the
         free-counter insert at value 1 spelled out) plus the overflow
-        check.
+        check.  The span's appends are settled against the newest count
+        when it ends.
         """
         if n <= 0:
             return
@@ -412,12 +430,12 @@ class Memento(BatchIngest):
         fresh_lo = 0
         offsets = self._offsets
         offsets_get = offsets.get
-        queues = self._queues
+        fifo = self._fifo
+        popleft = fifo.popleft
+        counts = self._counts
         quantum = self.sample_block
         k = self.k
         blocks = self._blocks_into_frame
-        newest = self._newest
-        drain = self._drain
         s = lo = 0
         rotating = False  # the first span does not open on a boundary
         for e, hi in zip(bounds, his):
@@ -428,22 +446,25 @@ class Memento(BatchIngest):
                     y_flush()  # new frame
                     size = fresh_items = 0
                     fresh_lo = lo
-                if drain:
-                    raise ExpiryQueueError(
-                        f"block queue retired with {len(drain)} unexpired "
-                        f"overflow(s)"
-                    )
-                queues.rotate(-1)
-                newest = drain
-                drain = queues[0]
+                if counts[0]:
+                    raise _unexpired(counts[0])
+                counts.rotate(-1)  # the retired zero opens the newest block
             rotating = True
-            # de-amortized expiry: one pop per update while the queue lasts
-            end = s + len(drain)
+            drained = counts[0]
+            if lo == hi and not drained:
+                s = e  # nothing to expire or insert in this span
+                continue
+            # de-amortized expiry: one pop per update while the oldest
+            # block's records last; the pops are settled against its
+            # count up front, the appends against the newest count at
+            # the end of the span
+            end = s + drained
             if end > e:
                 end = e
+            if end > s:
+                counts[0] = drained - (end - s)
+            base = len(fifo) + s - end  # the length once the pops are done
             popped = s
-            if popped < end:
-                popleft = drain.popleft
             while True:
                 b = hi
                 if popped < end:
@@ -533,11 +554,14 @@ class Memento(BatchIngest):
                                 node.prev = fresh
                             y_index[item] = fresh
                     if value % quantum == 0:  # overflow
-                        newest.append(item)
+                        fifo.append(item)
                         offsets[item] = offsets_get(item, 0) + 1
                 lo = b
                 if b == hi and popped == end:
                     break
+            appended = len(fifo) - base
+            if appended:
+                counts[-1] += appended
             s = e
         # the rotation update resets the countdown to block_size, and each
         # later update decrements it
@@ -548,8 +572,6 @@ class Memento(BatchIngest):
         y._size = size
         y._items = fresh_items + len(items) - fresh_lo
         self._blocks_into_frame = blocks
-        self._newest = newest
-        self._drain = drain
         self._updates += n
         self._full_updates += len(items)
 
@@ -692,10 +714,18 @@ class Memento(BatchIngest):
     def heavy_hitters(self, theta: float) -> Dict[Hashable, float]:
         """Window heavy hitters: flows whose estimate exceeds ``theta * W``.
 
-        Candidates are the flows with an overflow entry (every heavy hitter
-        must overflow within the window — Section 4.1) plus the flows
+        Candidates are the flows with an overflow entry plus the flows
         currently monitored in the in-frame Space Saving instance; only
         the rows that can pass are visited (:meth:`estimates_over`).
+
+        Detection floor: every flow with ``f > theta * W`` is guaranteed
+        to be listed only for ``theta >= epsilon = 4/k`` (up to the
+        sampling error when ``tau < 1``).  A heavy hitter must overflow
+        within the window (Section 4.1) only when ``theta * W`` spans
+        more than about two blocks; below that, a flow that never
+        overflowed a block and then lost its ``y`` counter is in neither
+        ``B`` nor ``y``, and is missing here although :meth:`query`
+        still answers at least two blocks for it.
         """
         return self.estimates_over(theta * self.window)
 
@@ -764,6 +794,27 @@ class Memento(BatchIngest):
     def overflow_entries(self) -> int:
         """Number of flows currently holding overflow records."""
         return len(self._offsets)
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        """Adopt a pickled state, folding the earlier block-queue layout.
+
+        Checkpoints written before the FIFO layout hold ``k + 1`` block
+        deques (``_queues``, with ``_drain``/``_newest`` aliasing its
+        ends); laid end to end they are the FIFO, and their lengths are
+        the per-block counts.
+        """
+        if "_queues" in state:
+            state = dict(state)
+            queues = state.pop("_queues")
+            state.pop("_drain", None)
+            state.pop("_newest", None)
+            state["_fifo"] = deque(chain.from_iterable(queues))
+            state["_counts"] = deque(map(len, queues))
+        # interned names, as pickle's default restore leaves them, so a
+        # restored sketch pickles to the same bytes as the live one
+        self.__dict__.update(
+            (sys.intern(key), value) for key, value in state.items()
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

@@ -444,17 +444,28 @@ class SpaceSaving(BatchIngest):
         The default reducer would walk the ``next`` pointers recursively
         and overflow the interpreter stack on realistic counter budgets;
         flattening makes sketches cheap and safe to ship across process
-        boundaries (the persistent shard executor's workers).
+        boundaries (the persistent shard executor's workers).  The key
+        index's order travels too (``order``): it is the order in which
+        the sketch lists its keys, and so the order ties break in.
         """
         chain = []
         bucket = self._head
         while bucket is not None:
             chain.append((bucket.value, list(bucket.keys.items())))
             bucket = bucket.next
-        return {"counters": self.counters, "items": self._items, "chain": chain}
+        return {
+            "counters": self.counters,
+            "items": self._items,
+            "chain": chain,
+            "order": list(self._index),
+        }
 
     def __setstate__(self, state) -> None:
-        """Rebuild the linked bucket chain from its flat snapshot."""
+        """Rebuild the linked bucket chain from its flat snapshot.
+
+        A snapshot without ``order`` (pickled before the key order was
+        kept) lists its keys in chain order.
+        """
         self.counters = state["counters"]
         self._items = state["items"]
         self._index = {}
@@ -473,6 +484,10 @@ class SpaceSaving(BatchIngest):
             else:
                 self._head = bucket
             prev = bucket
+        order = state.get("order")
+        if order is not None:
+            index = self._index
+            self._index = {key: index[key] for key in order}
 
     @property
     def processed(self) -> int:

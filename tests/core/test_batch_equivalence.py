@@ -82,7 +82,8 @@ def memento_state(m: Memento):
         m._countdown,
         m._blocks_into_frame,
         list(m._offsets.items()),  # insertion order included
-        [list(q) for q in m._queues],
+        list(m._fifo),  # every overflow record, in append order
+        list(m._counts),  # and how many each block holds
         space_saving_state(m._y),
     )
 

@@ -83,7 +83,8 @@ class TestWindowSemantics:
         rng = np.random.default_rng(3)
         for _ in range(500):
             sketch.full_update(int(rng.integers(0, 10)))
-            assert len(sketch._queues) == sketch.k + 1
+            assert len(sketch._counts) == sketch.k + 1
+            assert sum(sketch._counts) == len(sketch._fifo)
 
     def test_offsets_match_queue_contents(self):
         """B[x] must equal the number of queued overflow records for x."""
@@ -91,10 +92,8 @@ class TestWindowSemantics:
         rng = np.random.default_rng(9)
         for step in range(2000):
             sketch.full_update(int(rng.integers(0, 6)))
-            queued = Counter()
-            for q in sketch._queues:
-                queued.update(q)
-            assert dict(queued) == sketch._offsets, step
+            assert Counter(sketch._fifo) == sketch._offsets, step
+            assert sum(sketch._counts) == len(sketch._fifo), step
 
 
 class TestBounds:
@@ -226,14 +225,27 @@ class TestIngestPaths:
         with pytest.raises(ValueError):
             sketch.ingest_gap(-1)
 
-    def test_unexpired_queue_at_a_boundary_is_a_named_error(self):
-        # a corrupted drain queue holding more overflows than its block has
-        # updates left must not be retired silently
+    @staticmethod
+    def _overfull_oldest_block():
+        # a corrupted oldest block counting more overflow records than it
+        # has updates left
         sketch = Memento(window=40, counters=4, tau=1.0)
-        sketch._drain.extend(["x"] * (sketch.block_size + 1))
+        sketch._fifo.extendleft(["x"] * (sketch.block_size + 1))
+        sketch._counts[0] += sketch.block_size + 1
         sketch._offsets["x"] = sketch.block_size + 1
-        with pytest.raises(ExpiryQueueError):
+        return sketch
+
+    def test_unexpired_queue_at_a_boundary_is_a_named_error(self):
+        # such a block must not be retired silently
+        sketch = self._overfull_oldest_block()
+        with pytest.raises(ExpiryQueueError, match="unexpired"):
             sketch.ingest_gap(2 * sketch.block_size)
+
+    def test_scalar_window_update_names_an_unexpired_block_too(self):
+        sketch = self._overfull_oldest_block()
+        with pytest.raises(ExpiryQueueError, match="unexpired"):
+            for _ in range(2 * sketch.block_size):
+                sketch.window_update()
 
     def test_ingest_sample_is_full_update(self):
         sketch = Memento(window=100, counters=8, tau=0.25)

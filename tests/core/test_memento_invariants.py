@@ -38,16 +38,18 @@ def apply_ops(sketch: Memento, ops) -> None:
 @given(ops=operations, counters=st.integers(min_value=2, max_value=10))
 @settings(max_examples=100, deadline=None)
 def test_queue_and_offset_bookkeeping(ops, counters):
-    """Queues and the overflow table must stay mutually consistent."""
+    """The overflow FIFO, its per-block counts and the overflow table must
+    stay mutually consistent."""
     sketch = Memento(window=30, counters=counters, tau=1.0)
     apply_ops(sketch, ops)
-    # exactly k+1 queues at all times
-    assert len(sketch._queues) == sketch.k + 1
+    # exactly k+1 blocks at all times
+    assert len(sketch._counts) == sketch.k + 1
+    # the blocks account for every record, none holding more than its
+    # block's updates
+    assert sum(sketch._counts) == len(sketch._fifo)
+    assert all(0 <= c <= sketch.block_size for c in sketch._counts)
     # B equals the multiset of queued overflow records
-    queued = Counter()
-    for queue in sketch._queues:
-        queued.update(queue)
-    assert dict(queued) == sketch._offsets
+    assert Counter(sketch._fifo) == sketch._offsets
     # all offsets strictly positive
     assert all(v > 0 for v in sketch._offsets.values())
 
@@ -118,8 +120,8 @@ def test_drain_clears_oldest_queue_within_one_block(data):
         for _ in range(sketch.block_size):
             sketch.full_update(data.draw(st.integers(0, 5)))
         # right after block_size updates a boundary has just passed; the
-        # queue now being drained may hold items, but the one retired at
-        # the boundary must have been empty (popleft discards silently —
-        # verify via total bookkeeping instead)
-        queued = sum(len(q) for q in sketch._queues)
-        assert queued == sum(sketch._offsets.values())
+        # block now being expired may hold records, but the one retired
+        # at the boundary must have been empty (a non-empty one raises
+        # ExpiryQueueError) — and the bookkeeping must still add up
+        assert sum(sketch._counts) == len(sketch._fifo)
+        assert len(sketch._fifo) == sum(sketch._offsets.values())

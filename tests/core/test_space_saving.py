@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 from collections import Counter
 
 import pytest
@@ -172,3 +173,29 @@ class TestBucketStructure:
             ss.add(item)
         for key, bucket in ss._index.items():
             assert key in bucket.keys
+
+
+class TestPickling:
+    @given(stream=streams, counters=st.integers(min_value=1, max_value=8))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_keeps_key_order_and_ties(self, stream, counters):
+        ss = SpaceSaving(counters)
+        ss.update_many(stream)
+        clone = pickle.loads(pickle.dumps(ss))
+        assert list(clone.items()) == list(ss.items())
+        assert clone.entries() == ss.entries()
+        # the eviction order within each bucket survives too
+        more = list(range(100, 110))
+        ss.update_many(more)
+        clone.update_many(more)
+        assert list(clone.items()) == list(ss.items())
+
+    def test_state_without_key_order_lists_keys_in_chain_order(self):
+        ss = SpaceSaving(4)
+        ss.update_many(["b", "b", "a", "c", "c", "c"])
+        state = ss.__getstate__()
+        del state["order"]  # as pickled before the order was kept
+        old = SpaceSaving.__new__(SpaceSaving)
+        old.__setstate__(state)
+        assert list(old.items()) == [("a", 1), ("b", 2), ("c", 3)]
+        assert dict(old.items()) == dict(ss.items())

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -116,8 +117,8 @@ class TestAbuseResistance:
                 sketch.update("hot")
             for i in range(50):
                 sketch.update(f"noise{i}")
-        total_queued = sum(len(q) for q in sketch._queues)
-        assert total_queued == sum(sketch._offsets.values())
+        assert sum(sketch._counts) == len(sketch._fifo)
+        assert Counter(sketch._fifo) == sketch._offsets
 
     def test_netwide_zero_traffic_queries(self):
         system = NetwideSystem(

@@ -9,6 +9,7 @@ import pickletools
 import struct
 import sys
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +43,31 @@ def engine_state(n=500):
     with build_engine(SPEC) as engine:
         engine.update_many([i % 50 for i in range(n)])
         return engine.snapshot_state()
+
+
+#: a bare Memento checkpoint written before the FIFO layout: the sketch
+#: pickled its ``k + 1`` block deques, and Space Saving its bucket chain
+#: without the key order.  Spec: window 600, 40 counters, tau 0.5, seed
+#: 7, geometric sampler; position 1500 of :func:`fixture_stream`.
+BLOCK_DEQUE_CHECKPOINT = Path(__file__).parent / "data" / "memento_block_deques.ckpt"
+
+
+def fixture_stream():
+    return [i % 5 if i % 4 == 0 else (i * i) % 37 for i in range(2400)]
+
+
+def memento_digest(m):
+    """The sketch's whole state; ``y``'s key order is left out (a
+    pre-order pickle lists ``y``'s keys in chain order)."""
+    y = m._y.__getstate__()
+    del y["order"]
+    state = {
+        key: value
+        for key, value in vars(m).items()
+        if key not in ("_y", "_sampler")
+    }
+    state["_offsets"] = list(state["_offsets"].items())  # with its order
+    return state, pickle.dumps(m._sampler), y
 
 
 class TestAtomicWrite:
@@ -102,6 +128,42 @@ class TestEnvelope:
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="CRC"):
             read_checkpoint(path)
+
+
+class TestBlockDequeCheckpoint:
+    def test_restores_and_replays_like_an_uninterrupted_run(self, tmp_path):
+        checkpoint = read_checkpoint(BLOCK_DEQUE_CHECKPOINT)
+        stream = fixture_stream()
+        with build_engine(checkpoint.spec) as engine, build_engine(
+            checkpoint.spec
+        ) as reference:
+            engine.restore_state(checkpoint.state)
+            restored = engine._sketch
+            assert not hasattr(restored, "_queues")
+            assert len(restored._counts) == restored.k + 1
+            assert sum(restored._counts) == len(restored._fifo) > 0
+            engine.update_many(stream[checkpoint.position :])
+            reference.update_many(stream)
+            assert memento_digest(engine._sketch) == memento_digest(
+                reference._sketch
+            )
+            assert engine.heavy_hitters(0.02) == reference.heavy_hitters(0.02)
+            # and the restored sketch checkpoints in the FIFO layout
+            store = CheckpointStore(tmp_path)
+            store.save(checkpoint.spec, len(stream), engine.snapshot_state())
+            again, _ = store.restore()
+            with again:
+                assert memento_digest(again._sketch) == memento_digest(
+                    reference._sketch
+                )
+
+    def test_prefix_state_matches_the_fifo_layout(self):
+        checkpoint = read_checkpoint(BLOCK_DEQUE_CHECKPOINT)
+        with build_engine(checkpoint.spec) as live:
+            live.update_many(fixture_stream()[: checkpoint.position])
+            assert memento_digest(checkpoint.state["state"]) == memento_digest(
+                live._sketch
+            )
 
 
 class TestStore:
@@ -370,9 +432,13 @@ class TestRestrictedUnpickling:
             assert position == 3000
             with build_engine(spec) as reference:
                 reference.update_many(family_stream(spec))
-                # dict equality: a restored Space Saving rebuilds its key
-                # index in bucket order, so tie order may differ
-                assert engine.heavy_hitters(0.01) == reference.heavy_hitters(0.01)
+                # a restored Space Saving keeps its key order, so keys are
+                # listed, and top_k ties broken, as the live sketch does
+                restored = engine.heavy_hitters(0.01)
+                assert restored == reference.heavy_hitters(0.01)
+                if isinstance(restored, dict):
+                    assert list(restored) == list(reference.heavy_hitters(0.01))
+                assert engine.top_k(25) == reference.top_k(25)
         finally:
             engine.close()
 

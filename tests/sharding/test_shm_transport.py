@@ -99,7 +99,8 @@ def memento_digest(m):
         m._countdown,
         m._blocks_into_frame,
         dict(m._offsets),
-        [list(q) for q in m._queues],
+        list(m._fifo),
+        list(m._counts),
         chain,
         sorted(m._y._index),
         m._sampler._rng.bit_generator.state,
