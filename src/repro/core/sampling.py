@@ -119,7 +119,8 @@ class TableSampler:
     so long streams do not replay an identical bit pattern in phase with
     periodic traffic.  The bits are held twice: a numpy column for the
     columnar path (``decision_array`` slices it, copy-free when the block
-    does not wrap) and a plain list for the scalar path.
+    does not wrap) and a plain list for the scalar path.  A pickle carries
+    them once, packed eight to a byte, and rebuilds both on load.
     """
 
     __slots__ = ("tau", "table_size", "_bits", "_table", "_pos", "_rng")
@@ -139,6 +140,30 @@ class TableSampler:
         self._bits = self._rng.random(self.table_size) <= self.tau
         self._table = self._bits.tolist()
         self._pos = 0
+
+    def __getstate__(self) -> dict:
+        return {
+            "tau": self.tau,
+            "table_size": self.table_size,
+            "bits": np.packbits(self._bits).tobytes(),
+            "pos": self._pos,
+            "rng": self._rng,
+        }
+
+    def __setstate__(self, state) -> None:
+        if isinstance(state, tuple):
+            # the default slots state ``(None, {slot: value})`` of a
+            # sampler pickled with both copies of its table
+            for name, value in state[1].items():
+                setattr(self, name, value)
+            return
+        self.tau = state["tau"]
+        self.table_size = state["table_size"]
+        packed = np.frombuffer(state["bits"], dtype=np.uint8)
+        self._bits = np.unpackbits(packed, count=self.table_size).astype(bool)
+        self._table = self._bits.tolist()
+        self._pos = state["pos"]
+        self._rng = state["rng"]
 
     def should_sample(self) -> bool:
         """Consume the next precomputed Bernoulli bit."""

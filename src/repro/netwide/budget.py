@@ -11,9 +11,11 @@ and confidence ``delta``, a batch size ``b`` yields the sampling rate
 The delay term grows with ``b`` (reports happen every ``b/τ`` packets per
 point, so up to ``m·b/τ`` packets are unreported); the sampling term shrinks
 with ``b`` (bigger batches waste fewer budget bytes on headers, buying a
-higher ``tau``).  :meth:`BudgetModel.optimal_batch` solves the trade-off
-numerically, reproducing the worked example of Section 5.2 (``b* = 44`` and
-a ≈13K-packet bound at ``B = 1``; ``b* = 68`` / ≈5.3K at ``B = 5``).
+higher ``tau``).  The sum is convex in ``b`` with a single minimum, so
+:meth:`BudgetModel.optimal_batch` finds the integer optimum exactly by
+bisecting on the sign of the forward difference, reproducing the worked
+example of Section 5.2 (``b* = 44`` and a ≈13K-packet bound at ``B = 1``;
+``b* = 68`` / ≈5.3K at ``B = 5``).
 
 The Sample method is the ``b = 1`` point of the same model, and Figure 4 is
 three slices of it (Sample, Batch-100, optimal Batch) across budgets.
@@ -24,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
-
-from scipy.optimize import minimize_scalar
 
 from ..analysis.error_model import z_quantile
 from .messages import PAYLOAD_SRC, TCP_HEADER_OVERHEAD
@@ -112,22 +112,27 @@ class BudgetModel:
     # optimization
     # ------------------------------------------------------------------
     def optimal_batch(self, max_batch: int = 1_000_000) -> int:
-        """The integer batch size minimizing :meth:`total_error`.
+        """The integer batch size in ``[1, max_batch]`` minimizing
+        :meth:`total_error`.
 
-        Solved by bounded scalar minimization over the continuous
-        relaxation followed by an integer neighbourhood check (the
-        objective is unimodal: a convex delay term plus a decreasing-then-
-        flat sampling term).
+        The objective is a linear delay term plus a strictly decreasing,
+        convex ``sqrt(c·(E + O/b))`` sampling term, so it is convex and
+        its forward difference ``f(b+1) − f(b)`` changes sign once.  The
+        smallest ``b`` with ``f(b+1) ≥ f(b)`` is the integer argmin;
+        bisection finds it in ``log2(max_batch)`` steps, and returns
+        ``max_batch`` when the objective still falls there.
         """
-        result = minimize_scalar(
-            self.total_error, bounds=(1.0, float(max_batch)), method="bounded"
-        )
-        center = result.x
-        candidates = {
-            max(1, min(max_batch, int(math.floor(center)) + d))
-            for d in (-1, 0, 1, 2)
-        }
-        return min(candidates, key=self.total_error)
+        if max_batch < 1:
+            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+        f = self.total_error
+        lo, hi = 1, int(max_batch)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if f(mid + 1) >= f(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
 
     def summary(self, batch: Optional[int] = None) -> Dict[str, float]:
         """One row of the Figure 4 / Section 5.2 report for this config."""

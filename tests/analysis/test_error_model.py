@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 from repro import (
     ExactWindowCounter,
@@ -18,10 +17,26 @@ from repro import (
 from repro.analysis.error_model import total_epsilon
 
 
+#: ``scipy.stats.norm.ppf`` at ``1 − δ/2`` for δ = 0.05, 0.025, 0.01,
+#: 0.001 and 5e-5, recorded once so the tests need no scipy
+NORM_PPF = {
+    0.975: 1.959963984540054,
+    0.9875: 2.241402727604947,
+    0.995: 2.5758293035489004,
+    0.9995: 3.2905267314919255,
+    0.999975: 4.0556269811219074,
+}
+
+
 class TestZQuantile:
-    def test_matches_scipy(self):
-        for p in (0.9, 0.975, 0.999, 0.4):
-            assert z_quantile(p) == pytest.approx(norm.ppf(p))
+    @pytest.mark.parametrize("prob", sorted(NORM_PPF))
+    def test_matches_recorded_norm_ppf(self, prob):
+        assert z_quantile(prob) == pytest.approx(NORM_PPF[prob], rel=1e-12)
+
+    def test_symmetric_about_the_median(self):
+        assert z_quantile(0.5) == 0.0
+        for prob in NORM_PPF:
+            assert z_quantile(1.0 - prob) == pytest.approx(-NORM_PPF[prob], rel=1e-12)
 
     def test_paper_remark_z_below_four(self):
         """The paper remarks Z_{1-δ/4} < 4 'for any δ > 10^-6'; numerically

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,29 @@ from repro import (
 from repro.core.sampling import FALLBACK_CHUNK, draw_decision_array
 
 ALL_SAMPLERS = [BernoulliSampler, TableSampler, GeometricSampler]
+
+#: written by the layout that pickled both copies of the table (the
+#: default slots state): ``TableSampler(0.3, seed=7, table_size=97)``
+#: after :func:`advance_fixture_sampler`
+TWO_COPY_TABLE_SAMPLER = Path(__file__).parent / "data" / "table_sampler_two_copies.pkl"
+
+
+def advance_fixture_sampler(sampler):
+    """The draws the fixture sampler had made when it was pickled; its
+    table wrapped once, so the re-roll consumed the RNG."""
+    for _ in range(150):
+        sampler.should_sample()
+    sampler.decision_array(20)
+    return sampler
+
+
+def mixed_stream(sampler):
+    """Scalar and columnar draws across several table wraps."""
+    out = []
+    for size in (3, 90, 1, 400, 17, 1000):
+        out.extend(sampler.decision_array(size).tolist())
+        out.extend(sampler.should_sample() for _ in range(size % 7))
+    return out
 
 
 @pytest.mark.parametrize("cls", ALL_SAMPLERS)
@@ -326,3 +352,31 @@ class TestSampleBlockZero:
             sampler.decision_array(20).tolist()
             == fresh.decision_array(20).tolist()
         )
+
+
+class TestTableSamplerPickle:
+    """A pickle carries the table once, packed, and restores a sampler
+    that continues the live one's stream."""
+
+    @pytest.mark.parametrize("tau", [0.01, 0.3, 1.0])
+    @pytest.mark.parametrize("table_size", [97, 1 << 16])
+    def test_restored_continues_the_live_stream(self, tau, table_size):
+        live = TableSampler(tau, seed=4, table_size=table_size)
+        live.decision_array(table_size - 5)  # the next block wraps
+        restored = pickle.loads(pickle.dumps(live))
+        assert restored.tau == live.tau and restored.table_size == table_size
+        assert restored._table == live._table
+        np.testing.assert_array_equal(restored._bits, live._bits)
+        assert mixed_stream(restored) == mixed_stream(live)
+
+    def test_default_table_pickles_packed(self):
+        # 65,536 bits in 8 KB, not a bool column plus a list of bools
+        assert len(pickle.dumps(TableSampler(0.0625, seed=1))) < 10_000
+
+    def test_two_copy_state_restores(self):
+        old = pickle.loads(TWO_COPY_TABLE_SAMPLER.read_bytes())
+        again = pickle.loads(pickle.dumps(old))  # re-pickled packed
+        live = advance_fixture_sampler(TableSampler(0.3, seed=7, table_size=97))
+        want = mixed_stream(live)
+        assert mixed_stream(old) == want
+        assert mixed_stream(again) == want

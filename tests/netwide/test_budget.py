@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,6 +132,56 @@ class TestModelStructure:
         assert high.total_error(high.optimal_batch()) < low.total_error(
             low.optimal_batch()
         )
+
+
+def seeded_models(n=300, seed=23):
+    """Budget models spread over every parameter, with a max batch each."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        model = BudgetModel(
+            points=rng.choice((1, 2, 10, 50)),
+            header=rng.choice((0, 20, 64)),
+            payload=rng.choice((1, 4, 8)),
+            budget=10 ** rng.uniform(-1.5, 2.0),
+            window=int(10 ** rng.uniform(3.0, 8.0)),
+            hierarchy_size=rng.choice((1, 5, 25, 33)),
+            delta=rng.choice((0.1, 0.01, 1e-4)),
+        )
+        yield model, rng.choice((1, 2, 7, 100, 10_000, 1_000_000))
+
+
+class TestOptimalBatch:
+    def test_is_the_integer_argmin(self):
+        for model, max_batch in seeded_models():
+            b = model.optimal_batch(max_batch=max_batch)
+            assert 1 <= b <= max_batch, (model, max_batch, b)
+            f = model.total_error
+            if b > 1:
+                assert f(b) <= f(b - 1), (model, max_batch, b)
+            if b < max_batch:
+                assert f(b) <= f(b + 1), (model, max_batch, b)
+
+    def test_max_batch_one(self):
+        assert paper_model().optimal_batch(max_batch=1) == 1
+
+    def test_optimum_past_max_batch_returns_max_batch(self):
+        model = paper_model(budget=100.0, window=100_000_000)
+        assert model.optimal_batch() > 50
+        assert model.optimal_batch(max_batch=50) == 50
+
+    def test_rejects_max_batch_below_one(self):
+        with pytest.raises(ValueError):
+            paper_model().optimal_batch(max_batch=0)
+
+    @pytest.mark.parametrize(
+        "window,batch,tau",
+        [(100_000, 20, 0.1388888888888889), (10_000, 10, 0.09615384615384616)],
+    )
+    def test_netwide_bench_configuration(self, window, batch, tau):
+        """The hhh-netwide deployment: 10 points, 1 byte/packet, δ = 0.001."""
+        model = paper_model(window=window, delta=0.001)
+        assert model.optimal_batch() == batch
+        assert model.tau(batch) == pytest.approx(tau, rel=1e-15)
 
 
 class TestFigure4Series:
