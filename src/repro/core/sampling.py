@@ -117,10 +117,12 @@ class TableSampler:
 
     The table is re-randomized on wrap-around by re-rolling a fresh offset,
     so long streams do not replay an identical bit pattern in phase with
-    periodic traffic.  The bits are held twice: a numpy column for the
-    columnar path (``decision_array`` slices it, copy-free when the block
-    does not wrap) and a plain list for the scalar path.  A pickle carries
-    them once, packed eight to a byte, and rebuilds both on load.
+    periodic traffic.  The bits are held once, as a read-only numpy
+    column that ``decision_array`` slices (copy-free when the block does
+    not wrap).  The scalar ``should_sample`` indexes a plain list of the
+    same bits instead, a faster read than a numpy scalar; that list is
+    built on the first scalar call, so a sketch fed only in batches never
+    pays for it.  A pickle carries the bits packed eight to a byte.
     """
 
     __slots__ = ("tau", "table_size", "_bits", "_table", "_pos", "_rng")
@@ -137,8 +139,8 @@ class TableSampler:
         self.tau = float(tau)
         self.table_size = int(table_size)
         self._rng = np.random.default_rng(seed)
-        self._bits = self._rng.random(self.table_size) <= self.tau
-        self._table = self._bits.tolist()
+        self._bits = _read_only(self._rng.random(self.table_size) <= self.tau)
+        self._table = None  # the scalar path's list, built on first use
         self._pos = 0
 
     def __getstate__(self) -> dict:
@@ -154,15 +156,37 @@ class TableSampler:
         if isinstance(state, tuple):
             # the default slots state ``(None, {slot: value})`` of a
             # sampler pickled with both copies of its table
-            for name, value in state[1].items():
-                setattr(self, name, value)
-            return
-        self.tau = state["tau"]
-        self.table_size = state["table_size"]
-        packed = np.frombuffer(state["bits"], dtype=np.uint8)
-        self._bits = np.unpackbits(packed, count=self.table_size).astype(bool)
-        self._table = self._bits.tolist()
-        self._pos = state["pos"]
+            slots = state[1]
+            state = {
+                "tau": slots["tau"],
+                "table_size": slots["table_size"],
+                "bits": np.packbits(slots["_bits"]).tobytes(),
+                "pos": slots["_pos"],
+                "rng": slots["_rng"],
+            }
+        tau = state["tau"]
+        size = state["table_size"]
+        bits = state["bits"]
+        pos = state["pos"]
+        # a short ``bits`` would unpack zero-padded, and a ``pos`` past
+        # the table would fail only on first use
+        if not 0.0 < tau <= 1.0:
+            raise ValueError(f"restored tau must be in (0, 1], got {tau!r}")
+        if len(bits) != (size + 7) // 8:
+            raise ValueError(
+                f"restored table holds {len(bits)} packed bytes, "
+                f"a {size}-bit table needs {(size + 7) // 8}"
+            )
+        if not 0 <= pos < size:
+            raise ValueError(
+                f"restored position {pos!r} is outside the {size}-bit table"
+            )
+        self.tau = tau
+        self.table_size = size
+        packed = np.frombuffer(bits, dtype=np.uint8)
+        self._bits = _read_only(np.unpackbits(packed, count=size).view(bool))
+        self._table = None
+        self._pos = pos
         self._rng = state["rng"]
 
     def should_sample(self) -> bool:
@@ -170,7 +194,11 @@ class TableSampler:
         if self.tau >= 1.0:
             return True
         pos = self._pos
-        bit = self._table[pos]
+        try:
+            bit = self._table[pos]
+        except TypeError:  # ``_table`` is None: the first scalar call
+            self._table = self._bits.tolist()
+            bit = self._table[pos]
         pos += 1
         if pos == self.table_size:
             pos = int(self._rng.integers(0, self.table_size))
@@ -180,8 +208,8 @@ class TableSampler:
     def decision_array(self, n: int) -> np.ndarray:
         """Slice the next ``n`` precomputed bits (re-rolling on wrap).
 
-        Non-wrapping blocks return a read-only view of the table — zero
-        copies on the hot path; callers must not mutate the result.
+        Non-wrapping blocks return a view of the read-only table — zero
+        copies on the hot path, and read-only like the table itself.
         """
         _check_block(n)
         if self.tau >= 1.0:
@@ -190,10 +218,8 @@ class TableSampler:
         size = self.table_size
         pos = self._pos
         if pos + n < size:
-            out = bits[pos : pos + n]
-            out.flags.writeable = False  # view of the live table
             self._pos = pos + n
-            return out
+            return bits[pos : pos + n]
         out = np.empty(n, dtype=bool)
         filled = 0
         while filled < n:
@@ -350,6 +376,11 @@ def make_sampler(tau: float, method: str = "table", seed: Optional[int] = None):
 def _check_tau(tau: float) -> None:
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must be in (0, 1], got {tau}")
+
+
+def _read_only(column: np.ndarray) -> np.ndarray:
+    column.flags.writeable = False
+    return column
 
 
 def _check_block(n: int) -> None:

@@ -7,9 +7,15 @@ randomly updates one of its instances per packet.
 
 The implementation here is the classic *stream-summary* structure: a doubly
 linked list of value buckets, each holding the set of flows that currently
-share a count.  All hot-path operations — unit increment, eviction of the
-minimum, query — are worst-case O(1), matching the paper's speed assumptions
-(Section 2).
+share a count.  Unit increment and query are O(1), as the paper's speed
+assumptions (Section 2) need.  Eviction of the minimum is not: the victim
+is the head bucket's oldest key, ``next(iter(head.keys))``, and a dict
+keeps the slots of keys deleted from its front until it next resizes, so
+each eviction first scans the slots earlier evictions left.  Once every
+counter is in use the head bucket only drains (the replacing key moves
+up a bucket), so draining a bucket of ``b`` keys costs O(b²) in all:
+~0.3 µs per eviction at 100 keys, ~0.6–0.9 µs at 1,000 and ~4–5.5 µs at
+10,000 (CPython 3.11, 2-vCPU guest).
 
 Guarantees (with ``m = counters`` and ``n`` processed items):
 
@@ -42,7 +48,7 @@ class _Bucket:
 
 
 class SpaceSaving(BatchIngest):
-    """Space Saving with O(1) worst-case unit updates and error tracking.
+    """Space Saving with O(1) unit increments and error tracking.
 
     Parameters
     ----------

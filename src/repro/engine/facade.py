@@ -309,20 +309,37 @@ class HeavyHitterEngine:
 
         The engine must have been built from the same spec that produced
         the snapshot (``CheckpointStore.restore`` guarantees this by
-        rebuilding via :func:`build_engine` from the checkpointed spec);
-        a sharded/bare shape mismatch fails fast.
+        rebuilding via :func:`build_engine` from the checkpointed spec).
+        A snapshot that does not have the built stack's shape fails fast
+        with ``ValueError``: sharded against bare, or a sketch whose
+        class or attribute names differ from the one the spec builds
+        (a checkpoint whose spec names another family, or whose state
+        was damaged past its CRC).
         """
-        kind = snapshot.get("kind")
+        if not isinstance(snapshot, dict) or set(snapshot) != {"kind", "state"}:
+            raise ValueError("snapshot is not a {'kind', 'state'} mapping")
+        kind = snapshot["kind"]
         expected = "sharded" if self.sharded else "bare"
         if kind != expected:
             raise ValueError(
                 f"snapshot kind {kind!r} does not match this engine's "
                 f"stack ({expected!r}) — was it taken under the same spec?"
             )
+        state = snapshot["state"]
         if self.sharded:
-            self._sketch.restore_state(snapshot["state"])
+            if (
+                not isinstance(state, dict)
+                or set(state) != {"shards", "updates"}
+                or not isinstance(state["shards"], list)
+                or not isinstance(state["updates"], int)
+            ):
+                raise ValueError("sharded snapshot is not a shard list and count")
+            for built, adopted in zip(self._sketch.shards, state["shards"]):
+                _check_shape(built, adopted, "shard")
+            self._sketch.restore_state(state)
         else:
-            self._sketch = snapshot["state"]
+            _check_shape(self._sketch, state, "sketch")
+            self._sketch = state
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -368,3 +385,54 @@ class HeavyHitterEngine:
             f"HeavyHitterEngine(family={self._info.name!r}, "
             f"sharded={self.sharded}, sketch={self._sketch!r})"
         )
+
+
+def _attribute_names(obj: object) -> Set[str]:
+    """The instance attributes ``obj`` holds: its ``__dict__`` keys and
+    the slots that are set."""
+    names = set(getattr(obj, "__dict__", ()))
+    for cls in type(obj).__mro__:
+        for slot in getattr(cls, "__slots__", ()):
+            try:
+                object.__getattribute__(obj, slot)
+            except AttributeError:
+                continue
+            names.add(slot)
+    return names
+
+
+def _is_ours(value: object) -> bool:
+    return type(value).__module__.startswith("repro.")
+
+
+def _check_shape(built: object, adopted: object, where: str) -> None:
+    """Raise ``ValueError`` unless ``adopted`` has ``built``'s class and
+    attribute names, recursively through the project objects (samplers,
+    inner sketches, hierarchies) it holds, alone or in a list.
+
+    Values are not compared: a restored sketch's counts are its own.
+    """
+    if type(adopted) is not type(built):
+        raise ValueError(
+            f"{where} is a {type(adopted).__name__}, the spec builds a "
+            f"{type(built).__name__}"
+        )
+    names = _attribute_names(built)
+    stray = names ^ _attribute_names(adopted)
+    if stray:
+        raise ValueError(
+            f"{where} ({type(built).__name__}) differs in attributes "
+            f"{sorted(stray)}"
+        )
+    for name in names:
+        mine = getattr(built, name)
+        theirs = getattr(adopted, name)
+        if _is_ours(mine):
+            _check_shape(mine, theirs, f"{where}.{name}")
+        elif isinstance(mine, list) and mine and all(map(_is_ours, mine)):
+            if not isinstance(theirs, list) or len(theirs) != len(mine):
+                raise ValueError(
+                    f"{where}.{name} is not a list of {len(mine)} entries"
+                )
+            for index, (inner, other) in enumerate(zip(mine, theirs)):
+                _check_shape(inner, other, f"{where}.{name}[{index}]")

@@ -200,7 +200,7 @@ def read_checkpoint(path: Union[str, Path]) -> Checkpoint:
         raise CheckpointError(f"{path}: truncated inside the header")
     try:
         header = json.loads(raw[offset : offset + header_len])
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting
         raise CheckpointError(f"{path}: header is not valid JSON: {exc}") from None
     offset += header_len
     if not isinstance(header, dict):
@@ -302,11 +302,19 @@ class CheckpointStore:
         Returns ``(engine, position)``: the engine is built via
         :func:`~repro.engine.build_engine` from the checkpointed spec,
         then adopts the pickled state, so replaying the stream from
-        ``position`` onward reproduces an uninterrupted run exactly.
+        ``position`` onward reproduces an uninterrupted run exactly.  A
+        state the spec's engine cannot adopt (another family's sketch,
+        or one damaged past its CRC) raises :class:`CheckpointError`.
         """
         from ..engine.facade import build_engine
 
         checkpoint = self.load_latest()
         engine = build_engine(checkpoint.spec, hierarchy=hierarchy)
-        engine.restore_state(checkpoint.state)
+        try:
+            engine.restore_state(checkpoint.state)
+        except ValueError as exc:
+            engine.close()
+            raise CheckpointError(
+                f"{checkpoint.path}: state does not fit its spec: {exc}"
+            ) from None
         return engine, checkpoint.position

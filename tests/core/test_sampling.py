@@ -365,8 +365,8 @@ class TestTableSamplerPickle:
         live.decision_array(table_size - 5)  # the next block wraps
         restored = pickle.loads(pickle.dumps(live))
         assert restored.tau == live.tau and restored.table_size == table_size
-        assert restored._table == live._table
         np.testing.assert_array_equal(restored._bits, live._bits)
+        assert not restored._bits.flags.writeable
         assert mixed_stream(restored) == mixed_stream(live)
 
     def test_default_table_pickles_packed(self):
@@ -378,5 +378,106 @@ class TestTableSamplerPickle:
         again = pickle.loads(pickle.dumps(old))  # re-pickled packed
         live = advance_fixture_sampler(TableSampler(0.3, seed=7, table_size=97))
         want = mixed_stream(live)
+        assert old._table is None and not old._bits.flags.writeable
         assert mixed_stream(old) == want
         assert mixed_stream(again) == want
+
+
+def table_state(**changes):
+    """A packed ``TableSampler`` state with some fields replaced."""
+    sampler = TableSampler(0.5, seed=3, table_size=1 << 16)
+    sampler.decision_array(100)
+    return {**sampler.__getstate__(), **changes}
+
+
+def restore(state):
+    sampler = TableSampler.__new__(TableSampler)
+    sampler.__setstate__(state)
+    return sampler
+
+
+class TestTableSamplerRestoreValidation:
+    """A restored state must describe a whole table and a position on
+    it; anything else is refused at load, not on first use."""
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            # 100 of the 8,192 bytes would unpack zero-padded
+            ({"bits": bytes(100)}, "100 packed bytes"),
+            ({"bits": bytes(8193)}, "8193 packed bytes"),
+            ({"table_size": 1 << 17}, "8192 packed bytes"),
+            ({"pos": 1 << 16}, "outside"),
+            ({"pos": -1}, "outside"),
+            ({"tau": 0.0}, "tau"),
+            ({"tau": 1.5}, "tau"),
+            ({"tau": float("nan")}, "tau"),
+        ],
+        ids=[
+            "short-bits",
+            "long-bits",
+            "size-past-bits",
+            "pos-past-table",
+            "negative-pos",
+            "tau-zero",
+            "tau-above-one",
+            "tau-nan",
+        ],
+    )
+    def test_inconsistent_state_is_refused(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            restore(table_state(**changes))
+
+    def test_last_position_restores(self):
+        sampler = restore(table_state(pos=(1 << 16) - 1))
+        sampler.should_sample()  # wraps: a re-rolled position
+        assert 0 <= sampler._pos < 1 << 16
+
+    def test_uneven_table_packs_to_whole_bytes(self):
+        live = TableSampler(0.3, seed=2, table_size=97)
+        state = pickle.loads(pickle.dumps(live.__getstate__()))  # own RNG
+        assert len(state["bits"]) == 13
+        assert mixed_stream(restore(state)) == mixed_stream(live)
+
+
+class TestScalarTableIsLazy:
+    """Batch-fed sketches hold the table once: the scalar path's list
+    is built only by the first ``should_sample`` call."""
+
+    SPEC = {
+        "algorithm": {
+            "family": "memento",
+            "window": 4096,
+            "counters": 64,
+            "tau": 0.25,
+            "seed": 7,
+        }
+    }
+
+    def test_batch_feed_and_pickle_never_build_the_list(self):
+        from repro.engine import build_engine
+
+        stream = [(i * 7919) % 500 for i in range(20_000)]
+        with build_engine(self.SPEC) as engine, build_engine(self.SPEC) as fresh:
+            engine.update_many(stream)
+            live = engine._sketch._sampler
+            assert isinstance(live, TableSampler) and live._table is None
+            restored = pickle.loads(pickle.dumps(engine._sketch))._sampler
+            assert restored._table is None
+
+            restored.should_sample()
+            assert restored._table == restored._bits.tolist()
+            assert live._table is None  # the restored copy built its own
+
+            # the same draws as a sampler that never left its engine
+            reference = fresh._sketch._sampler
+            reference.decision_array(len(stream))
+            reference.should_sample()
+            assert mixed_stream(restored) == mixed_stream(reference)
+
+    def test_decision_blocks_are_read_only_views(self):
+        sampler = TableSampler(0.5, seed=1)
+        block = sampler.decision_array(64)
+        assert block.base is sampler._bits and not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0] = not block[0]

@@ -474,3 +474,32 @@ class TestRestrictedUnpickling:
         path = write_envelope(tmp_path / "c.bin", good_header(blob), blob)
         with pytest.raises(CheckpointError, match="SystemExit"):
             read_checkpoint(path)
+
+
+class TestSamplerStateValidation:
+    """A ``TableSampler`` state that does not describe its whole table
+    is refused when the checkpoint is read, not on first use."""
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"bits": bytes(100)}, "100 packed bytes"),
+            ({"pos": 1 << 16}, "outside"),
+            ({"tau": 0.0}, "tau"),
+        ],
+        ids=["short-bits", "pos-past-table", "tau-zero"],
+    )
+    def test_inconsistent_table_is_a_checkpoint_error(
+        self, tmp_path, monkeypatch, changes, message
+    ):
+        from repro.core.sampling import TableSampler
+
+        packed = TableSampler.__getstate__
+        monkeypatch.setattr(
+            TableSampler,
+            "__getstate__",
+            lambda sampler: {**packed(sampler), **changes},
+        )
+        path = write_checkpoint(tmp_path / "c.bin", SPEC, 500, engine_state())
+        with pytest.raises(CheckpointError, match=message):
+            read_checkpoint(path)
