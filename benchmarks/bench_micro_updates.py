@@ -41,6 +41,15 @@ clear the bar are visited) and as a full scan of every candidate
 (``full_scan``).  Both paths must give equal answers, and the
 standalone run requires the shipped path to be at least 2× faster.
 
+The ``hmemento_controller/receive_many`` row times D-H-Memento's
+controller: ``SketchController.receive_many`` into H-Memento at the
+``hhh-netwide`` geometry (W = 100k, k = 12,500, source hierarchy), fed
+the reports of ten Batch sampling points whose ``tau`` and batch size
+come from the 10-point byte-budget model (1 byte per packet), one
+``receive_many`` call per point per 8,000-packet step.  ``ops`` is the
+samples one pass applies, so its ns/op is ns/sample; it also records
+the garbage collections one pass triggers, per generation.  Not gated.
+
 The ``memento_state/{build,dump,load}/<geometry>`` rows time building an
 empty Memento, ``pickle.dumps`` of a filled one and ``pickle.loads`` of
 that blob — what a service checkpoint and a resident shard's
@@ -53,6 +62,7 @@ answers the same estimates.  They are not gated.
 from __future__ import annotations
 
 import argparse
+import gc
 import pickle
 import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -81,6 +91,9 @@ from repro.bench import BenchResult, bench, repo_root, write_results
 from repro.core.kernel import make_plan
 from repro.engine import SketchSpec
 from repro.hierarchy.hhh_output import calc_pred_1d, compute_hhh, group_by_depth
+from repro.netwide.budget import BudgetModel
+from repro.netwide.controller import SketchController
+from repro.netwide.measurement_point import SamplingPoint
 from repro.traffic.synth import BACKBONE
 
 WINDOW = 8192
@@ -225,6 +238,11 @@ QUERY_THETA_HH = 0.005
 QUERY_THETA_HHH = 0.15
 MIN_QUERY_SPEEDUP = 2.0
 
+
+#: the hmemento_controller row: ten sampling points, each handed every
+#: tenth packet of an 8,000-packet step (the hhh-netwide deployment)
+CONTROLLER_POINTS = 10
+CONTROLLER_STEP = 8000
 
 #: the memento_state rows: (label, window, counters, tau, packets fed
 #: before the dump); builds are timed BUILDS to a pass
@@ -407,8 +425,12 @@ def full_scan_heavy(sketch: Memento, theta: float) -> dict:
 
 
 def full_scan_output(sketch: HMemento, theta: float) -> set:
-    """``output`` as ``compute_hhh`` over every candidate."""
-    estimates = sketch._memento.estimates()
+    """``output`` as ``compute_hhh`` over every candidate (the shared
+    Memento's estimates, keyed by prefix code, decoded to prefixes)."""
+    prefix_of = sketch.hierarchy.prefix_of
+    estimates = {
+        prefix_of(code): est for code, est in sketch._memento.estimates().items()
+    }
     return compute_hhh(
         sketch.hierarchy,
         list(estimates),
@@ -483,6 +505,86 @@ def run_threshold_queries(
             timed["threshold"].ops_per_sec / timed["full_scan"].ops_per_sec
         )
     return results, speedups
+
+
+def gc_collections() -> List[int]:
+    """Collections run so far, per garbage-collector generation."""
+    return [gen["collections"] for gen in gc.get_stats()]
+
+
+def run_controller_row(
+    stream: list, window: int, warmup: int, repeats: int
+) -> BenchResult:
+    """Time ``receive_many`` of a D-H-Memento controller over ``stream``.
+
+    The points' reports are produced once, untimed; each pass applies
+    them all to a fresh controller built before the pass.
+    """
+    model = BudgetModel(
+        points=CONTROLLER_POINTS, header=64, payload=4, budget=1.0,
+        window=window, hierarchy_size=SRC_HIERARCHY.num_patterns, delta=0.001,
+    )
+    batch = model.optimal_batch()
+    tau = model.tau(batch)
+    points = [
+        SamplingPoint(i, tau, batch_size=batch, seed=1 + i)
+        for i in range(CONTROLLER_POINTS)
+    ]
+    calls = []  # the reports of one observe_many call each
+    for start in range(0, len(stream), CONTROLLER_STEP):
+        step = stream[start : start + CONTROLLER_STEP]
+        for j, point in enumerate(points):
+            reports = point.observe_many(step[j::CONTROLLER_POINTS])
+            if reports:
+                calls.append(reports)
+    samples = sum(len(report.samples) for reports in calls for report in reports)
+    controllers = iter([
+        SketchController(
+            HMemento(window, SRC_HIERARCHY, counters=window // 8, tau=tau, seed=1)
+        )
+        for _ in range(warmup + repeats)
+    ])
+    collections: List[List[int]] = []
+
+    def one_pass():
+        receive_many = next(controllers).receive_many
+        before = gc_collections()
+        for reports in calls:
+            receive_many(reports)
+        collections.append([b - a for a, b in zip(before, gc_collections())])
+
+    row = bench(
+        one_pass,
+        name="hmemento_controller/receive_many",
+        ops=samples,
+        warmup=warmup,
+        repeats=repeats,
+        metadata={
+            "path": "receive_many",
+            "case": "hmemento_controller",
+            "packets": len(stream),
+            "points": CONTROLLER_POINTS,
+            "report_batch": batch,
+            "reports": sum(map(len, calls)),
+            "spec": SketchSpec.from_dict(
+                {
+                    "algorithm": {
+                        "family": "h_memento",
+                        "window": window,
+                        "counters": window // 8,
+                        "tau": tau,
+                        "seed": 1,
+                    },
+                    "hierarchy": {"kind": "src"},
+                }
+            ).to_dict(),
+            "transport": None,
+        },
+    )
+    row.metadata["ns_per_sample"] = row.seconds / samples * 1e9
+    # the timed passes' collections, per generation (gen 0, 1, 2)
+    row.metadata["gc_collections_per_pass"] = collections[warmup:]
+    return row
 
 
 def run_state_rows(
@@ -634,6 +736,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     results.extend(query_rows)
     speedups.update(query_speedups)
+    controller = run_controller_row(
+        make_stream(4 * hhh_window),
+        hhh_window,
+        warmup=0 if args.smoke else 1,
+        repeats=repeats,
+    )
+    results.append(controller)
     results.extend(
         run_state_rows(
             warmup=0 if args.smoke else 1,
@@ -688,6 +797,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"{shipped.ops_per_sec:>14,.0f}  {speedups[case]:>6.2f}x"
             f"  (full scan vs threshold, candidates/s)"
         )
+    print(
+        f"{'hmemento_controller'.ljust(width)}  "
+        f"{controller.metadata['ns_per_sample']:>14,.0f}  "
+        f"{'':>14}  (receive_many, ns/sample; gc collections per pass "
+        f"{controller.metadata['gc_collections_per_pass']})"
+    )
     for label, *_ in STATE_GEOMETRIES:
         rows = [by_name[f"memento_state/{op}/{label}"] for op in ("build", "dump", "load")]
         times = "  ".join(

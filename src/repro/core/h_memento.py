@@ -17,6 +17,15 @@ Estimates scale by the per-pattern sampling ratio ``V = H / tau``:
 ``f̂_p = X̂_p · V`` (Table 1 and Appendix A), and the output computation adds
 the ``2 · Z_{1−δ} · sqrt(V · W)`` sampling slack (Algorithm 2, line 8).
 
+The shared Memento counts integer prefix codes, not prefix tuples (see
+:mod:`repro.hierarchy.domain`): every ingest path generalizes packets
+straight to codes (``Hierarchy.code_at``/``codes_at``), which hash in
+one step and leave the garbage collector nothing to track.  The public
+surface still speaks prefixes: queries encode their key
+(``Hierarchy.code_of``; a key that is not a prefix answers as an absent
+one), and every enumeration decodes its codes in one pass
+(``Hierarchy.prefixes_of``), in the shared Memento's order.
+
 The evaluation's configuration rule (Section 6.2) is enforced softly: a
 ``tau`` below ``H · 2⁻¹⁰`` — i.e. a per-pattern rate below ``2⁻¹⁰``, where
 the paper observed accuracy degradation — triggers a warning, not an error.
@@ -25,8 +34,12 @@ the paper observed accuracy degradation — triggers a warning, not an error.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set
+from collections import deque
+from dataclasses import replace
+from itertools import chain
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -188,8 +201,7 @@ class HMemento(BatchIngest):
         self._updates += 1
         if self._sampler.should_sample():
             pattern = self._next_pattern()
-            prefix = self.hierarchy.prefix_at(packet, pattern)
-            self._memento.full_update(prefix)
+            self._memento.full_update(self.hierarchy.code_at(packet, pattern))
         else:
             self._memento.window_update()
 
@@ -210,9 +222,9 @@ class HMemento(BatchIngest):
         RNG consumption as the scalar calls) and the unsampled packets
         join the gaps.  With ``sampled=True`` (the controller feed) every
         selected packet is already sampled.  The sampled packets' pattern
-        column is drawn in one call, their prefixes are built from
-        columns (``Hierarchy.prefixes_at``), and the plan rides the
-        shared Memento's sampled kernel — unsampled stretches never touch
+        column is drawn in one call, their prefix codes are built from
+        columns (``Hierarchy.codes_at``), and the plan rides the shared
+        Memento's sampled kernel — unsampled stretches never touch
         per-packet Python objects.
         """
         packets = plan.items
@@ -224,10 +236,10 @@ class HMemento(BatchIngest):
             packets = [packets[i] for i in kept.tolist()]
             positions = kept if positions is None else positions[kept]
         self._updates += plan.n
-        prefixes = self.hierarchy.prefixes_at(
+        codes = self.hierarchy.codes_at(
             packets, self._draw_patterns(len(packets))
         )
-        self._memento._apply_sampled(plan.n, positions, prefixes)
+        self._memento._apply_sampled(plan.n, positions, codes)
 
     def ingest_sample(self, packet) -> None:
         """Feed an externally-sampled packet (network-wide controller path).
@@ -238,7 +250,7 @@ class HMemento(BatchIngest):
         """
         self._updates += 1
         pattern = self._next_pattern()
-        self._memento.full_update(self.hierarchy.prefix_at(packet, pattern))
+        self._memento.full_update(self.hierarchy.code_at(packet, pattern))
 
     def ingest_samples(self, packets: Sequence) -> None:
         """Batch form of :meth:`ingest_sample`: one Full update per packet."""
@@ -259,11 +271,11 @@ class HMemento(BatchIngest):
         ``tau / H``, so its own ``1/tau`` scaling is exactly the paper's
         ``V = H / tau`` multiplier.
         """
-        return self._memento.query(prefix)
+        return self._memento.query(self.hierarchy.code_of(prefix))
 
     def query_lower(self, prefix) -> float:
         """Lower-bound estimate ``f̂−`` (conservative, clamped at zero)."""
-        return self._memento.query_lower(prefix)
+        return self._memento.query_lower(self.hierarchy.code_of(prefix))
 
     def query_point(self, prefix) -> float:
         """Midpoint (bias-removed) estimate, scaled by ``V``.
@@ -272,7 +284,7 @@ class HMemento(BatchIngest):
         metrics and threshold detection where the conservative ``+2`` block
         shift would inflate every estimate by ``2·sample_block·V``.
         """
-        return self._memento.query_point(prefix)
+        return self._memento.query_point(self.hierarchy.code_of(prefix))
 
     def sampling_correction(self) -> float:
         """Algorithm 2 line 8: ``2 · Z_{1−δ} · sqrt(V · W)``."""
@@ -309,11 +321,13 @@ class HMemento(BatchIngest):
         threshold = theta * self.window
         correction = self.sampling_correction() if conservative else 0.0
         if self.hierarchy.dimensions == 1:
-            estimates = self._memento.estimates_over(
-                threshold, slack=correction, inclusive=True
+            estimates = self._decoded(
+                self._memento.estimates_over(
+                    threshold, slack=correction, inclusive=True
+                )
             )
         else:
-            estimates = self._memento.estimates()
+            estimates = self._decoded(self._memento.estimates())
         query = self.query
 
         def upper(prefix: Hashable) -> float:
@@ -330,9 +344,15 @@ class HMemento(BatchIngest):
             correction=correction,
         )
 
+    def _decoded(self, estimates: Dict[Any, float]) -> Dict[Hashable, float]:
+        """``estimates`` keyed by prefix instead of code, in its order."""
+        return dict(
+            zip(self.hierarchy.prefixes_of(estimates), estimates.values())
+        )
+
     def candidates(self) -> Iterable:
         """Prefixes currently holding a counter in the shared sketch."""
-        return self._memento.candidates()
+        return self.hierarchy.prefixes_of(self._memento.candidates())
 
     def entries(self) -> List[Entry]:
         """Mergeable snapshot of the shared sketch (raw sampled units).
@@ -341,11 +361,19 @@ class HMemento(BatchIngest):
         ``tau / H``, so the merge layer's single ``1/tau`` scaling is
         exactly the paper's ``V = H / tau`` multiplier.
         """
-        return self._memento.entries()
+        return self._decoded_rows(self._memento.entries())
+
+    def _decoded_rows(self, rows: Sequence[Entry]) -> List[Entry]:
+        prefixes = self.hierarchy.prefixes_of(row[0] for row in rows)
+        return [
+            (prefix, raw, low)
+            for prefix, (_, raw, low) in zip(prefixes, rows)
+        ]
 
     def windowed_entries(self) -> WindowedEntries:
         """Window-annotated snapshot (see ``Memento.windowed_entries``)."""
-        return self._memento.windowed_entries()
+        snapshot = self._memento.windowed_entries()
+        return replace(snapshot, entries=tuple(self._decoded_rows(snapshot.entries)))
 
     def heavy_prefixes(self, theta: float) -> Dict[Hashable, float]:
         """Raw per-prefix estimates above ``theta * W`` (no conditioning).
@@ -358,7 +386,7 @@ class HMemento(BatchIngest):
         sampling error).  Below about two blocks a prefix can be in
         neither the overflow table nor the in-frame Space Saving.
         """
-        return self._memento.heavy_hitters(theta)
+        return self._decoded(self._memento.heavy_hitters(theta))
 
     def heavy_hitters(self, theta: float) -> Dict[Hashable, float]:
         """Uniform :class:`~repro.core.api.QueryableSketch` surface:
@@ -382,6 +410,35 @@ class HMemento(BatchIngest):
     def counters(self) -> int:
         """Total counters in the shared Memento instance."""
         return self._memento.k
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        """Adopt a pickled state, re-keying an older shared Memento.
+
+        Checkpoints written before the shared Memento counted codes hold
+        prefix tuples in its overflow table ``B``, its FIFO of overflow
+        records and ``y``'s index and value buckets; each is re-keyed to
+        codes, in its own order.
+        """
+        # interned names, as pickle's default restore leaves them
+        self.__dict__.update(
+            (sys.intern(key), value) for key, value in state.items()
+        )
+        memento = self._memento
+        y = memento._y
+        if not isinstance(next(chain(memento._offsets, y._index), None), tuple):
+            return
+        code_of = self.hierarchy.code_of
+        memento._offsets = {
+            code_of(key): count for key, count in memento._offsets.items()
+        }
+        memento._fifo = deque(map(code_of, memento._fifo))
+        flat = y.__getstate__()
+        flat["chain"] = [
+            (value, [(code_of(key), error) for key, error in keys])
+            for value, keys in flat["chain"]
+        ]
+        flat["order"] = list(map(code_of, flat["order"]))
+        y.__setstate__(flat)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

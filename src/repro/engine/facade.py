@@ -30,6 +30,7 @@ as the equivalent explicit construction under a fixed seed — pinned by
 
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
 from typing import (
     Any,
@@ -46,6 +47,7 @@ from typing import (
 )
 
 from ..core.api import Entry
+from ..core.memento import Memento
 from ..hierarchy.domain import Hierarchy
 from ..sharding.sharded import ShardedSketch
 from .registry import AlgorithmInfo, algorithm_info
@@ -314,7 +316,9 @@ class HeavyHitterEngine:
         with ``ValueError``: sharded against bare, or a sketch whose
         class or attribute names differ from the one the spec builds
         (a checkpoint whose spec names another family, or whose state
-        was damaged past its CRC).
+        was damaged past its CRC).  So does a Memento, bare, sharded or
+        inside H-Memento, whose overflow records disagree with
+        themselves (see :func:`_check_memento`).
         """
         if not isinstance(snapshot, dict) or set(snapshot) != {"kind", "state"}:
             raise ValueError("snapshot is not a {'kind', 'state'} mapping")
@@ -410,7 +414,9 @@ def _check_shape(built: object, adopted: object, where: str) -> None:
     attribute names, recursively through the project objects (samplers,
     inner sketches, hierarchies) it holds, alone or in a list.
 
-    Values are not compared: a restored sketch's counts are its own.
+    Values are not compared: a restored sketch's counts are its own,
+    though each Memento met on the way must agree with itself
+    (:func:`_check_memento`).
     """
     if type(adopted) is not type(built):
         raise ValueError(
@@ -436,3 +442,35 @@ def _check_shape(built: object, adopted: object, where: str) -> None:
                 )
             for index, (inner, other) in enumerate(zip(mine, theirs)):
                 _check_shape(inner, other, f"{where}.{name}[{index}]")
+    if isinstance(adopted, Memento):
+        _check_memento(adopted, where)
+
+
+def _check_memento(m: Memento, where: str) -> None:
+    """Raise ``ValueError`` unless a restored Memento is self-consistent.
+
+    The count ring holds ``k + 1`` counts, each in ``[0, block_size]``
+    (a block takes at most one record per update); they sum to the
+    FIFO's length; the overflow table ``B`` counts the FIFO's records
+    exactly (so every count is above 0); and ``y`` tracks as many keys
+    as its index holds, at most ``k``.  A state damaged past its CRC
+    can still pass: a flipped counter value is well-formed.
+    """
+    try:
+        counts = m._counts
+        y = m._y
+        if len(counts) != m.k + 1 or not all(
+            0 <= count <= m.block_size for count in counts
+        ):
+            problem = f"its count ring is not {m.k + 1} counts in [0, {m.block_size}]"
+        elif sum(counts) != len(m._fifo):
+            problem = "its count ring does not sum to its FIFO's length"
+        elif Counter(m._fifo) != m._offsets:
+            problem = "its overflow table does not count its FIFO's records"
+        elif not y._size == len(y._index) <= m.k:
+            problem = "its Space Saving's size disagrees with its index or exceeds k"
+        else:
+            return
+    except TypeError as exc:  # a value of the wrong type
+        problem = str(exc)
+    raise ValueError(f"{where} (Memento) is damaged: {problem}")

@@ -13,11 +13,20 @@ per-packet generalization (``all_prefixes``, ``prefix_at``), the partial
 order ``generalizes`` (the paper's ``⪯``), immediate ``parents``, the 2-D
 greatest lower bound ``glb`` (Definition 4.3), and best-generalization sets
 ``G(p|P)`` — the most general strict descendants of ``p`` inside a set ``P``.
+
+They also encode prefixes as integers, for the sketches that count them
+(H-Memento's shared Memento): ``code_at``/``codes_at`` generalize packets
+straight to codes, ``code_of`` and ``prefix_of`` are exact inverses, and
+``prefixes_of`` decodes many codes at once.  A 1-D code is
+``(ip << 6) | length``; a 2-D code puts the source's code above the
+destination's, ``(src_code << 38) | dst_code``.  An int hashes in one
+step and is not tracked by the garbage collector, where a tuple hashes
+each field and is.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,13 +59,33 @@ class Hierarchy:
         """The single generalization of ``packet`` for one pattern."""
         raise NotImplementedError
 
-    def prefixes_at(self, packets: Sequence, patterns: Sequence[int]) -> List:
-        """``prefix_at`` of each packet with its pattern, as one list."""
-        prefix_at = self.prefix_at
+    # ------------------------------------------------------------------
+    # integer codes (identity here; the byte hierarchies pack integers)
+    # ------------------------------------------------------------------
+    def code_at(self, packet, pattern_index: int):
+        """The code of ``prefix_at(packet, pattern_index)``."""
+        return self.prefix_at(packet, pattern_index)
+
+    def codes_at(self, packets: Sequence, patterns: Sequence[int]) -> List:
+        """``code_at`` of each packet with its pattern, as one list."""
+        code_at = self.code_at
         return [
-            prefix_at(packet, pattern)
+            code_at(packet, pattern)
             for packet, pattern in zip(packets, patterns)
         ]
+
+    def code_of(self, prefix):
+        """The code of ``prefix``; ``None`` when it is not a prefix of
+        this hierarchy, so it matches no code a sketch holds."""
+        return prefix
+
+    def prefix_of(self, code):
+        """The prefix whose code is ``code`` (inverse of ``code_of``)."""
+        return code
+
+    def prefixes_of(self, codes: Iterable) -> List:
+        """``prefix_of`` of each code, as one list in ``codes``' order."""
+        return list(map(self.prefix_of, codes))
 
     def pattern_index(self, prefix) -> int:
         """Index of the pattern that ``prefix`` belongs to."""
@@ -146,25 +175,44 @@ class Hierarchy1D(Hierarchy):
     def prefix_at(self, packet: int, pattern_index: int):
         return (packet & self._masks[pattern_index], self._lengths[pattern_index])
 
+    def code_at(self, packet: int, pattern_index: int) -> int:
+        mask = self._masks[pattern_index]
+        return (packet & mask) << 6 | self._lengths[pattern_index]
+
     _mask_column = np.array(_masks, dtype=np.int64)
     _length_column = np.array(_lengths, dtype=np.int64)
 
-    def prefixes_at(self, packets: Sequence, patterns: Sequence[int]) -> List:
-        """Column form of ``prefix_at``: one mask-table lookup and one
-        ``&`` for the whole batch, zipped back into tuples of Python
-        ints (the same keys the scalar path builds).  Batches that are
-        not an ``int64``-compatible integer column take the scalar loop.
+    def codes_at(self, packets: Sequence, patterns: Sequence[int]) -> List[int]:
+        """Column form of ``code_at``: ``(packet & mask) << 6 | length``
+        over one numpy column, returned as Python ints (the codes the
+        scalar path builds).  Batches that are not an ``int64``-compatible
+        integer column take the scalar loop.
         """
         column = np.asarray(packets)
         if column.dtype.kind not in "iu" or column.dtype == np.uint64:
-            return super().prefixes_at(packets, patterns)
+            return super().codes_at(packets, patterns)
         pattern_column = np.asarray(patterns, dtype=np.intp)
-        return list(
-            zip(
-                (column & self._mask_column[pattern_column]).tolist(),
-                self._length_column[pattern_column].tolist(),
-            )
-        )
+        return (
+            (column & self._mask_column[pattern_column]) << 6
+            | self._length_column[pattern_column]
+        ).tolist()
+
+    def code_of(self, prefix) -> Optional[int]:
+        try:
+            ip, length = prefix
+            if ip & MASKS[length] == ip:
+                return ip << 6 | length
+        except (TypeError, ValueError, KeyError):
+            pass
+        return None
+
+    def prefix_of(self, code: int) -> Tuple[int, int]:
+        return (code >> 6, code & 63)
+
+    def prefixes_of(self, codes: Iterable[int]) -> List[Tuple[int, int]]:
+        # inline, not a numpy column: as fast at thousands of codes and
+        # several times faster at the tens a threshold query decodes
+        return [(code >> 6, code & 63) for code in codes]
 
     def pattern_index(self, prefix) -> int:
         return (32 - prefix[1]) // 8
@@ -217,6 +265,12 @@ class Hierarchy2D(Hierarchy):
     max_depth = 8
     dimensions = 2
 
+    #: the two lengths' bits of each pattern's codes, in pattern order (a
+    #: class attribute, so pickled hierarchies keep their attributes)
+    _length_codes = tuple(
+        slen << 38 | dlen for slen in _BYTE_STEPS for dlen in _BYTE_STEPS
+    )
+
     def __init__(self) -> None:
         # pattern order: all (src_len, dst_len) pairs, most specific first
         self._patterns: List[Tuple[int, int]] = [
@@ -242,6 +296,36 @@ class Hierarchy2D(Hierarchy):
         smask, dmask = self._mask_pairs[pattern_index]
         slen, dlen = self._patterns[pattern_index]
         return (src & smask, slen, dst & dmask, dlen)
+
+    def code_at(self, packet, pattern_index: int) -> int:
+        src, dst = packet
+        smask, dmask = self._mask_pairs[pattern_index]
+        # int(): a numpy scalar field would overflow 64 bits when shifted
+        return (
+            int(src & smask) << 44
+            | int(dst & dmask) << 6
+            | self._length_codes[pattern_index]
+        )
+
+    def code_of(self, prefix) -> Optional[int]:
+        try:
+            src, slen, dst, dlen = prefix
+            if src & MASKS[slen] == src and dst & MASKS[dlen] == dst:
+                # int(): numpy scalar fields would overflow 64 bits
+                return int(src) << 44 | int(slen) << 38 | int(dst) << 6 | int(dlen)
+        except (TypeError, ValueError, KeyError):
+            pass
+        return None
+
+    def prefix_of(self, code: int) -> Tuple[int, int, int, int]:
+        return (code >> 44, code >> 38 & 63, code >> 6 & 0xFFFFFFFF, code & 63)
+
+    def prefixes_of(self, codes: Iterable[int]) -> List[Tuple[int, int, int, int]]:
+        # a 2-D code is 76 bits wide, past any numpy integer column
+        return [
+            (code >> 44, code >> 38 & 63, code >> 6 & 0xFFFFFFFF, code & 63)
+            for code in codes
+        ]
 
     def pattern_index(self, prefix) -> int:
         return self._pattern_of[(prefix[1], prefix[3])]

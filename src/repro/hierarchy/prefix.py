@@ -7,6 +7,9 @@ keys on the algorithms' hot paths:
   ``length`` in bits (byte granularity: 0, 8, 16, 24, 32);
 * a 2-D (source, destination) prefix is ``(src, src_len, dst, dst_len)``.
 
+H-Memento's shared sketch counts the prefixes' integer codes instead
+(``Hierarchy.code_of``/``prefix_of`` in :mod:`repro.hierarchy.domain`).
+
 This module owns the low-level bit manipulation (masks, parents,
 generalization tests) and the human-readable formatting used in examples and
 reports (``181.7.*`` style, matching the paper's notation).

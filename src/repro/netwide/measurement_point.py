@@ -92,30 +92,30 @@ class SamplingPoint:
 
         State after ``observe_many(packets)`` is identical to calling
         :meth:`observe` per packet under the same seed: sampling decisions
-        are pre-drawn as one decision column and only the sampled packets
-        are touched individually.
+        are pre-drawn as one decision column, the sampled packets are
+        picked in one pass, and each report takes a slice of them — the
+        one that fills it covers the batch up to its last sample.
         """
         if not isinstance(packets, (list, tuple)):
             packets = list(packets)
         n = len(packets)
         if n == 0:
             return []
-        sampled = np.flatnonzero(draw_decision_array(self._sampler, n)).tolist()
+        positions = np.flatnonzero(draw_decision_array(self._sampler, n)).tolist()
+        picked = list(map(packets.__getitem__, positions))
         reports: List[BatchReport] = []
-        samples = self._samples
-        batch_size = self.batch_size
-        covered = self._covered
-        consumed = 0  # batch packets already folded into ``covered``
-        for i in sampled:
-            covered += i + 1 - consumed
-            consumed = i + 1
-            samples.append(packets[i])
-            if len(samples) == batch_size:
-                self._covered = covered
-                reports.append(self._emit())
-                samples = self._samples
-                covered = 0
-        self._covered = covered + (n - consumed)
+        lo = 0
+        hi = self.batch_size - len(self._samples)  # the pending report fills here
+        consumed = 0  # batch packets already folded into ``_covered``
+        while hi <= len(picked):
+            self._samples.extend(picked[lo:hi])
+            end = positions[hi - 1] + 1
+            self._covered += end - consumed
+            consumed = end
+            reports.append(self._emit())
+            lo, hi = hi, hi + self.batch_size
+        self._samples.extend(picked[lo:])
+        self._covered += n - consumed
         self.packets_seen += n
         return reports
 

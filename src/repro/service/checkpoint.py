@@ -20,8 +20,11 @@ Durability discipline: envelopes are written via
 :func:`atomic_write_bytes` (tmp file + fsync + ``os.replace``), so a
 crash mid-write leaves either the previous file or a ``.tmp`` orphan —
 never a half-written checkpoint under the final name.  Reads verify
-magic, the header's shape, length, and CRC, and the state is unpickled
-by a loader that resolves only the globals engine snapshots reference
+magic, the header's shape, length, and CRC; the state's opcodes are
+walked (``pickletools.genops``) before anything is built, so an opcode
+whose declared length runs past the state's end is refused before the
+unpickler allocates that length; and the state is unpickled by a loader
+that resolves only the globals engine snapshots reference
 (:data:`STATE_GLOBALS`), so a crafted file cannot name ``os.system``;
 every failure is a :class:`CheckpointError`.  :class:`CheckpointStore`
 walks checkpoints newest-first and falls back past torn/corrupt files to
@@ -183,7 +186,9 @@ def write_checkpoint(
 def read_checkpoint(path: Union[str, Path]) -> Checkpoint:
     """Decode and verify one envelope; raises :class:`CheckpointError`
     on any truncation, magic/schema mismatch, malformed header, CRC
-    failure, or state that does not unpickle under :data:`STATE_GLOBALS`."""
+    failure, state whose opcodes do not parse (an argument running past
+    the end included), or state that does not unpickle under
+    :data:`STATE_GLOBALS`."""
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -230,7 +235,15 @@ def read_checkpoint(path: Union[str, Path]) -> Checkpoint:
         spec = SketchSpec.from_dict(header["spec"])
     except (ValueError, TypeError) as exc:  # TypeError: a mistyped field
         raise CheckpointError(f"{path}: embedded spec is invalid: {exc}") from None
+    import pickletools  # only restores need it: off the daemon's import path
+
     try:
+        # the C unpickler allocates a counted opcode's declared length
+        # before reading it (BYTEARRAY8 takes any 8-byte length); the
+        # walk reads each argument from the state itself and raises
+        # ValueError for one that runs past its end
+        for _ in pickletools.genops(blob):
+            pass
         state = _StateUnpickler(io.BytesIO(blob)).load()
     except KeyboardInterrupt:
         raise  # the operator's, not the file's

@@ -116,4 +116,14 @@ class TestMicroUpdatesBench:
         assert "memento_tau0.1/batch" in names
         assert "space_saving/batch" in names
         assert {"hhh_output/scan", "hhh_output/reference"} <= names
+        (controller,) = (
+            row
+            for row in payload["results"]
+            if row["name"] == "hmemento_controller/receive_many"
+        )
+        assert controller["metadata"]["ns_per_sample"] > 0
+        assert all(
+            len(collections) == 3
+            for collections in controller["metadata"]["gc_collections_per_pass"]
+        )
         assert "speedups" in payload["extra"]

@@ -68,6 +68,13 @@ def reference_heavy(sketch, theta):
     return {key: est for key, est in sketch.estimates().items() if est > bar}
 
 
+def decoded(sketch, estimates):
+    """Estimates of H-Memento's shared Memento (keyed by prefix code),
+    keyed by prefix in the same order."""
+    prefix_of = sketch.hierarchy.prefix_of
+    return {prefix_of(code): est for code, est in estimates.items()}
+
+
 def tie_thetas(estimates, window, correction=0.0, limit=4):
     """Thresholds ``theta`` with ``theta·W == e + correction`` exactly,
     for a few present estimates ``e``."""
@@ -166,7 +173,7 @@ def build_hmemento(kwargs, windows, seed, hierarchy=SRC_HIERARCHY):
 
 def reference_output(sketch, theta, conservative):
     """``compute_hhh`` over every candidate, as the full scan runs it."""
-    estimates = sketch._memento.estimates()
+    estimates = decoded(sketch, sketch._memento.estimates())
 
     def upper(prefix):
         est = estimates.get(prefix)
@@ -201,7 +208,10 @@ class TestHMementoThresholdQueries:
         sketch = build_hmemento(kwargs, windows, seed)
         inner = sketch._memento
         for theta in (*THETAS, *tie_thetas(inner.estimates(), sketch.window)):
-            assert_same(sketch.heavy_prefixes(theta), reference_heavy(inner, theta))
+            assert_same(
+                sketch.heavy_prefixes(theta),
+                decoded(sketch, reference_heavy(inner, theta)),
+            )
 
     @pytest.mark.parametrize("conservative", [True, False])
     @pytest.mark.parametrize("seed", [2, 11])
@@ -260,7 +270,11 @@ class TestRouteModeSharding:
             for theta in (1e-3, 0.01, 0.05):
                 expected = {}
                 for shard in shards:
-                    inner = getattr(shard, "_memento", shard)
-                    expected.update(reference_heavy(inner, theta))
+                    if isinstance(shard, HMemento):
+                        expected.update(
+                            decoded(shard, reference_heavy(shard._memento, theta))
+                        )
+                    else:
+                        expected.update(reference_heavy(shard, theta))
                 assert_same(engine.heavy_prefixes(theta), expected)
                 assert_same(engine.heavy_hitters(theta), expected)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,31 +83,81 @@ class TestHierarchy1D:
 
     @given(st.lists(st.tuples(ips, st.integers(0, 4)), max_size=40))
     @settings(max_examples=100, deadline=None)
-    def test_prefixes_at_matches_prefix_at(self, pairs):
+    def test_codes_at_matches_code_at(self, pairs):
         packets = [pkt for pkt, _ in pairs]
         patterns = [idx for _, idx in pairs]
-        got = SRC_HIERARCHY.prefixes_at(packets, patterns)
-        assert got == [SRC_HIERARCHY.prefix_at(p, i) for p, i in pairs]
+        got = SRC_HIERARCHY.codes_at(packets, patterns)
+        assert got == [SRC_HIERARCHY.code_at(p, i) for p, i in pairs]
         # plain Python ints, so sketch keys (and pickled state) match the
         # scalar path's
+        assert all(type(code) is int for code in got)
+
+    @given(ips, st.integers(0, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_code_at_encodes_prefix_at(self, pkt, idx):
+        prefix = SRC_HIERARCHY.prefix_at(pkt, idx)
+        code = SRC_HIERARCHY.code_at(pkt, idx)
+        assert code == SRC_HIERARCHY.code_of(prefix)
+        assert SRC_HIERARCHY.prefix_of(code) == prefix
+
+    @given(prefixes_1d)
+    @settings(max_examples=100, deadline=None)
+    def test_code_of_and_prefix_of_are_inverses(self, prefix):
+        code = SRC_HIERARCHY.code_of(prefix)
+        assert type(code) is int and 0 <= code < 2**38
+        assert SRC_HIERARCHY.prefix_of(code) == prefix
+
+    @given(st.lists(prefixes_1d, max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_prefixes_of_matches_prefix_of(self, prefixes):
+        codes = [SRC_HIERARCHY.code_of(prefix) for prefix in prefixes]
+        got = SRC_HIERARCHY.prefixes_of(codes)
+        assert got == prefixes
         assert all(type(v) is int for prefix in got for v in prefix)
+        assert SRC_HIERARCHY.prefixes_of(dict.fromkeys(codes)) == list(
+            dict.fromkeys(prefixes)
+        )
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            (0x0A0B0C0D, 24),  # bits below the mask
+            (0x0A000000, 12),  # off the byte grid
+            (2**40, 32),
+            (-256, 24),
+            (1.5, 32),
+            (5,),
+            (1, 2, 3, 4),
+            "ab",
+            7,
+            None,
+        ],
+    )
+    def test_code_of_a_non_prefix_is_none(self, key):
+        assert SRC_HIERARCHY.code_of(key) is None
+
+    def test_code_of_accepts_numpy_fields(self):
+        prefix = (np.int64(0x0A0B0C00), np.int64(24))
+        assert SRC_HIERARCHY.code_of(prefix) == SRC_HIERARCHY.code_of((0x0A0B0C00, 24))
 
     @pytest.mark.parametrize(
         "packets",
         [[-5, 2**40], [2**63 + 7], [True, 3]],
         ids=["negative-and-wide", "beyond-int64", "bool"],
     )
-    def test_prefixes_at_edge_integers(self, packets):
+    def test_codes_at_edge_integers(self, packets):
         patterns = list(range(len(packets)))
-        assert SRC_HIERARCHY.prefixes_at(packets, patterns) == [
-            SRC_HIERARCHY.prefix_at(p, i) for p, i in zip(packets, patterns)
+        assert SRC_HIERARCHY.codes_at(packets, patterns) == [
+            SRC_HIERARCHY.code_at(p, i) for p, i in zip(packets, patterns)
         ]
 
-    def test_prefixes_at_rejects_what_prefix_at_rejects(self):
+    def test_codes_at_rejects_what_code_at_rejects(self):
         with pytest.raises(TypeError):
             SRC_HIERARCHY.prefix_at(1.5, 0)
         with pytest.raises(TypeError):
-            SRC_HIERARCHY.prefixes_at([1.5], [0])
+            SRC_HIERARCHY.code_at(1.5, 0)
+        with pytest.raises(TypeError):
+            SRC_HIERARCHY.codes_at([1.5], [0])
 
 
 class TestHierarchy2D:
@@ -194,13 +245,59 @@ class TestHierarchy2D:
         )
 
 
-class TestPrefixesAt2D:
-    def test_base_loop_matches_prefix_at(self):
+class TestCodes2D:
+    def test_base_loop_matches_code_at(self):
         pkts = [(ip_to_int("1.2.3.4"), ip_to_int("5.6.7.8")), (7, 9)]
-        assert SRC_DST_HIERARCHY.prefixes_at(pkts, [0, 24]) == [
-            SRC_DST_HIERARCHY.prefix_at(pkts[0], 0),
-            SRC_DST_HIERARCHY.prefix_at(pkts[1], 24),
+        assert SRC_DST_HIERARCHY.codes_at(pkts, [0, 24]) == [
+            SRC_DST_HIERARCHY.code_at(pkts[0], 0),
+            SRC_DST_HIERARCHY.code_at(pkts[1], 24),
         ]
+
+    @given(ips, ips, st.integers(0, 24))
+    @settings(max_examples=100, deadline=None)
+    def test_code_at_encodes_prefix_at(self, src, dst, idx):
+        prefix = SRC_DST_HIERARCHY.prefix_at((src, dst), idx)
+        code = SRC_DST_HIERARCHY.code_at((src, dst), idx)
+        assert code == SRC_DST_HIERARCHY.code_of(prefix)
+        assert SRC_DST_HIERARCHY.prefix_of(code) == prefix
+
+    @given(prefixes_2d)
+    @settings(max_examples=100, deadline=None)
+    def test_code_of_and_prefix_of_are_inverses(self, prefix):
+        code = SRC_DST_HIERARCHY.code_of(prefix)
+        assert type(code) is int and 0 <= code < 2**76
+        assert SRC_DST_HIERARCHY.prefix_of(code) == prefix
+
+    @given(st.lists(prefixes_2d, max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_prefixes_of_matches_prefix_of(self, prefixes):
+        codes = [SRC_DST_HIERARCHY.code_of(prefix) for prefix in prefixes]
+        assert SRC_DST_HIERARCHY.prefixes_of(codes) == prefixes
+
+    def test_numpy_fields_encode_without_overflow(self):
+        pkt = (np.int64(0xFFFFFFFF), np.int64(0xFFFFFFFF))
+        assert SRC_DST_HIERARCHY.code_at(pkt, 0) == SRC_DST_HIERARCHY.code_at(
+            (0xFFFFFFFF, 0xFFFFFFFF), 0
+        )
+        prefix = tuple(np.int64(v) for v in (0xFFFFFF00, 24, 0xFF000000, 8))
+        assert SRC_DST_HIERARCHY.prefix_of(
+            SRC_DST_HIERARCHY.code_of(prefix)
+        ) == tuple(map(int, prefix))
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            (0x0A0B0C0D, 32, 0x01020304, 8),  # bits below the dst mask
+            (0x0A000000, 8, 0x01020300, 20),  # off the byte grid
+            (0x0A000001, 8, 0, 0),
+            (0x0A000000, 8),
+            (1.5, 32, 0, 0),
+            "abcd",
+            7,
+        ],
+    )
+    def test_code_of_a_non_prefix_is_none(self, key):
+        assert SRC_DST_HIERARCHY.code_of(key) is None
 
 
 class TestBestGeneralized:

@@ -151,6 +151,32 @@ class TestObserveMany:
         ] == [(r.point_id, r.samples, r.covered, r.size_bytes) for r in got]
         assert self._state(a) == self._state(b)
 
+    @staticmethod
+    def _reports(reports):
+        return [(r.point_id, r.samples, r.covered, r.size_bytes) for r in reports]
+
+    def test_one_call_fills_several_reports(self):
+        a = SamplingPoint(point_id=3, tau=0.5, batch_size=4, seed=9)
+        b = SamplingPoint(point_id=3, tau=0.5, batch_size=4, seed=9)
+        packets = list(range(100, 160))
+        # a pending sample first, so the first report straddles the calls
+        a.observe(7)
+        b.observe_many([7])
+        want = [r for p in packets if (r := a.observe(p)) is not None]
+        got = b.observe_many(packets)
+        assert len(got) >= 5
+        assert self._reports(got) == self._reports(want)
+        assert self._state(a) == self._state(b)
+
+    def test_a_call_that_fills_no_report(self):
+        a = SamplingPoint(point_id=1, tau=0.25, batch_size=50, seed=4)
+        b = SamplingPoint(point_id=1, tau=0.25, batch_size=50, seed=4)
+        for chunk in ([1, 2, 3, 4, 5, 6, 7, 8], list(range(40)), [9]):
+            want = [r for p in chunk if (r := a.observe(p)) is not None]
+            assert want == [] and b.observe_many(chunk) == []
+            assert self._state(a) == self._state(b)
+        assert b.pending_samples > 0 and b.pending_covered == 49
+
     def test_empty_batch(self):
         point = SamplingPoint(point_id=0, tau=0.5, batch_size=4, seed=1)
         assert point.observe_many([]) == []

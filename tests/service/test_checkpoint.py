@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pickle
@@ -9,6 +10,7 @@ import pickletools
 import struct
 import sys
 import zlib
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -164,6 +166,89 @@ class TestBlockDequeCheckpoint:
             assert memento_digest(checkpoint.state["state"]) == memento_digest(
                 live._sketch
             )
+
+
+#: bare H-Memento checkpoints written while the shared Memento counted
+#: prefix tuples: window 600, seed 7, tau 0.5 and 60 counters (``src``)
+#: or tau 1 and 150 counters (``src_dst``); position 1500 of
+#: :func:`hmemento_stream`.
+TUPLE_KEY_CHECKPOINTS = {
+    kind: Path(__file__).parent / "data" / f"h_memento_{kind}_tuple_keys.ckpt"
+    for kind in ("src", "src_dst")
+}
+
+#: digests of :func:`hmemento_answers` at the checkpoint, recorded by the
+#: sketch that wrote it
+TUPLE_KEY_ANSWERS = {
+    "src": "f4fdb649379d00d70160765a9c696ed2cbcb37c71ae97fd53c96832ff30aaab8",
+    "src_dst": "0bcfb1b672b833e1ebe86e7ad2354f5c1aeeaf5a19614fa89ada70f929f73c92",
+}
+
+
+def hmemento_stream(kind):
+    src = [
+        0x0A000000 | (i % 7) << 8 | (i * i) % 11 if i % 3 == 0
+        else (i * 2654435761) % 2**32
+        for i in range(2400)
+    ]
+    if kind == "src":
+        return src
+    return [(s, 0xC0A80000 | (s >> 7) % 5) for s in src]
+
+
+def hmemento_answers(h):
+    return (
+        list(h.heavy_prefixes(0.2).items()),
+        sorted(h.output(0.25, conservative=False)),
+        sorted(h.output(0.6)),
+        list(h.candidates()),
+        h.entries(),
+    )
+
+
+def answers_digest(h):
+    return hashlib.sha256(repr(hmemento_answers(h)).encode()).hexdigest()
+
+
+def restore_fixture(directory, kind):
+    fixture = TUPLE_KEY_CHECKPOINTS[kind]
+    (directory / "ckpt-000000001500.bin").write_bytes(fixture.read_bytes())
+    return CheckpointStore(directory).restore()
+
+
+class TestTupleKeyedHMementoCheckpoint:
+    @pytest.mark.parametrize("kind", sorted(TUPLE_KEY_CHECKPOINTS))
+    def test_restores_to_codes_answering_as_recorded(self, tmp_path, kind):
+        engine, position = restore_fixture(tmp_path, kind)
+        with engine:
+            assert position == 1500
+            inner = engine.sketch._memento
+            keys = list(chain(inner._offsets, inner._fifo, inner._y._index))
+            assert keys and all(type(key) is int for key in keys)
+            assert answers_digest(engine.sketch) == TUPLE_KEY_ANSWERS[kind]
+
+    @pytest.mark.parametrize("kind", sorted(TUPLE_KEY_CHECKPOINTS))
+    def test_replays_like_an_uninterrupted_run(self, tmp_path, kind):
+        engine, position = restore_fixture(tmp_path, kind)
+        stream = hmemento_stream(kind)
+        with engine, build_engine(read_checkpoint(
+            TUPLE_KEY_CHECKPOINTS[kind]
+        ).spec) as reference:
+            engine.update_many(stream[position:])
+            reference.update_many(stream)
+            assert hmemento_answers(engine.sketch) == hmemento_answers(
+                reference.sketch
+            )
+            restored, live = engine.sketch._memento, reference.sketch._memento
+            assert memento_digest(restored) == memento_digest(live)
+            assert list(restored._y._index) == list(live._y._index)
+            assert pickle.dumps(engine.sketch) == pickle.dumps(reference.sketch)
+            # and the restored sketch checkpoints in the code layout
+            store = CheckpointStore(tmp_path / "again")
+            store.save(reference.spec, len(stream), engine.snapshot_state())
+            again, _ = store.restore()
+            with again:
+                assert pickle.dumps(again.sketch) == pickle.dumps(reference.sketch)
 
 
 class TestStore:

@@ -9,7 +9,10 @@ restored through :meth:`CheckpointStore.restore`, the daemon's
 * an embedded spec that names another family, a sharded stack, or the
   same family with another geometry;
 * bit flips in the pickled state with the CRC recomputed, so every
-  flip reaches the unpickler and the engine's shape check.
+  flip reaches the unpickler and the engine's shape check;
+* one chosen flip per family, a ``MEMOIZE`` opcode (``0x94``) turned
+  into ``BYTEARRAY8`` (``0x96``), whose next eight bytes then declare a
+  length past the end of the state.
 
 The first three end in :class:`CheckpointError` or in a restore whose
 answers equal the original's.  A bit flip inside a count, a key or a
@@ -18,7 +21,10 @@ which nothing in a checkpoint (its CRC is recomputed here by
 construction) can tell from the real one; so for flips the loader's
 contract is pinned instead: a restore either raises
 ``CheckpointError`` or returns an engine, never another exception, and
-the fuzz must reach both refusals and clean restores.
+the fuzz must reach both refusals and clean restores.  The chosen flip
+must be refused by the opcode walk that precedes unpickling, so the
+unpickler never allocates the declared length (nor prints CPython's
+``SystemError ... exported buffers`` to stderr).
 
 The case counts are fixed and the whole module runs in a few seconds.
 """
@@ -26,8 +32,10 @@ The case counts are fixed and the whole module runs in a few seconds.
 from __future__ import annotations
 
 import json
+import pickletools
 import random
 import struct
+import sys
 import zlib
 from collections import Counter
 
@@ -39,6 +47,7 @@ from repro.service.checkpoint import (
     MAGIC,
     CheckpointError,
     CheckpointStore,
+    read_checkpoint,
     write_checkpoint,
 )
 
@@ -224,3 +233,27 @@ def test_bit_flips_past_the_crc_raise_only_checkpoint_errors(
                 tally["other answers"] += 1
     assert sum(tally.values()) == FLIPS * len(FAMILIES)
     assert tally["refused"] > 0 and tally["same answers"] > 0, tally
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_length_past_the_end_is_refused_before_allocating(
+    tmp_path, originals, family, capfd
+):
+    original = originals[family]
+    blob = original.blob
+    for opcode, _, pos in pickletools.genops(blob):
+        declared = int.from_bytes(blob[pos + 1 : pos + 9], "little")
+        # past the end, and a size the C unpickler would try to allocate
+        if opcode.name == "MEMOIZE" and len(blob) < declared <= sys.maxsize:
+            break
+    else:
+        pytest.fail("no MEMOIZE opcode followed by a length to allocate")
+    flipped = blob[:pos] + b"\x96" + blob[pos + 1 :]
+    header = {**original.header, "state_crc": zlib.crc32(flipped)}
+    path = tmp_path / "flipped.bin"
+    path.write_bytes(envelope(header, flipped))
+    capfd.readouterr()
+    # refused by the walk, which names the opcode, not by a MemoryError
+    with pytest.raises(CheckpointError, match=f"expected {declared} bytes in a bytearray8"):
+        read_checkpoint(path)
+    assert "exported buffers" not in capfd.readouterr().err
