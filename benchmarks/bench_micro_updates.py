@@ -48,7 +48,15 @@ the reports of ten Batch sampling points whose ``tau`` and batch size
 come from the 10-point byte-budget model (1 byte per packet), one
 ``receive_many`` call per point per 8,000-packet step.  ``ops`` is the
 samples one pass applies, so its ns/op is ns/sample; it also records
-the garbage collections one pass triggers, per generation.  Not gated.
+the garbage collections one pass triggers, per generation.  The
+``hmemento_controller_2d/receive_many`` row is the same controller over
+the source/destination hierarchy (H = 25), fed address pairs.  Not gated.
+
+The ``memento_k/<k>/tau<tau>`` rows time ``Memento.update_many`` at
+W = 100k for k in {512, 2,048, 12,500} and tau in {1, 1/16}, one row per
+pair: the paper claims a per-packet cost independent of ``k``.  At
+k = 12,500 and tau = 1/16 the overflow quantum is 1, where Memento skips
+its in-frame Space Saving.  Not gated.
 
 The ``memento_state/{build,dump,load}/<geometry>`` rows time building an
 empty Memento, ``pickle.dumps`` of a filled one and ``pickle.loads`` of
@@ -57,6 +65,11 @@ that blob — what a service checkpoint and a resident shard's
 tau = 1/8) and at the flat workloads' (W = 1M, k = 1024, tau = 1/16).
 Each checks that the loaded sketch re-pickles to the same bytes and
 answers the same estimates.  They are not gated.
+
+``--baseline FILE`` copies, for every row also in ``FILE`` (a result
+file of an earlier commit), that file's seconds per op next to this
+run's into ``extra.baseline``, so one trail holds both sides of a
+change.
 """
 
 from __future__ import annotations
@@ -65,6 +78,7 @@ import argparse
 import gc
 import pickle
 import sys
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -73,13 +87,12 @@ import pytest
 try:
     import repro  # noqa: F401 - probe for an installed package
 except ModuleNotFoundError:  # uninstalled checkout: fall back to src/
-    from pathlib import Path
-
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro import (
     MST,
     RHHH,
+    SRC_DST_HIERARCHY,
     ExactWindowCounter,
     HMemento,
     Memento,
@@ -87,7 +100,7 @@ from repro import (
     SpaceSaving,
     generate_trace,
 )
-from repro.bench import BenchResult, bench, repo_root, write_results
+from repro.bench import BenchResult, bench, load_results, repo_root, write_results
 from repro.core.kernel import make_plan
 from repro.engine import SketchSpec
 from repro.hierarchy.hhh_output import calc_pred_1d, compute_hhh, group_by_depth
@@ -243,6 +256,13 @@ MIN_QUERY_SPEEDUP = 2.0
 #: tenth packet of an 8,000-packet step (the hhh-netwide deployment)
 CONTROLLER_POINTS = 10
 CONTROLLER_STEP = 8000
+
+#: the memento_k rows: Memento at W = 100k across counter budgets, on
+#: K_PACKETS packets (eight windows) per pass
+K_WINDOW = 100_000
+K_COUNTERS = (512, 2048, 12_500)
+K_TAUS = (("1", 1.0), ("1_16", 1 / 16))
+K_PACKETS = 800_000
 
 #: the memento_state rows: (label, window, counters, tau, packets fed
 #: before the dump); builds are timed BUILDS to a pass
@@ -512,8 +532,55 @@ def gc_collections() -> List[int]:
     return [gen["collections"] for gen in gc.get_stats()]
 
 
+def run_k_rows(stream: list, warmup: int, repeats: int) -> List[BenchResult]:
+    """Time ``Memento.update_many`` over ``stream`` per (k, tau) pair."""
+    results: List[BenchResult] = []
+    for counters in K_COUNTERS:
+        for label, tau in K_TAUS:
+
+            def feed():
+                drive_batch(
+                    Memento(K_WINDOW, counters=counters, tau=tau, seed=1), stream
+                )
+
+            spec = SketchSpec.from_dict(
+                {
+                    "algorithm": {
+                        "family": "memento",
+                        "window": K_WINDOW,
+                        "counters": counters,
+                        "tau": tau,
+                        "seed": 1,
+                    }
+                }
+            ).to_dict()
+            quantum = Memento(K_WINDOW, counters=counters, tau=tau).sample_block
+            results.append(
+                bench(
+                    feed,
+                    name=f"memento_k/{counters}/tau{label}",
+                    ops=len(stream),
+                    warmup=warmup,
+                    repeats=repeats,
+                    metadata={
+                        "path": "batch",
+                        "case": "memento_k",
+                        "chunk": CHUNK,
+                        "quantum": quantum,
+                        "spec": spec,
+                        "transport": None,
+                    },
+                )
+            )
+    return results
+
+
 def run_controller_row(
-    stream: list, window: int, warmup: int, repeats: int
+    stream: list,
+    window: int,
+    warmup: int,
+    repeats: int,
+    hierarchy=SRC_HIERARCHY,
 ) -> BenchResult:
     """Time ``receive_many`` of a D-H-Memento controller over ``stream``.
 
@@ -522,7 +589,7 @@ def run_controller_row(
     """
     model = BudgetModel(
         points=CONTROLLER_POINTS, header=64, payload=4, budget=1.0,
-        window=window, hierarchy_size=SRC_HIERARCHY.num_patterns, delta=0.001,
+        window=window, hierarchy_size=hierarchy.num_patterns, delta=0.001,
     )
     batch = model.optimal_batch()
     tau = model.tau(batch)
@@ -540,7 +607,7 @@ def run_controller_row(
     samples = sum(len(report.samples) for reports in calls for report in reports)
     controllers = iter([
         SketchController(
-            HMemento(window, SRC_HIERARCHY, counters=window // 8, tau=tau, seed=1)
+            HMemento(window, hierarchy, counters=window // 8, tau=tau, seed=1)
         )
         for _ in range(warmup + repeats)
     ])
@@ -553,15 +620,17 @@ def run_controller_row(
             receive_many(reports)
         collections.append([b - a for a, b in zip(before, gc_collections())])
 
+    two_d = hierarchy.dimensions == 2
+    case = "hmemento_controller_2d" if two_d else "hmemento_controller"
     row = bench(
         one_pass,
-        name="hmemento_controller/receive_many",
+        name=f"{case}/receive_many",
         ops=samples,
         warmup=warmup,
         repeats=repeats,
         metadata={
             "path": "receive_many",
-            "case": "hmemento_controller",
+            "case": case,
             "packets": len(stream),
             "points": CONTROLLER_POINTS,
             "report_batch": batch,
@@ -575,7 +644,7 @@ def run_controller_row(
                         "tau": tau,
                         "seed": 1,
                     },
-                    "hierarchy": {"kind": "src"},
+                    "hierarchy": {"kind": "src_dst" if two_d else "src"},
                 }
             ).to_dict(),
             "transport": None,
@@ -702,6 +771,27 @@ def run_harness(
     return results, speedups
 
 
+def baseline_figures(
+    results: Sequence[BenchResult], path: str
+) -> Dict[str, Dict[str, float]]:
+    """Seconds per op of every row of ``results`` also in the result
+    file ``path``, there and here."""
+    theirs = {
+        row["name"]: row["seconds"] / row["ops"]
+        for row in load_results(path)["results"]
+    }
+    figures = {}
+    for row in results:
+        if row.name in theirs:
+            ours = row.seconds / row.ops
+            figures[row.name] = {
+                "baseline_s_per_op": theirs[row.name],
+                "s_per_op": ours,
+                "speedup": theirs[row.name] / ours,
+            }
+    return figures
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -713,6 +803,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--out",
         default=None,
         help="output JSON path (default: BENCH_micro_updates.json at repo root)",
+    )
+    parser.add_argument(
+        "--baseline",
+        default=None,
+        help="a result file of an earlier commit to record next to this run",
     )
     args = parser.parse_args(argv)
     n = 4_000 if args.smoke else N
@@ -743,6 +838,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         repeats=repeats,
     )
     results.append(controller)
+    pairs = make_stream(4 * hhh_window)
+    results.append(
+        run_controller_row(
+            list(zip(pairs, reversed(pairs))),
+            hhh_window,
+            warmup=0 if args.smoke else 1,
+            repeats=repeats,
+            hierarchy=SRC_DST_HIERARCHY,
+        )
+    )
+    results.extend(
+        run_k_rows(
+            make_stream(n if args.smoke else K_PACKETS),
+            warmup=0 if args.smoke else 1,
+            repeats=1 if args.smoke else 3,
+        )
+    )
     results.extend(
         run_state_rows(
             warmup=0 if args.smoke else 1,
@@ -752,21 +864,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
 
     out = args.out or (repo_root() / "BENCH_micro_updates.json")
-    write_results(
-        out,
-        results,
-        extra={
-            "workload": {
-                "packets": n,
-                "window": WINDOW,
-                "chunk": CHUNK,
-                "hhh_window": hhh_window,
-                "gated_packets": n if args.smoke else GATED_PACKETS,
-            },
-            "speedups": speedups,
-            "smoke": args.smoke,
+    extra: Dict[str, object] = {
+        "workload": {
+            "packets": n,
+            "window": WINDOW,
+            "chunk": CHUNK,
+            "hhh_window": hhh_window,
+            "gated_packets": n if args.smoke else GATED_PACKETS,
+            "k_packets": n if args.smoke else K_PACKETS,
         },
-    )
+        "speedups": speedups,
+        "smoke": args.smoke,
+    }
+    if args.baseline:
+        extra["baseline"] = {
+            "file": Path(args.baseline).name,
+            "rows": baseline_figures(results, args.baseline),
+        }
+    write_results(out, results, extra=extra)
 
     width = max(len(name) for name, _ in CASES)
     print(f"{'case'.ljust(width)}  {'scalar ops/s':>14}  {'batch ops/s':>14}  speedup")
@@ -797,12 +912,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"{shipped.ops_per_sec:>14,.0f}  {speedups[case]:>6.2f}x"
             f"  (full scan vs threshold, candidates/s)"
         )
-    print(
-        f"{'hmemento_controller'.ljust(width)}  "
-        f"{controller.metadata['ns_per_sample']:>14,.0f}  "
-        f"{'':>14}  (receive_many, ns/sample; gc collections per pass "
-        f"{controller.metadata['gc_collections_per_pass']})"
-    )
+    for case in ("hmemento_controller", "hmemento_controller_2d"):
+        row = by_name[f"{case}/receive_many"]
+        print(
+            f"{case.ljust(width)}  {row.metadata['ns_per_sample']:>14,.0f}  "
+            f"{'':>14}  (receive_many, ns/sample; gc collections per pass "
+            f"{row.metadata['gc_collections_per_pass']})"
+        )
+    for counters in K_COUNTERS:
+        rows = [by_name[f"memento_k/{counters}/tau{label}"] for label, _ in K_TAUS]
+        figures = "  ".join(
+            f"tau{label} {row.seconds / row.ops * 1e9:.0f}"
+            for (label, _), row in zip(K_TAUS, rows)
+        )
+        print(f"{('k/' + str(counters)).ljust(width)}  {figures}  (update_many, ns/pkt)")
     for label, *_ in STATE_GEOMETRIES:
         rows = [by_name[f"memento_state/{op}/{label}"] for op in ("build", "dump", "load")]
         times = "  ".join(

@@ -46,6 +46,20 @@ A query combines the overflow count with the in-frame remainder::
 where ``blk = W/k`` and the ``+2`` blocks keep the error one-sided
 (an overestimate), matching MST for comparability (Section 4.1).
 
+At overflow quantum 1 (``sample_block == 1``: one-packet blocks, or
+``tau·W/k`` rounding to at most 1, as at the network-wide controller's
+geometry) every Full update writes an overflow record whatever ``y``
+counts, and ``B`` is an exact, block-granular count of the samples in
+the window.  Memento then leaves ``y`` empty: ``full_update`` and the
+kernel only append the record and bump ``B``.  No answer needs ``y``
+there: ``y.query(x) mod 1`` is 0; no flow is known to ``y`` alone,
+since a sampled key's record outlives its frame; and a key absent from
+``B`` had no sampled arrival in the frame, so its exact in-frame count
+is 0 and it answers ``2·blk/tau`` (``query_lower`` 0) — Algorithm 1's
+bound at that count, tighter than ``(2·blk + min(y))/tau`` and still
+one-sided.  A filled ``y`` restored from an older checkpoint is a valid
+Space Saving all the same, and the next frame flush empties it.
+
 Batch ingestion has one sampled kernel.  ``ingest_plan`` (after drawing
 the decision column when the plan is not yet sampled — the
 ``update_many``/``extend`` feed), ``full_update_many``, ``ingest_samples``
@@ -253,13 +267,18 @@ class Memento(BatchIngest):
         """Slide the window *and* insert ``item`` (Algorithm 1 lines 12-18)."""
         self.window_update()
         self._full_updates += 1
-        y = self._y
-        y.add(item)
-        if y.query(item) % self.sample_block == 0:  # overflow
-            self._fifo.append(item)
-            self._counts[-1] += 1
-            offsets = self._offsets
-            offsets[item] = offsets.get(item, 0) + 1
+        quantum = self.sample_block
+        if quantum > 1:
+            y = self._y
+            y.add(item)
+            if y.query(item) % quantum:
+                return
+        # an overflow; at quantum 1 every Full update is one, and y is
+        # left empty
+        self._fifo.append(item)
+        self._counts[-1] += 1
+        offsets = self._offsets
+        offsets[item] = offsets.get(item, 0) + 1
 
     def full_update_many(self, items: Sequence[Hashable]) -> None:
         """Perform one Full update per item (a dense plan for the kernel).
@@ -396,8 +415,9 @@ class Memento(BatchIngest):
         tight slice loop whose body is the inlined Space Saving unit
         increment (the steps of ``SpaceSaving.update_many``, with the
         free-counter insert at value 1 spelled out) plus the overflow
-        check.  The span's appends are settled against the newest count
-        when it ends.
+        check; at quantum 1 the body only appends the record and bumps
+        ``B``, and ``y`` is left alone.  The span's appends are settled
+        against the newest count when it ends.
         """
         if n <= 0:
             return
@@ -434,6 +454,7 @@ class Memento(BatchIngest):
         popleft = fifo.popleft
         counts = self._counts
         quantum = self.sample_block
+        counting = quantum > 1  # y counts only above quantum 1
         k = self.k
         blocks = self._blocks_into_frame
         s = lo = 0
@@ -482,80 +503,87 @@ class Memento(BatchIngest):
                         else:
                             del offsets[old_id]
                         popped += 1
-                for item in items[lo:b]:
-                    # fused unit increment: successor-absorb, in-place
-                    # bump, splice, or min-eviction
-                    bucket = y_index_get(item)
-                    if bucket is not None:
-                        keys = bucket.keys
-                        value = bucket.value + 1
-                        node = bucket.next
-                        if node is not None and node.value == value:
-                            node.keys[item] = keys.pop(item)
-                            y_index[item] = node
-                            if not keys:
-                                prev_b = bucket.prev
-                                if prev_b is not None:
-                                    prev_b.next = node
-                                else:
-                                    y._head = node
-                                node.prev = prev_b
-                        elif len(keys) == 1:
-                            bucket.value = value
-                        else:
-                            fresh = _Bucket(value)
-                            fresh.keys[item] = keys.pop(item)
-                            fresh.prev, fresh.next = bucket, node
-                            bucket.next = fresh
-                            if node is not None:
-                                node.prev = fresh
-                            y_index[item] = fresh
-                    elif size < y_counters:
-                        # a free counter: join or open the value-1 head
-                        size += 1
-                        value = 1
-                        head = y._head
-                        if head is not None and head.value == 1:
-                            head.keys[item] = 0
-                            y_index[item] = head
-                        else:
-                            fresh = _Bucket(1)
-                            fresh.keys[item] = 0
-                            fresh.next = head
-                            if head is not None:
-                                head.prev = fresh
-                            y._head = fresh
-                            y_index[item] = fresh
-                    else:
-                        head = y._head
-                        keys = head.keys
-                        victim = next(iter(keys))
-                        min_value = head.value
-                        value = min_value + 1
-                        node = head.next
-                        del keys[victim]
-                        del y_index[victim]
-                        if node is not None and node.value == value:
-                            node.keys[item] = min_value
-                            y_index[item] = node
-                            if not keys:
-                                y._head = node
-                                node.prev = None
-                        elif not keys:
-                            keys[item] = min_value
-                            head.value = value
-                            y_index[item] = head
-                        else:
-                            fresh = _Bucket(value)
-                            fresh.keys[item] = min_value
-                            fresh.prev, fresh.next = head, node
-                            head.next = fresh
-                            if node is not None:
-                                node.prev = fresh
-                            y_index[item] = fresh
-                    if value % quantum == 0:  # overflow
+                if not counting:
+                    # quantum 1: every Full update overflows, so y is
+                    # left empty and each sample only writes its record
+                    for item in items[lo:b]:
                         fifo.append(item)
                         offsets[item] = offsets_get(item, 0) + 1
+                else:
+                    for item in items[lo:b]:
+                        # fused unit increment: successor-absorb, in-place
+                        # bump, splice, or min-eviction
+                        bucket = y_index_get(item)
+                        if bucket is not None:
+                            keys = bucket.keys
+                            value = bucket.value + 1
+                            node = bucket.next
+                            if node is not None and node.value == value:
+                                node.keys[item] = keys.pop(item)
+                                y_index[item] = node
+                                if not keys:
+                                    prev_b = bucket.prev
+                                    if prev_b is not None:
+                                        prev_b.next = node
+                                    else:
+                                        y._head = node
+                                    node.prev = prev_b
+                            elif len(keys) == 1:
+                                bucket.value = value
+                            else:
+                                fresh = _Bucket(value)
+                                fresh.keys[item] = keys.pop(item)
+                                fresh.prev, fresh.next = bucket, node
+                                bucket.next = fresh
+                                if node is not None:
+                                    node.prev = fresh
+                                y_index[item] = fresh
+                        elif size < y_counters:
+                            # a free counter: join or open the value-1 head
+                            size += 1
+                            value = 1
+                            head = y._head
+                            if head is not None and head.value == 1:
+                                head.keys[item] = 0
+                                y_index[item] = head
+                            else:
+                                fresh = _Bucket(1)
+                                fresh.keys[item] = 0
+                                fresh.next = head
+                                if head is not None:
+                                    head.prev = fresh
+                                y._head = fresh
+                                y_index[item] = fresh
+                        else:
+                            head = y._head
+                            keys = head.keys
+                            victim = next(iter(keys))
+                            min_value = head.value
+                            value = min_value + 1
+                            node = head.next
+                            del keys[victim]
+                            del y_index[victim]
+                            if node is not None and node.value == value:
+                                node.keys[item] = min_value
+                                y_index[item] = node
+                                if not keys:
+                                    y._head = node
+                                    node.prev = None
+                            elif not keys:
+                                keys[item] = min_value
+                                head.value = value
+                                y_index[item] = head
+                            else:
+                                fresh = _Bucket(value)
+                                fresh.keys[item] = min_value
+                                fresh.prev, fresh.next = head, node
+                                head.next = fresh
+                                if node is not None:
+                                    node.prev = fresh
+                                y_index[item] = fresh
+                        if value % quantum == 0:  # overflow
+                            fifo.append(item)
+                            offsets[item] = offsets_get(item, 0) + 1
                 lo = b
                 if b == hi and popped == end:
                     break
@@ -569,8 +597,9 @@ class Memento(BatchIngest):
             self._countdown = block_size - (n - 1 - rots[-1])
         else:
             self._countdown -= n
-        y._size = size
-        y._items = fresh_items + len(items) - fresh_lo
+        if counting:
+            y._size = size
+            y._items = fresh_items + len(items) - fresh_lo
         self._blocks_into_frame = blocks
         self._updates += n
         self._full_updates += len(items)
@@ -585,6 +614,9 @@ class Memento(BatchIngest):
         bound (in the WCSS sense) that includes the conservative ``+2``
         blocks.  Counts are in sampled units, so the block quantum is
         :attr:`sample_block` (equal to ``block_size`` when ``tau = 1``).
+        At quantum 1 ``y`` stays empty, so a key absent from ``B``
+        answers exactly ``2 * sample_block``: it had no sampled arrival
+        this frame (see the module docstring).
         """
         blk = self.sample_block
         overflows = self._offsets.get(item)

@@ -31,9 +31,11 @@ as the equivalent explicit construction under a fixed seed — pinned by
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 from typing import (
     Any,
+    Callable,
     Dict,
     FrozenSet,
     Hashable,
@@ -47,7 +49,11 @@ from typing import (
 )
 
 from ..core.api import Entry
+from ..core.exact import ExactWindowCounter
 from ..core.memento import Memento
+from ..core.mst import MST, WindowBaseline
+from ..core.rhhh import RHHH
+from ..core.space_saving import SpaceSaving
 from ..hierarchy.domain import Hierarchy
 from ..sharding.sharded import ShardedSketch
 from .registry import AlgorithmInfo, algorithm_info
@@ -316,9 +322,11 @@ class HeavyHitterEngine:
         with ``ValueError``: sharded against bare, or a sketch whose
         class or attribute names differ from the one the spec builds
         (a checkpoint whose spec names another family, or whose state
-        was damaged past its CRC).  So does a Memento, bare, sharded or
-        inside H-Memento, whose overflow records disagree with
-        themselves (see :func:`_check_memento`).
+        was damaged past its CRC).  So does a state whose counters
+        disagree with themselves: a Memento's overflow records, a Space
+        Saving's counters and their total, an exact counter's counts and
+        its ring, or a per-pattern sketch's keys and its patterns, bare,
+        sharded or nested (see :func:`_check_shape`).
         """
         if not isinstance(snapshot, dict) or set(snapshot) != {"kind", "state"}:
             raise ValueError("snapshot is not a {'kind', 'state'} mapping")
@@ -415,8 +423,9 @@ def _check_shape(built: object, adopted: object, where: str) -> None:
     inner sketches, hierarchies) it holds, alone or in a list.
 
     Values are not compared: a restored sketch's counts are its own,
-    though each Memento met on the way must agree with itself
-    (:func:`_check_memento`).
+    though each Memento, Space Saving, exact window counter and
+    per-pattern sketch met on the way must agree with itself
+    (:func:`_check_memento` and the other ``_check_*`` functions).
     """
     if type(adopted) is not type(built):
         raise ValueError(
@@ -442,35 +451,146 @@ def _check_shape(built: object, adopted: object, where: str) -> None:
                 )
             for index, (inner, other) in enumerate(zip(mine, theirs)):
                 _check_shape(inner, other, f"{where}.{name}[{index}]")
-    if isinstance(adopted, Memento):
-        _check_memento(adopted, where)
+    check = next(
+        (_CHECKS[cls] for cls in type(adopted).__mro__ if cls in _CHECKS), None
+    )
+    if check is None:
+        return
+    try:
+        problem = check(adopted)
+    except (TypeError, ArithmeticError) as exc:  # a value of the wrong type
+        problem = str(exc)
+    if problem is not None:
+        raise ValueError(
+            f"{where} ({type(adopted).__name__}) is damaged: {problem}"
+        )
 
 
-def _check_memento(m: Memento, where: str) -> None:
-    """Raise ``ValueError`` unless a restored Memento is self-consistent.
+# Each check below returns what is wrong with a restored object, or None
+# when it agrees with itself.  A state damaged past its CRC can still
+# pass: a flipped counter value or key can be well-formed.
 
-    The count ring holds ``k + 1`` counts, each in ``[0, block_size]``
+
+def _check_memento(m: Memento) -> Optional[str]:
+    """The count ring holds ``k + 1`` counts, each in ``[0, block_size]``
     (a block takes at most one record per update); they sum to the
     FIFO's length; the overflow table ``B`` counts the FIFO's records
-    exactly (so every count is above 0); and ``y`` tracks as many keys
-    as its index holds, at most ``k``.  A state damaged past its CRC
-    can still pass: a flipped counter value is well-formed.
-    """
-    try:
-        counts = m._counts
-        y = m._y
-        if len(counts) != m.k + 1 or not all(
-            0 <= count <= m.block_size for count in counts
-        ):
-            problem = f"its count ring is not {m.k + 1} counts in [0, {m.block_size}]"
-        elif sum(counts) != len(m._fifo):
-            problem = "its count ring does not sum to its FIFO's length"
-        elif Counter(m._fifo) != m._offsets:
-            problem = "its overflow table does not count its FIFO's records"
-        elif not y._size == len(y._index) <= m.k:
-            problem = "its Space Saving's size disagrees with its index or exceeds k"
+    exactly (so every count is above 0); ``y`` has ``k`` counters (it is
+    checked as a Space Saving of its own); and ``1/tau`` is the inverse
+    of ``tau``."""
+    counts = m._counts
+    if len(counts) != m.k + 1 or not all(
+        0 <= count <= m.block_size for count in counts
+    ):
+        return f"its count ring is not {m.k + 1} counts in [0, {m.block_size}]"
+    if sum(counts) != len(m._fifo):
+        return "its count ring does not sum to its FIFO's length"
+    if Counter(m._fifo) != m._offsets:
+        return "its overflow table does not count its FIFO's records"
+    if m._y.counters != m.k:
+        return f"its Space Saving does not have {m.k} counters"
+    if m._inv_tau != 1.0 / m.tau:
+        return "its 1/tau is not the inverse of its tau"
+    return None
+
+
+def _check_space_saving(ss: SpaceSaving) -> Optional[str]:
+    """The bucket chain's values rise strictly from 1; every key's error
+    lies in ``[0, value]``; the index holds exactly the chain's keys, at
+    most ``counters`` of them; and the counters sum to the items
+    processed, as every arrival adds its weight to one counter."""
+    index = ss._index
+    keys = total = 0
+    last = 0
+    bucket = ss._head
+    while bucket is not None:
+        value = bucket.value
+        if value <= last:
+            return "its counter values do not rise strictly from 1"
+        for key, error in bucket.keys.items():
+            if not 0 <= error <= value:
+                return "a key's error is outside [0, its value]"
+            if index.get(key) is not bucket:
+                return "its index does not map a key to its bucket"
+        keys += len(bucket.keys)
+        total += value * len(bucket.keys)
+        last = value
+        bucket = bucket.next
+    if not keys == ss._size == len(index) <= ss.counters:
+        return "its size disagrees with its keys or exceeds its counters"
+    if total != ss._items:
+        return "its counters do not sum to the items it processed"
+    return None
+
+
+def _check_exact(counter: ExactWindowCounter) -> Optional[str]:
+    """The ring holds ``window`` slots and the position is one of them;
+    the counts are exactly the tally of the ring's keys, so their total
+    is the packets the window holds, at most the packets seen."""
+    ring = counter._ring
+    if len(ring) != counter.window or not 0 <= counter._pos < counter.window:
+        return f"its ring is not {counter.window} slots with a position in it"
+    tally = Counter(key for key in ring if key is not None)
+    if tally != counter._counts:
+        return "its counts are not the tally of its ring's keys"
+    if sum(tally.values()) > counter._total:
+        return "its window holds more packets than it has seen"
+    return None
+
+
+def _pattern_problem(sketch: Any) -> Optional[str]:
+    """Every key instance ``i`` of a per-pattern sketch holds is a
+    canonical prefix of pattern ``i``: a key outside the lattice, or in
+    another pattern's instance, is no state the sketch can reach."""
+    hierarchy = sketch.hierarchy
+    code_of = hierarchy.code_of
+    pattern_index = hierarchy.pattern_index
+    for index, instance in enumerate(sketch._instances):
+        if isinstance(instance, Memento):
+            keys: Iterable[Hashable] = chain(instance._offsets, instance._y._index)
         else:
-            return
-    except TypeError as exc:  # a value of the wrong type
-        problem = str(exc)
-    raise ValueError(f"{where} (Memento) is damaged: {problem}")
+            keys = instance._index
+        for key in keys:
+            # a key code_of accepts has a pattern
+            if code_of(key) is None or pattern_index(key) != index:
+                return f"its pattern {index} instance holds {key!r}, not a prefix of it"
+    return None
+
+
+def _check_mst(sketch: MST) -> Optional[str]:
+    """Every pattern's instance counted every packet."""
+    if any(instance._items != sketch._packets for instance in sketch._instances):
+        return "an instance did not count every packet"
+    return _pattern_problem(sketch)
+
+
+def _check_window_baseline(sketch: WindowBaseline) -> Optional[str]:
+    """Every pattern's Memento took every packet."""
+    if any(instance._updates != sketch._packets for instance in sketch._instances):
+        return "an instance did not take every packet"
+    return _pattern_problem(sketch)
+
+
+def _check_rhhh(sketch: RHHH) -> Optional[str]:
+    """The instances counted the sampled packets between them, and the
+    buffered pattern choices name patterns."""
+    patterns = range(sketch.hierarchy.num_patterns)
+    if sum(instance._items for instance in sketch._instances) != sketch._sampled:
+        return "its instances do not sum to its sampled packets"
+    if not sketch._sampled <= sketch._packets:
+        return "it sampled more packets than it saw"
+    if not 0 <= sketch._pattern_pos <= len(sketch._pattern_buf) or not all(
+        choice in patterns for choice in sketch._pattern_buf
+    ):
+        return "its pattern choices are not patterns"
+    return _pattern_problem(sketch)
+
+
+_CHECKS: Dict[type, Callable[[Any], Optional[str]]] = {
+    Memento: _check_memento,
+    SpaceSaving: _check_space_saving,
+    ExactWindowCounter: _check_exact,
+    MST: _check_mst,
+    WindowBaseline: _check_window_baseline,
+    RHHH: _check_rhhh,
+}

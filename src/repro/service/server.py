@@ -78,7 +78,7 @@ from ..engine.spec import SketchSpec
 from .checkpoint import CheckpointStore
 from .protocol import ProtocolError, encode_frame, join_columns, split_frames
 
-__all__ = ["IngestServer", "ServiceDaemon"]
+__all__ = ["ClientStalledError", "IngestServer", "ServiceDaemon"]
 
 #: Queue sentinel asking the pump task to exit.
 _STOP = object()
@@ -89,6 +89,19 @@ _READ_BYTES = 64 * 1024
 
 #: Request ops that get a response (``report`` and ``gap`` get none).
 _SYNC_OPS = ("flush", "query", "heavy_hitters", "top_k", "stats", "checkpoint")
+
+#: Seconds a reply may wait for its client to read it (``drain()``)
+#: before the client is dropped as stalled.
+DRAIN_TIMEOUT = 10.0
+
+
+class ClientStalledError(ConnectionError):
+    """A client left a reply unread for :data:`DRAIN_TIMEOUT` seconds.
+
+    Its connection handler drops it: the unread replies are discarded
+    and the connection is aborted.  Other clients never wait on it, and
+    ``stats`` counts the drop as ``stalled_clients``.
+    """
 
 
 class IngestServer:
@@ -136,6 +149,7 @@ class IngestServer:
         self._checkpoint_pauses: List[float] = []
         self._inflight = 0
         self._inflight_peak = 0
+        self._stalled_clients = 0
         self._failure: Optional[str] = None
         self._started = False
         self._closed = False
@@ -267,6 +281,7 @@ class IngestServer:
             "inflight_peak_bytes": self._inflight_peak,
             "max_inflight_bytes": self._service.max_inflight_bytes,
             "clients": len(self._handler_tasks),
+            "stalled_clients": self._stalled_clients,
             "checkpoints_written": self._checkpoints_written,
             "last_checkpoint_position": self._last_checkpoint_position,
             "checkpoint_pauses_s": list(pauses),
@@ -466,21 +481,35 @@ class IngestServer:
                                 "id": request_id, "ok": False, "error": str(exc)
                             }
                     writer.write(encode_frame(response))
-                    await writer.drain()
-        except (
-            ProtocolError,
-            ConnectionResetError,
-            BrokenPipeError,
-            asyncio.CancelledError,
-        ):
+                    try:
+                        await asyncio.wait_for(writer.drain(), DRAIN_TIMEOUT)
+                    except asyncio.TimeoutError:
+                        raise ClientStalledError(
+                            f"reply {request_id!r} unread for {DRAIN_TIMEOUT} s"
+                        ) from None
+        except ClientStalledError:
+            # its unread replies go nowhere: a graceful close would wait
+            # for the client to read them
+            self._stalled_clients += 1
+            writer.transport.abort()
+        except asyncio.CancelledError:
+            # stop(): likewise, whether or not the client reads
+            writer.transport.abort()
+            raise
+        except (ProtocolError, ConnectionResetError, BrokenPipeError):
             pass
         finally:
             self._handler_tasks.discard(task)
             writer.close()
             try:
-                await writer.wait_closed()
+                await asyncio.wait_for(writer.wait_closed(), DRAIN_TIMEOUT)
             except (ConnectionResetError, BrokenPipeError):
                 pass
+            except asyncio.TimeoutError:
+                writer.transport.abort()
+            except asyncio.CancelledError:
+                writer.transport.abort()
+                raise
 
 
 class ServiceDaemon:

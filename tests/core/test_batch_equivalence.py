@@ -35,6 +35,8 @@ from repro import (
 )
 from repro.core.kernel import make_plan, plan_from_positions
 from repro.core.sampling import draw_decision_array
+from repro.netwide.controller import SketchController
+from repro.netwide.messages import BatchReport
 from repro.traffic.synth import BACKBONE, DATACENTER
 
 # A window of 1000 with 32 counters gives block_size 32 and frames of
@@ -643,6 +645,88 @@ class TestEveryPathMatchesScalar:
             ) == pickle.dumps(
                 (twin._sampler, twin._pattern_rng, twin._pattern_buf)
             )
+
+
+def q1_update_many(sketch, twin, stream):
+    for lo in range(0, len(stream), 997):
+        chunk = stream[lo : lo + 997]
+        sketch.update_many(chunk)
+        scalar_feed(twin, chunk)
+        yield
+
+
+def q1_receive_many(sketch, twin, stream):
+    """Batch reports of 5-41 samples, each covering ``1/tau`` packets per
+    sample plus 0-2, applied nine at a time by a controller; the twin
+    takes a Full update per sample and a Window update per other packet."""
+    controller = SketchController(sketch)
+    per_sample = round(1 / sketch.tau)
+    reports = []
+    i, size = 0, 5
+    while i < len(stream):
+        samples = tuple(stream[i : i + size])
+        reports.append(BatchReport(0, samples, len(samples) * per_sample + i % 3, 0))
+        i += size
+        size = size % 37 + 6
+    for lo in range(0, len(reports), 9):
+        controller.receive_many(reports[lo : lo + 9])
+        for report in reports[lo : lo + 9]:
+            for item in report.samples:
+                twin.full_update(item)
+            for _ in range(report.covered - len(report.samples)):
+                twin.window_update()
+        yield
+
+
+def q1_ingest_gap(sketch, twin, stream):
+    """Sample runs and gaps, one of them more than two frames long."""
+    frame = sketch.effective_window
+    i = step = 0
+    while i < len(stream):
+        chunk = stream[i : i + 3 + step % 50]
+        i += len(chunk)
+        gap = 2 * frame + 5 if step == 40 else step % 17 * round(1 / sketch.tau)
+        sketch.ingest_samples(chunk)
+        sketch.ingest_gap(gap)
+        for item in chunk:
+            twin.full_update(item)
+        for _ in range(gap):
+            twin.window_update()
+        step += 1
+        yield
+
+
+Q1_FEEDS = {
+    "update_many": q1_update_many,
+    "receive_many": q1_receive_many,
+    "ingest_gap": q1_ingest_gap,
+}
+
+
+class TestQuantumOne:
+    """At overflow quantum 1 every Full update writes an overflow record,
+    and Memento leaves ``y`` empty: each batch feed still leaves the state
+    of its scalar twin, and ``y`` stays empty on both after every step."""
+
+    @pytest.mark.parametrize("feed", sorted(Q1_FEEDS))
+    @pytest.mark.parametrize(
+        "window, counters, tau",
+        [(512, 512, 1.0), (2000, 250, 1 / 8), (TINY_WINDOW, TINY_COUNTERS, 0.25)],
+        ids=["block1-tau1", "block8-tau1/8", "tiny-tau1/4"],
+    )
+    def test_feed_matches_scalar_and_y_stays_empty(
+        self, stream, window, counters, tau, feed
+    ):
+        sketch, twin = (
+            Memento(window, counters=counters, tau=tau, seed=5) for _ in range(2)
+        )
+        assert sketch.sample_block == 1
+        for _ in Q1_FEEDS[feed](sketch, twin, stream):
+            for m in (sketch, twin):
+                assert not m._y.monitored and not m._y.processed
+        assert sketch.full_updates and sketch._offsets
+        assert memento_state(sketch) == memento_state(twin)
+        assert pickle.dumps(sketch) == pickle.dumps(twin)
 
 
 class TestColumnFeed:

@@ -7,10 +7,15 @@ deques into one FIFO with a ring of per-block counts.  Each digest was
 recorded on the block-deque layout, where the flattened records are the
 deques laid end to end and the per-block lengths are their lengths.
 
-A digest covers the overflow table ``B`` with its insertion order, every
-overflow record in order, every block's record count, ``y``'s bucket
-chain and key order, the update counters and the frame position, and the
-``heavy_hitters`` answer with its order.
+A state digest covers the overflow table ``B`` with its insertion order,
+every overflow record in order, every block's record count, the update
+counters and the frame position, and the ``heavy_hitters`` answer with
+its order; a second digest covers ``y``'s bucket chain and key order.
+At overflow quantum 1 (the ``controller`` geometry) every Full update
+writes an overflow record whatever ``y`` counts, so Memento leaves ``y``
+empty there: its state digests still equal the block-deque layout's
+(computed, without ``y``, on the commit before that change, whose full
+digests matched), and ``y`` is checked to be empty instead of pinned.
 """
 
 from __future__ import annotations
@@ -115,58 +120,93 @@ def block_records(m: Memento):
     return list(m._fifo), list(m._counts)
 
 
-def digest(m: Memento, theta: float) -> str:
+def y_chain(m: Memento) -> tuple:
+    """``y``'s bucket chain and key order."""
     y = m._y
     chain = []
     bucket = y._head
     while bucket is not None:
         chain.append((bucket.value, list(bucket.keys.items())))
         bucket = bucket.next
+    return chain, list(y._index)
+
+
+def state(m: Memento, theta: float) -> tuple:
+    """Everything but ``y``."""
     records, counts = block_records(m)
-    state = (
+    return (
         list(m._offsets.items()),
         records,
         counts,
-        chain,
-        list(y._index),
         m.updates,
         m.full_updates,
         m.frame_position,
         list(m.heavy_hitters(theta).items()),
     )
-    return hashlib.sha256(repr(state).encode()).hexdigest()
 
 
-def run(geometry: str, feed: str) -> str:
+def digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def run(geometry: str, feed: str) -> tuple:
     window, counters, tau, seed, packets, theta = GEOMETRIES[geometry]
     m = Memento(window, counters=counters, tau=tau, seed=seed)
     FEEDS[feed](m, keys(packets, seed))
-    return digest(m, theta)
+    return m, theta
 
 
-#: recorded on the block-deque layout; a scalar feed and its update_many
-#: twin pin one digest
+#: state digests without ``y``, computed on the FIFO layout whose full
+#: digests matched the block-deque layout's; a scalar feed and its
+#: update_many twin pin one digest
 PINNED = {
-    "tau1-scalar": "2c5f071091038060a834599c8b4480d2ecc3d4e9934dc2bc27017b9f2e352d99",
-    "tau1-update_many": "2c5f071091038060a834599c8b4480d2ecc3d4e9934dc2bc27017b9f2e352d99",
-    "tau1-receive_many": "197c20fd3f8d71763a814318df8036970c64de9925f9b03fdb17c96cdad1d5bb",
-    "tau1-ingest_gap": "946953ffdbe0f95644aa3700c4f3f415d9870dc980259df5aea11ce5aa36a221",
-    "tau1_16-scalar": "d77d77bf81066b314fcf4d7b3c94c000b6de54432b992cae3de754fce7e1ba8d",
-    "tau1_16-update_many": "d77d77bf81066b314fcf4d7b3c94c000b6de54432b992cae3de754fce7e1ba8d",
-    "tau1_16-receive_many": "1cbefcf004bf762efa3acd8c35cc97e9451e9ba59cfca2a91cb49915a0455542",
-    "tau1_16-ingest_gap": "285b1c6851b620e4cf0f1a5e0c7e7f01afb3155642600c0211935a395e645b4a",
-    "controller-scalar": "a73189bb0f6a7be707432f49620f609291d56f2bc30aa915348b312729c1a6be",
-    "controller-update_many": "a73189bb0f6a7be707432f49620f609291d56f2bc30aa915348b312729c1a6be",
-    "controller-receive_many": "020444cfed25352038dcbe49f65318f427d7a363b6034d314944be02f3eb0160",
-    "controller-ingest_gap": "621c51ad9a50a9a966604201ab0e7c782854407990ae483df802bbfb01685ef6",
+    "tau1-scalar": "9c907445c1972e5a9f20cf576c3774dd5de39e0cf4ab6dd6b9205649dcb8f356",
+    "tau1-update_many": "9c907445c1972e5a9f20cf576c3774dd5de39e0cf4ab6dd6b9205649dcb8f356",
+    "tau1-receive_many": "8afd63cd7e3963b478d28d5eb1b16d464f70fea79340501d47be0b4ba03a1d29",
+    "tau1-ingest_gap": "55a53e6c747067f9905591210e7e51da548274059ad11cddf9f1d6796172cae9",
+    "tau1_16-scalar": "37f20a264d0ad5c7ce46eb5cc7d73ad52324bfe499dbd52a12d75efe84565000",
+    "tau1_16-update_many": "37f20a264d0ad5c7ce46eb5cc7d73ad52324bfe499dbd52a12d75efe84565000",
+    "tau1_16-receive_many": "852aaddd122046cf19523c93b6e0e83b4d9aa67b10fdd993039e6098b4463307",
+    "tau1_16-ingest_gap": "7023b820d7f3b86e4d3347306babd5db59cbef5419f9ab1f9c77817b285a23b8",
+    "controller-scalar": "c776923ef11988db0cb14a38e2f777720bea586cd7c88a14b1149924f1b6c5b3",
+    "controller-update_many": "c776923ef11988db0cb14a38e2f777720bea586cd7c88a14b1149924f1b6c5b3",
+    "controller-receive_many": "51878f0d8d3e2f1ae9bef3b059736fac3c7da9d0c290feb052b3b85fb3a10068",
+    "controller-ingest_gap": "5654b8355059119b18cf99696d799e09549f51bece06fcfb030c9c6e5a3720b4",
+}
+
+#: ``y`` digests of the geometries above quantum 1, same provenance
+PINNED_Y = {
+    "tau1-scalar": "cc8c8f356c10db5896333c1cf9eaa0f0f63d2763d9b023d7ea0833c1cf19e9a3",
+    "tau1-update_many": "cc8c8f356c10db5896333c1cf9eaa0f0f63d2763d9b023d7ea0833c1cf19e9a3",
+    "tau1-receive_many": "9aa03c69ec839e25261b4b04bb26c89d0f0bcec2e673f00172597fb02046e00c",
+    "tau1-ingest_gap": "e73ae73188a93e769d27697f1ae56eb43adc645184dc076ddb8aec55cf731c3d",
+    "tau1_16-scalar": "c9ef80d118dcb5dfd53ed63ab0a5006e17e76e2056378738271703749f1fb50e",
+    "tau1_16-update_many": "c9ef80d118dcb5dfd53ed63ab0a5006e17e76e2056378738271703749f1fb50e",
+    "tau1_16-receive_many": "b3db1c314375312ee47014208f18655d16f93fd56506bb5826e512cafb9e9af6",
+    "tau1_16-ingest_gap": "9dc0154408ec4fb55ca19d10b3899d835f5709b3d678f0a5b3a4f4b418ce3040",
 }
 
 
 @pytest.mark.parametrize("case", sorted(PINNED))
 def test_state_matches_the_block_deque_layout(case):
     geometry, feed = case.split("-")
-    assert run(geometry, feed) == PINNED[case]
+    m, theta = run(geometry, feed)
+    assert digest(state(m, theta)) == PINNED[case]
+    if m.sample_block == 1:
+        y = m._y
+        assert y._head is None and not y._index
+        assert y.monitored == y.processed == 0
+    else:
+        assert digest(y_chain(m)) == PINNED_Y[case]
 
 
 def test_every_geometry_and_feed_is_pinned():
     assert set(PINNED) == {f"{g}-{f}" for g in GEOMETRIES for f in FEEDS}
+    quanta = {
+        g: Memento(window, counters=counters, tau=tau).sample_block
+        for g, (window, counters, tau, *_) in GEOMETRIES.items()
+    }
+    assert quanta["controller"] == 1
+    assert set(PINNED_Y) == {
+        case for case in PINNED if quanta[case.split("-")[0]] > 1
+    }

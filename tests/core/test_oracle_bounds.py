@@ -10,6 +10,15 @@ window, and ``heavy_hitters(θ)`` must contain every flow with
 ``f > θW`` for ``θ >= ε``.  The streams are seeded stdlib ``random``
 draws over four shapes: uniform, Zipf 1.1, bursty, and a population
 that turns over at window boundaries.
+
+A second set of rows runs at overflow quantum 1: ``W = k = 512`` gives
+one-packet blocks (``k`` divides ``W``, so the window is exactly ``W``),
+where every Full update writes an overflow record and Memento leaves its
+in-frame Space Saving ``y`` empty.  A key absent from the overflow table
+then answers two blocks, the Algorithm 1 bound at its exact in-frame
+count of 0.  Every key the oracle or the sketch knows, and keys neither
+has seen, must satisfy ``0 <= query(x) - f(x) <= 4W/k`` and
+``query_lower(x) <= f(x)``.
 """
 
 from __future__ import annotations
@@ -101,3 +110,50 @@ def test_error_within_epsilon_w(sketch_name, shape, seed):
     # and every skewed shape must put flows above the detection bar
     assert worst > EPSILON_W / 4
     assert graded or shape == "uniform"
+
+
+Q1_WINDOW = 512
+Q1_COUNTERS = 512
+Q1_BOUND = 4 * Q1_WINDOW // Q1_COUNTERS  # four one-packet blocks
+Q1_CHECK_EVERY = 37
+#: keys no shape draws (every shape's keys are non-negative)
+ABSENT = (-1, -2, -(1 << 40))
+
+Q1_SKETCHES = {
+    "wcss": lambda seed: WCSS(Q1_WINDOW, counters=Q1_COUNTERS),
+    "memento-tau1": lambda seed: Memento(
+        Q1_WINDOW, counters=Q1_COUNTERS, tau=1.0, seed=seed
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [3, 17, 29])
+@pytest.mark.parametrize("shape", list(SHAPES))
+@pytest.mark.parametrize("sketch_name", list(Q1_SKETCHES))
+def test_quantum_one_error_within_four_blocks(sketch_name, shape, seed):
+    stream = SHAPES[shape](random.Random(seed), PACKETS)
+    sketch = Q1_SKETCHES[sketch_name](seed)
+    assert sketch.block_size == sketch.sample_block == 1
+    assert sketch.effective_window == Q1_WINDOW
+    oracle = ExactWindowCounter(Q1_WINDOW)
+    errors = set()
+    for start in range(0, len(stream), Q1_CHECK_EVERY):
+        chunk = stream[start : start + Q1_CHECK_EVERY]
+        sketch.update_many(chunk)
+        oracle.update_many(chunk)
+        assert not sketch._y.monitored
+        keys = {*(key for key, _ in oracle.items()), *sketch.candidates(), *ABSENT}
+        for key in keys:
+            true = oracle.query(key)
+            error = sketch.query(key) - true
+            assert 0 <= error <= Q1_BOUND, (start, key, true, error)
+            assert sketch.query_lower(key) <= true, (start, key, true)
+            errors.add(error)
+        for key in ABSENT:
+            assert sketch.query(key) == 2 and sketch.query_lower(key) == 0
+        for theta in THETAS:
+            heavy = set(oracle.heavy_hitters(theta))
+            missing = heavy - set(sketch.heavy_hitters(theta))
+            assert not missing, (start, theta, missing)
+    # tracked keys carry the +2 shift; the absent ones answer it alone
+    assert 2 in errors

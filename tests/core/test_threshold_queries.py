@@ -6,9 +6,10 @@
 :meth:`~repro.core.memento.Memento.estimates` scan answers: the same keys,
 the same float values, and the same dict order — and ``output`` the same
 set as ``compute_hhh`` over every candidate.  The states cover both
-``tau`` regimes, overflow quanta of 1 and above, a full evicting ``y``
-and a non-full one, flows held in ``B`` after ``y`` evicted them, the
-empty sketch, and thresholds that tie a present estimate exactly.
+``tau`` regimes, overflow quanta of 1 and above, a full evicting ``y``,
+a non-full one and the empty one of quantum 1, flows held in ``B`` after
+``y`` evicted them, the empty sketch, and thresholds that tie a present
+estimate exactly.
 """
 
 from __future__ import annotations
@@ -34,7 +35,10 @@ def zipf_stream(n, distinct, seed, skew=1.1, drift=None):
     return ((ranks * 2654435761 + 12345) % 2**32).tolist()
 
 
-#: (id, Memento kwargs, stream length in windows, distinct keys, y state)
+#: (id, Memento kwargs, stream length in windows, distinct keys, y state);
+#: at overflow quantum 1 Memento leaves ``y`` empty, so the quantum-1 state
+#: that once filled and evicted ``y`` now pins it empty, and the quanta
+#: above 1 cover the eviction walk
 MEMENTO_STATES = [
     ("tau1-q64-evicting", dict(window=4096, counters=64, tau=1.0), 2.5, 5000, "full"),
     ("tau1-q16-evicting", dict(window=4096, counters=256, tau=1.0), 2.5, 5000, "full"),
@@ -45,7 +49,7 @@ MEMENTO_STATES = [
         dict(window=4096, counters=64, tau=0.0226),
         2.97,
         100_000,
-        "full",
+        "empty",
     ),
     ("tau1/48-q1-not-full", dict(window=4096, counters=64, tau=1 / 48), 2.5, 5000, "not-full"),
     ("tau1/2-q32-evicting", dict(window=4096, counters=64, tau=0.5), 2.5, 5000, "full"),
@@ -106,6 +110,9 @@ class TestMementoHeavyHitters:
             assert y.monitored == y.counters
             # flows that overflowed, then lost their counter in y
             assert any(key not in y for key in sketch._offsets)
+        elif y_state == "empty":
+            assert sketch.sample_block == 1 and sketch._offsets
+            assert y.monitored == y.processed == 0
         else:
             assert y.monitored < y.counters
         thetas = (*THETAS, *tie_thetas(sketch.estimates(), sketch.window))

@@ -240,6 +240,9 @@ class TestTupleKeyedHMementoCheckpoint:
                 reference.sketch
             )
             restored, live = engine.sketch._memento, reference.sketch._memento
+            # the fixture's shared Memento runs at quantum 1 with the y an
+            # older layout filled; the replay's frame flush emptied it
+            assert restored.sample_block == 1 and not restored._y.monitored
             assert memento_digest(restored) == memento_digest(live)
             assert list(restored._y._index) == list(live._y._index)
             assert pickle.dumps(engine.sketch) == pickle.dumps(reference.sketch)

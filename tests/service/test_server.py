@@ -9,6 +9,7 @@ import pickle
 import signal
 import socket
 import struct
+import threading
 import time
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from repro.service import (
     ServiceDaemon,
     ServiceError,
 )
+from repro.service import server as server_module
 from repro.service.cli import _override_service, build_parser
 from repro.service.protocol import encode_frame, encode_report, read_frame_sync
 from repro.sharding.shm import leaked_segments
@@ -471,3 +473,82 @@ class TestDeadShardWorker:
         assert time.monotonic() < deadline
         assert mp.active_children() == []
         assert leaked_segments() == []
+
+
+def blocked_in_drain(daemon) -> bool:
+    """Whether a task on ``daemon``'s loop is awaiting a stream writer's
+    ``drain()`` (asked on that loop)."""
+
+    async def probe():
+        for task in asyncio.all_tasks():
+            awaiting = task.get_coro()
+            while awaiting is not None:
+                if getattr(awaiting, "__name__", "") == "drain":
+                    return True
+                awaiting = getattr(awaiting, "cr_await", None)
+        return False
+
+    return asyncio.run_coroutine_threadsafe(probe(), daemon._loop).result(DEADLINE)
+
+
+def stall(daemon, stuck: socket.socket) -> None:
+    """Fill ``daemon`` with 20,000 keys, then send 64 queries on
+    ``stuck`` whose ~300 KB replies it never reads, until a handler
+    blocks in ``drain()``."""
+    with ServiceClient.connect(port=daemon.port, timeout=DEADLINE) as feeder:
+        # every key is heavy at this theta
+        feeder.report(list(range(20_000)))
+        assert feeder.flush() == 20_000
+    stuck.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    stuck.connect(("127.0.0.1", daemon.port))
+    request = {"op": "heavy_hitters", "theta": 1e-9}
+    stuck.sendall(b"".join(encode_frame({**request, "id": i}) for i in range(64)))
+    deadline = time.monotonic() + DEADLINE
+    while not blocked_in_drain(daemon):
+        assert time.monotonic() < deadline, "handler never blocked"
+        time.sleep(0.01)
+
+
+class TestClientThatStopsReading:
+    """A client that sends requests and never reads the replies blocks
+    only its own handler, in ``drain()``: other clients' flushes and
+    queries still answer, ``close()`` still unwinds, and past
+    ``DRAIN_TIMEOUT`` the client is dropped as stalled."""
+
+    def test_other_clients_and_close_are_not_held_up(self):
+        daemon = ServiceDaemon(service_spec()).start()
+        stuck = socket.socket()
+        try:
+            stall(daemon, stuck)
+            start = time.monotonic()
+            with ServiceClient.connect(port=daemon.port, timeout=DEADLINE) as other:
+                other.report([10**9] * 3)
+                assert other.flush() == 20_003
+                assert other.heavy_hitters(2e-5) == {10**9: 3}
+            assert time.monotonic() - start < DEADLINE
+            assert blocked_in_drain(daemon)  # still stuck meanwhile
+            closer = threading.Thread(target=daemon.close)
+            closer.start()
+            closer.join(DEADLINE)
+            assert not closer.is_alive(), "close() hung behind a stuck client"
+        finally:
+            stuck.close()
+            daemon.close()
+
+    def test_a_stalled_client_is_dropped(self, monkeypatch):
+        monkeypatch.setattr(server_module, "DRAIN_TIMEOUT", 0.3)
+        with ServiceDaemon(service_spec()) as daemon:
+            stuck = socket.socket()
+            try:
+                stall(daemon, stuck)
+                with ServiceClient.connect(
+                    port=daemon.port, timeout=DEADLINE
+                ) as other:
+                    deadline = time.monotonic() + DEADLINE
+                    while other.stats()["clients"] > 1:
+                        assert time.monotonic() < deadline, "never dropped"
+                        time.sleep(0.05)
+                    assert other.stats()["stalled_clients"] == 1
+                    assert other.flush() == 20_000
+            finally:
+                stuck.close()
